@@ -28,11 +28,45 @@ from .scheme import PrecodingScheme
 _SLAB = 1 << 20  # states tallied per numpy pass; keeps memory bounded
 
 
+# Python's default limit on the digits of an int converted to str.
+_MAX_DECIMAL_DIGITS = 4300
+
+
+def _power_exceeds(q: int, n: int, bound: int) -> bool:
+    """Exactly whether q^n > bound, without building q^n when it is far larger."""
+    if n * (q.bit_length() - 1) > bound.bit_length():
+        return True  # q^n >= 2^(n * (bitlen(q) - 1)) > bound
+    return q**n > bound
+
+
 class StateSpaceTooLarge(RuntimeError):
-    def __init__(self, required: int, cap: int):
-        super().__init__(f"exhaustive oracle needs {required} states, cap is {cap}")
-        self.required = required
-        self.cap = cap
+    """The q^n key states of an oracle exceed the cap.
+
+    The count is carried as (q, n): q^n can have far more digits than Python
+    will convert to a string.
+    """
+
+    def __init__(self, q: int, n: int, cap: int):
+        self.q, self.n, self.cap = q, n, cap
+        super().__init__(f"exhaustive oracle needs {self.required_text} states, cap is {cap}")
+
+    @property
+    def required(self) -> int:
+        return self.q**self.n
+
+    @property
+    def printable(self) -> bool:
+        """Whether q^n has few enough decimal digits to be written out."""
+        return not _power_exceeds(self.q, self.n, 10**_MAX_DECIMAL_DIGITS - 1)
+
+    @property
+    def required_text(self) -> str:
+        return str(self.required) if self.printable else f"{self.q}^{self.n}"
+
+
+def _check_states(q: int, n: int, cap: int):
+    if _power_exceeds(q, n, cap):
+        raise StateSpaceTooLarge(q, n, cap)
 
 
 @dataclass(frozen=True)
@@ -115,9 +149,8 @@ def mask_distribution(m: Mat, cap: int) -> tuple[int, np.ndarray]:
     """
     q = m.field.modulus
     n, rows = m.cols, m.rows
+    _check_states(q, n, cap)
     states = q**n
-    if states > cap:
-        raise StateSpaceTooLarge(states, cap)
     coords_per_chunk = max(1, int(62 / math.log2(q)))
     chunks = [range(j, min(j + coords_per_chunk, rows)) for j in range(0, rows, coords_per_chunk)]
     col = np.asarray(m.array, dtype=np.int64)
@@ -179,9 +212,7 @@ def entropy_oracle_relay(s: PrecodingScheme, u: int, cap: int) -> OracleResult:
     entropy equals V*L.
     """
     t_u, _ = groups_touching_relay(s.cfg.U, s.cfg.V, s.cfg.G, u)
-    states = s.cfg.field.modulus ** (t_u * s.dims.L_S)
-    if states > cap:
-        raise StateSpaceTooLarge(states, cap)
+    _check_states(s.cfg.field.modulus, t_u * s.dims.L_S, cap)
     m = scheme_mod.assemble_relay_matrix(s, u)
     return _oracle_from_matrix(m, s.cfg.V * s.dims.L, cap)
 
@@ -194,9 +225,7 @@ def entropy_oracle_server(s: PrecodingScheme, cap: int) -> OracleResult:
     GF(q)^{(U-1)L}, i.e. the entropy equals (U-1)*L.
     """
     c_x, _ = cross_relay_groups(s.cfg.U, s.cfg.V, s.cfg.G)
-    states = s.cfg.field.modulus ** (c_x * s.dims.L_S)
-    if states > cap:
-        raise StateSpaceTooLarge(states, cap)
+    _check_states(s.cfg.field.modulus, c_x * s.dims.L_S, cap)
     m = scheme_mod.cross_relay_server_matrix(s)
     return _oracle_from_matrix(m, (s.cfg.U - 1) * s.dims.L, cap)
 
@@ -211,12 +240,8 @@ def rate_audit(s: PrecodingScheme) -> tuple[bool, RateTuple, RateTuple]:
 
 def correctness_fuzz(s: PrecodingScheme, rounds: int, seed: int) -> int:
     """Number of rounds whose decoded sum differs from the true input sum."""
-    failures = 0
-    for i in range(rounds):
-        t = protocol.run_round(s, input_seed=(seed, 2 * i), key_seed=(seed, 2 * i + 1))
-        if t.decoded_sum != protocol.input_sum(s, t.inputs):
-            failures += 1
-    return failures
+    batch = protocol.run_rounds(s, protocol.round_seeds(seed, rounds))
+    return int(np.count_nonzero(~batch.correct))
 
 
 def full_audit(

@@ -13,6 +13,8 @@ import json
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import audit, linalg, protocol, scheme as scheme_mod
 from .combi import enumerate_groups
 from .gf import NotPrime, make_field
@@ -174,7 +176,7 @@ def _oracle_to_obj(result) -> dict:
     if isinstance(result, audit.StateSpaceTooLarge):
         return {
             "status": "skipped-infeasible",
-            "required_states": _enc_int(result.required),
+            "required_states": _enc_int(result.required) if result.printable else result.required_text,
             "cap": _enc_int(result.cap),
         }
     return {
@@ -315,15 +317,14 @@ def cmd_simulate(args) -> int:
     except SchemeFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    rounds = []
-    correct = 0
-    for i in range(args.rounds):
-        t = protocol.run_round(s, input_seed=(args.seed, 2 * i), key_seed=(args.seed, 2 * i + 1))
-        if t.decoded_sum == protocol.input_sum(s, t.inputs):
-            correct += 1
-        rounds.append(transcript_to_obj(t))
+    batch = protocol.run_rounds(s, protocol.round_seeds(args.seed, args.rounds))
+    correct = int(np.count_nonzero(batch.correct))
     print(f"correct rounds: {correct}/{args.rounds}")
     if args.out:
+        rounds = [transcript_to_obj(batch.transcript(i)) for i in range(args.rounds)]
+        # Free the round arrays and the encoding matrix before the JSON text,
+        # the peak of this command's memory, is built.
+        del s, batch
         obj = {
             "format_version": FORMAT_VERSION,
             "prng_id": linalg.PRNG_ID,

@@ -3,7 +3,8 @@
 Matrices are stored as numpy arrays. For moduli small enough that a product of
 two residues fits in int64 the array dtype is int64 and all operations are
 vectorized; for larger moduli (up to 2^61 - 1) entries are Python ints in an
-object array, which is exact but slower.
+object array, which is exact but slower. The matrix product matmul_mod and
+the residue sums sum_mod work on int64 arrays at every modulus.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .gf import FieldSpec, f_inv, f_pow
 
 # Largest modulus for which (q-1)^2 fits comfortably in int64.
 _INT64_SAFE_MODULUS = 3_037_000_499
+_INT64_MAX = (1 << 63) - 1
 
 # Identifier of the pseudo-random generator recorded in serialized schemes.
 PRNG_ID = "numpy-pcg64"
@@ -130,18 +132,103 @@ def mat_vec(m: Mat, v: Mat) -> Mat:
     _check_same_field(m, v)
     if v.cols != 1 or m.cols != v.rows:
         raise DimensionMismatch(f"cannot multiply {m.rows}x{m.cols} by {v.rows}x{v.cols}")
-    q = m.field.modulus
-    if m.cols == 0:
-        return zeros(m.field, m.rows, 1)
-    if m.array.dtype == object or q * q * m.cols < (1 << 62):
-        out = (m.array @ v.array) % q
-    else:
-        # Sum of int64 products could overflow; reduce column by column.
-        acc = np.zeros(m.rows, dtype=np.int64)
-        for k in range(m.cols):
-            acc = (acc + m.array[:, k] * int(v.array[k, 0])) % q
-        out = acc.reshape(-1, 1)
-    return Mat(m.field, np.asarray(out))
+    a = np.asarray(m.array, dtype=np.int64)
+    b = np.asarray(v.array, dtype=np.int64)
+    return from_array(m.field, matmul_mod(a, b, m.field.modulus))
+
+
+def from_array(field: FieldSpec, a: np.ndarray) -> Mat:
+    """A Mat over the field from an int64 array of residues, in the field's storage dtype.
+
+    The array is made row-major: rank eliminates row by row, which is slower
+    on the column-major arrays that numpy's column gathers return.
+    """
+    a = np.ascontiguousarray(a)
+    return Mat(field, a if _dtype_for(field) is np.int64 else a.astype(object))
+
+
+def sum_mod(a: np.ndarray, axis: int, q: int) -> np.ndarray:
+    """Sum of an int64 array of residues along one axis, mod q.
+
+    Partial sums are reduced often enough that int64 never overflows, even
+    for q close to 2^61.
+    """
+    a = np.moveaxis(a, axis, 0)
+    step = max(1, _INT64_MAX // (q - 1) - 1)
+    acc = np.zeros(a.shape[1:], dtype=np.int64)
+    for i in range(0, a.shape[0], step):
+        acc = (acc + a[i : i + step].sum(axis=0)) % q
+    return acc
+
+
+def _dot_mod(pairs: Iterable[tuple[np.ndarray, np.ndarray]], shape, bound: int, q: int) -> np.ndarray:
+    """(sum of x @ y over the pairs) mod q, where every product of two entries is <= bound.
+
+    Products are added unreduced for as long as the running sum provably fits
+    int64, and reduced only then (delayed reduction); a long inner dimension
+    is cut into chunks for the same reason.
+    """
+    budget = (_INT64_MAX - q) // bound  # product terms that fit on top of a reduced sum
+    acc = np.zeros(shape, dtype=np.int64)
+    used = 0
+    for x, y in pairs:
+        for t in range(0, x.shape[1], budget):
+            terms = min(budget, x.shape[1] - t)
+            if used + terms > budget:
+                acc %= q
+                used = 0
+            acc += x[:, t : t + terms] @ y[t : t + terms]
+            used += terms
+    return acc % q
+
+
+def _mul_pow2(x: np.ndarray, bits: int, q: int) -> np.ndarray:
+    """x * 2^bits mod q for an int64 array of residues, in shifts that fit int64."""
+    step = 63 - (q - 1).bit_length()
+    while bits > 0:
+        shift = min(bits, step)
+        x = (x << shift) % q
+        bits -= shift
+    return x
+
+
+def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """Exact (a @ b) mod q for int64 arrays of residues, for every prime q <= 2^61 - 1.
+
+    The operands are split into base-2^w digits (limbs), so that a product of
+    limbs fits int64 with room for a long sum: up to q = 3,037,000,499 only
+    `b` is split, into 16-bit halves (a residue times a half is below 2^48);
+    above that both are split into 21-bit limbs (a limb product is below
+    2^42). The limb products of one weight 2^(w*s) are summed with delayed
+    reduction, and the weights are folded in by Horner's rule, as in
+    FFLAS-FFPACK (Dumas, Giorgi, Pernet, ACM TOMS 2008). Limbs of `a` are
+    made one at a time, so `a` may be the large operand. The result is an
+    int64 array of residues.
+    """
+    split_a = q > _INT64_SAFE_MODULUS
+    width = 21 if split_a else 16
+    mask = (1 << width) - 1
+    n_b = -(-(q - 1).bit_length() // width)
+    n_a = n_b if split_a else 1
+    b_limbs = [(b >> (width * j)) & mask for j in range(n_b)]
+    bound = (mask if split_a else q - 1) * min(q - 1, mask)
+
+    def a_limb(i: int) -> np.ndarray:
+        if not split_a:
+            return a
+        limb = a >> (width * i)
+        limb &= mask
+        return limb
+
+    def pairs(s: int):
+        for i in range(max(0, s - n_b + 1), min(n_a, s + 1)):
+            yield a_limb(i), b_limbs[s - i]
+
+    acc = None
+    for s in reversed(range(n_a + n_b - 1)):
+        part = _dot_mod(pairs(s), (a.shape[0], b.shape[1]), bound, q)
+        acc = part if acc is None else (_mul_pow2(acc, width, q) + part) % q
+    return acc
 
 
 def hstack(mats: Sequence[Mat]) -> Mat:

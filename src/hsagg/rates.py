@@ -1,7 +1,9 @@
 """Optimal rate region, feasibility, regime classification, blocklength selection.
 
 All rate arithmetic is exact (fractions.Fraction); the regime split is a
-strict comparison of two rationals and must never go through floats.
+strict comparison of two rationals and must never go through floats. Counts
+use unbounded math.comb: nothing here is materialized, so a count past 64 bits
+is still an exact rate.
 """
 
 from __future__ import annotations
@@ -9,8 +11,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
-from .combi import binom_sat
 from .gf import FieldSpec
 
 
@@ -57,9 +59,9 @@ class SchemeDims:
 
 def security_fractions(cfg: ProblemConfig) -> tuple[Fraction, Fraction]:
     """(relay-side, server-side) lower-bound fractions on the key rate."""
-    total = binom_sat(cfg.U * cfg.V, cfg.G)
-    relay_denom = total - binom_sat((cfg.U - 1) * cfg.V, cfg.G)
-    server_denom = total - cfg.U * binom_sat(cfg.V, cfg.G)
+    total = comb(cfg.U * cfg.V, cfg.G)
+    relay_denom = total - comb((cfg.U - 1) * cfg.V, cfg.G)
+    server_denom = total - cfg.U * comb(cfg.V, cfg.G)
     return Fraction(cfg.V, relay_denom), Fraction(cfg.U - 1, server_denom)
 
 
@@ -89,9 +91,9 @@ def classify_regime(cfg: ProblemConfig) -> SchemeDims:
     """
     _require_feasible(cfg)
     relay_frac, server_frac = security_fractions(cfg)
-    total = binom_sat(cfg.U * cfg.V, cfg.G)
+    total = comb(cfg.U * cfg.V, cfg.G)
     if relay_frac >= server_frac:
-        L = total - binom_sat((cfg.U - 1) * cfg.V, cfg.G)
+        L = total - comb((cfg.U - 1) * cfg.V, cfg.G)
         return SchemeDims(Regime.RELAY_DOMINANT, L, cfg.V)
-    L = total - cfg.U * binom_sat(cfg.V, cfg.G)
+    L = total - cfg.U * comb(cfg.V, cfg.G)
     return SchemeDims(Regime.SERVER_DOMINANT, L, cfg.U - 1)

@@ -8,7 +8,8 @@ total. Non-members implicitly hold the zero matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from functools import cached_property
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -19,10 +20,9 @@ from .combi import (
     cross_relay_groups,
     enumerate_groups,
     groups_touching_relay,
-    relay_users,
 )
 from .gf import make_field
-from .linalg import Mat, hstack, mat_add, mat_neg, mat_sum, vandermonde_block, vstack, zeros
+from .linalg import Mat, mat_neg, mat_sum, vandermonde_block, zeros
 from .rates import ProblemConfig, SchemeDims, check_feasible, classify_regime, Infeasible
 
 DEFAULT_RANDOM_MODULUS = 2_147_483_647  # Mersenne prime; retries essentially never needed
@@ -50,6 +50,24 @@ class PrecodingScheme:
         if stored is not None:
             return stored
         return zeros(self.cfg.field, self.dims.L, self.dims.L_S)
+
+    @cached_property
+    def encoding(self) -> np.ndarray:
+        """The UV*L x C(UV,G)*L_S encoding matrix, as int64 residues.
+
+        Row block i belongs to the i-th user in canonical order ((1,1), (1,2),
+        ..., (U,V)), column block g to group g; the block is block(g, user).
+        Stacking every user's input and every group's key gives all user
+        messages at once, X = W + E K, and the relay matrices, the server
+        matrix and the zero-sum check are slices and row-block sums of E.
+        """
+        L, L_S = self.dims.L, self.dims.L_S
+        e = np.zeros((self.cfg.U * self.cfg.V * L, len(self.groups) * L_S), dtype=np.int64)
+        for (g_idx, (u, v)), m in self.blocks.items():
+            row = ((u - 1) * self.cfg.V + v - 1) * L
+            e[row : row + L, g_idx * L_S : (g_idx + 1) * L_S] = m.array
+        e.setflags(write=False)
+        return e
 
 
 def complete_zero_sum(given: Mapping[UserId, Mat], dependent: UserId) -> dict[UserId, Mat]:
@@ -190,6 +208,11 @@ def build_random(cfg: ProblemConfig, seed: int, max_retries: int = 16) -> Precod
     raise ConstructionFailed(max_retries + 1)
 
 
+def _block_columns(group_indices: Sequence[int], L_S: int) -> np.ndarray:
+    """Column indices of the given groups' column blocks, in the given order."""
+    return (np.asarray(group_indices, dtype=np.int64)[:, None] * L_S + np.arange(L_S)).reshape(-1)
+
+
 def assemble_relay_matrix(s: PrecodingScheme, u: int) -> Mat:
     """The VL x (T_u * L_S) matrix seen by relay u.
 
@@ -198,11 +221,9 @@ def assemble_relay_matrix(s: PrecodingScheme, u: int) -> Mat:
     member. Full row rank VL is exactly the relay security condition.
     """
     _, touching = groups_touching_relay(s.cfg.U, s.cfg.V, s.cfg.G, u)
-    row_blocks = [
-        hstack([s.block(g_idx, (u, v)) for g_idx in touching])
-        for v in range(1, s.cfg.V + 1)
-    ]
-    return vstack(row_blocks)
+    height = s.cfg.V * s.dims.L
+    rows = s.encoding[(u - 1) * height : u * height]
+    return linalg.from_array(s.cfg.field, rows[:, _block_columns(touching, s.dims.L_S)])
 
 
 def assemble_server_matrix(s: PrecodingScheme) -> Mat:
@@ -213,35 +234,21 @@ def assemble_server_matrix(s: PrecodingScheme) -> Mat:
     since their members cancel within the relay. Rank (U-1)L is exactly the
     server security condition.
     """
-    row_blocks = []
-    for u in range(1, s.cfg.U + 1):
-        cells = []
-        for g_idx in range(len(s.groups)):
-            acc = zeros(s.cfg.field, s.dims.L, s.dims.L_S)
-            for user in relay_users(u, s.cfg.V):
-                acc = mat_add(acc, s.block(g_idx, user))
-            cells.append(acc)
-        row_blocks.append(hstack(cells))
-    return vstack(row_blocks)
+    U, V, L = s.cfg.U, s.cfg.V, s.dims.L
+    per_user = s.encoding.reshape(U, V, L, -1)
+    summed = linalg.sum_mod(per_user, 1, s.cfg.field.modulus)
+    return linalg.from_array(s.cfg.field, summed.reshape(U * L, -1))
 
 
 def check_zero_sum(s: PrecodingScheme) -> bool:
     """Exact check that every group's member blocks sum to the zero matrix."""
-    zero = zeros(s.cfg.field, s.dims.L, s.dims.L_S)
-    for g_idx, grp in enumerate(s.groups):
-        if mat_sum([s.block(g_idx, member) for member in grp]) != zero:
-            return False
-    return True
+    per_user = s.encoding.reshape(-1, s.dims.L, s.encoding.shape[1])
+    return not linalg.sum_mod(per_user, 0, s.cfg.field.modulus).any()
 
 
 def cross_relay_server_matrix(s: PrecodingScheme) -> Mat:
     """Server matrix restricted to cross-relay column blocks and the first U-1 row blocks."""
     full = assemble_server_matrix(s)
     _, cross = cross_relay_groups(s.cfg.U, s.cfg.V, s.cfg.G)
-    L, L_S = s.dims.L, s.dims.L_S
-    col_slices = [
-        full.array[: (s.cfg.U - 1) * L, g_idx * L_S : (g_idx + 1) * L_S] for g_idx in cross
-    ]
-    if not col_slices:
-        return zeros(s.cfg.field, (s.cfg.U - 1) * L, 0)
-    return Mat(s.cfg.field, np.hstack(col_slices))
+    rows = full.array[: (s.cfg.U - 1) * s.dims.L]
+    return Mat(s.cfg.field, np.ascontiguousarray(rows[:, _block_columns(cross, s.dims.L_S)]))

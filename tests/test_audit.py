@@ -20,6 +20,7 @@ from hsagg.rates import ProblemConfig, SchemeDims
 from hsagg.scheme import PrecodingScheme, build_random, sample_zero_sum_scheme
 
 CAP = 1 << 26
+Q61 = (1 << 61) - 1
 GF2 = make_field(2)
 GF3 = make_field(3)
 
@@ -95,6 +96,22 @@ def test_mask_distribution_basics():
     with pytest.raises(StateSpaceTooLarge) as exc:
         mask_distribution(zeros(GF2, 1, 40), 1 << 26)
     assert exc.value.required == 2**40 and exc.value.cap == 1 << 26
+
+
+def test_state_space_guard_is_exact():
+    # The cap decision is exact at the boundary and for huge exponents.
+    cap = 100
+    for q, n in ((2, 6), (2, 7), (3, 4), (3, 5), (97, 1), (101, 1), (Q61, 1)):
+        try:
+            mask_distribution(zeros(make_field(q), 1, n), cap)
+            refused = False
+        except StateSpaceTooLarge as exc:
+            refused = True
+            assert exc.required == q**n
+        assert refused == (q**n > cap), (q, n)
+    exc = StateSpaceTooLarge(Q61, 10**6, CAP)
+    assert exc.required_text == f"{Q61}^{10**6}" and not exc.printable
+    assert StateSpaceTooLarge(11, 24, CAP).required_text == str(11**24)
 
 
 def test_entropy_oracle_minimal():

@@ -1,4 +1,6 @@
 import json
+from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -34,6 +36,16 @@ def test_rates_example2(capsys):
     out = capsys.readouterr().out
     assert "r_s: 3/8" in out
     assert "regime: ServerDominant" in out
+
+
+def test_rates_counts_past_64_bits(capsys):
+    # C(1600, 30) is far past 64 bits; the rates are still exact fractions.
+    assert run(["rates", "--U", "40", "--V", "40", "--G", "30"]) == EXIT_OK
+    total = comb(1600, 30)
+    relay = Fraction(40, total - comb(1560, 30))
+    server = Fraction(39, total - 40 * comb(40, 30))
+    r_s = max(relay, server)
+    assert f"r_s: {r_s.numerator}/{r_s.denominator}\n" in capsys.readouterr().out
 
 
 def test_rates_infeasible(capsys):

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,8 +17,10 @@ from hsagg.linalg import (
     mat_neg,
     mat_sum,
     mat_vec,
+    matmul_mod,
     random_mat,
     rank,
+    sum_mod,
     vandermonde_block,
     vstack,
     zeros,
@@ -104,7 +107,7 @@ def test_mat_vec_dimension_errors():
 
 
 def test_mat_vec_large_modulus_overflow_path():
-    # q*q*cols exceeds int64 headroom here, forcing the column-wise reduction.
+    # q*q*cols exceeds int64 headroom here, so the product splits one operand.
     m = random_mat(4, 3, BIG, 5)
     v = random_mat(3, 1, BIG, 6)
     expected = [
@@ -194,3 +197,74 @@ def test_mat_sum_and_immutability():
     assert mat_sum([m, mat_neg(m)]) == zeros(GF5, 3, 3)
     with pytest.raises(ValueError):
         m.array[0, 0] = 1
+
+
+# Moduli for the exact product: tiny, the 31-bit Mersenne prime, the largest
+# prime with (q-1)^2 < 2^63 (int64-safe), the largest prime below 2^61 - 1,
+# and the 61-bit Mersenne prime.
+KERNEL_MODULI = (2, 5, 2**31 - 1, 3_037_000_493, 2305843009213693921, 2**61 - 1)
+
+
+def reference_product(a: list, b: list, inner: int, cols: int, q: int) -> list:
+    """(a @ b) mod q in Python ints, for row-major nested lists."""
+    return [[sum(row[t] * b[t][j] for t in range(inner)) % q for j in range(cols)] for row in a]
+
+
+@st.composite
+def product_operands(draw):
+    q = draw(st.sampled_from(KERNEL_MODULI))
+    rows, inner, cols = (draw(st.integers(0, 6)) for _ in range(3))
+    entry = st.integers(0, q - 1)
+    a = draw(st.lists(st.lists(entry, min_size=inner, max_size=inner), min_size=rows, max_size=rows))
+    b = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=inner, max_size=inner))
+    return q, rows, inner, cols, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_operands())
+def test_matmul_mod_matches_python_ints(operands):
+    q, rows, inner, cols, a, b = operands
+    got = matmul_mod(
+        np.array(a, dtype=np.int64).reshape(rows, inner),
+        np.array(b, dtype=np.int64).reshape(inner, cols),
+        q,
+    )
+    assert got.dtype == np.int64 and got.shape == (rows, cols)
+    assert got.tolist() == reference_product(a, b, inner, cols, q)
+
+
+@pytest.mark.parametrize("q", KERNEL_MODULI)
+def test_matmul_mod_all_entries_q_minus_1(q):
+    a = np.full((3, 17), q - 1, dtype=np.int64)
+    b = np.full((17, 4), q - 1, dtype=np.int64)
+    # (q-1)^2 = 1 mod q, so every entry is the inner dimension mod q.
+    assert matmul_mod(a, b, q).tolist() == [[17 % q] * 4] * 3
+
+
+@pytest.mark.parametrize(
+    "q, inner",
+    [
+        # 16-bit split: a product is below (q-1) * 2^16, so about 46,000 terms
+        # fill an int64 chunk at this q.
+        (3_037_000_493, 50_000),
+        # 21-bit limbs: the middle weight sums 3 * inner products below 2^42,
+        # so 700,001 columns give 2,100,003 terms, past the 2^21 chunk.
+        (2**61 - 1, 700_001),
+    ],
+)
+def test_matmul_mod_inner_dimension_past_chunk_bound(q, inner):
+    a = np.full((1, inner), q - 1, dtype=np.int64)
+    b = np.full((inner, 1), q - 1, dtype=np.int64)
+    assert matmul_mod(a, b, q).tolist() == [[inner % q]]
+    rng = np.random.default_rng(inner)
+    a = rng.integers(0, q, size=(1, inner), dtype=np.int64)
+    b = rng.integers(0, q, size=(inner, 1), dtype=np.int64)
+    expected = sum(x * y for x, y in zip(a[0].tolist(), b[:, 0].tolist())) % q
+    assert matmul_mod(a, b, q).tolist() == [[expected]]
+
+
+@pytest.mark.parametrize("q", KERNEL_MODULI)
+def test_sum_mod_never_overflows(q):
+    # 10 entries of q - 1 along axis 1: past 2^63 unreduced when q is near 2^61.
+    a = np.full((2, 10, 3), q - 1, dtype=np.int64)
+    assert sum_mod(a, 1, q).tolist() == [[(10 * (q - 1)) % q] * 3] * 2

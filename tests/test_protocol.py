@@ -4,15 +4,12 @@ import pytest
 
 from hsagg import linalg, protocol
 from hsagg.gf import make_field
-from hsagg.linalg import DimensionMismatch, from_rows, mat_add, mat_vec, zeros
+from hsagg.linalg import DimensionMismatch, from_rows, mat_add, mat_sum, mat_vec, zeros
 from hsagg.protocol import (
     KeyMaterial,
-    input_sum,
     keygen,
-    relay_aggregate,
     run_round,
     run_round_with_inputs,
-    server_decode,
     user_encode,
     user_key,
 )
@@ -85,13 +82,20 @@ def test_encode_is_affine_in_the_input(ex1):
     assert lhs == rhs
 
 
-def test_relay_and_server_sums():
+def test_relay_and_server_sums(ex1):
+    # V = 1: each relay forwards its one user's message; the server adds them.
     s = minimal_scheme(5)
-    x = from_rows(s.cfg.field, [[3]])
-    assert relay_aggregate([x]) == x
-    assert server_decode([x, from_rows(s.cfg.field, [[4]])]) == from_rows(
-        s.cfg.field, [[2]]
-    )
+    f = s.cfg.field
+    inputs = {(1, 1): from_rows(f, [[3]]), (2, 1): from_rows(f, [[4]])}
+    keys = KeyMaterial((from_rows(f, [[2]]),), seed=0, prng_id=linalg.PRNG_ID)
+    t = run_round_with_inputs(s, inputs, keys)
+    assert t.relay_messages == {1: t.user_messages[(1, 1)], 2: t.user_messages[(2, 1)]}
+    assert t.decoded_sum == from_rows(f, [[2]])
+    # V = 2: a relay message is the entrywise sum of its users' messages.
+    t = run_round(ex1, input_seed=8, key_seed=9)
+    for u in (1, 2):
+        assert t.relay_messages[u] == mat_add(t.user_messages[(u, 1)], t.user_messages[(u, 2)])
+    assert t.decoded_sum == mat_add(t.relay_messages[1], t.relay_messages[2])
 
 
 def test_exhaustive_correctness_minimal():
@@ -130,7 +134,7 @@ def test_hundred_rounds_examples(ex1, ex2):
     for s in (ex1, ex2):
         for i in range(100):
             t = run_round(s, input_seed=(1, i), key_seed=(2, i))
-            assert t.decoded_sum == input_sum(s, t.inputs)
+            assert t.decoded_sum == mat_sum(list(t.inputs.values()))
             assert all(x.rows == s.dims.L for x in t.user_messages.values())
             assert all(y.rows == s.dims.L for y in t.relay_messages.values())
 
