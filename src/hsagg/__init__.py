@@ -2,10 +2,10 @@
 
 Library layout:
   gf        prime-field arithmetic
-  linalg    dense GF(q) matrices, rank, seeded random generation
+  linalg    GF(q) products and sums of int64 arrays, rank, seeded random draws
   combi     user/group enumeration and saturating binomials
   rates     optimal rate region and blocklength selection
-  scheme    precoding-matrix constructions and stacked matrices
+  scheme    the encoding matrix of a scheme: constructions and its slices
   protocol  the two-hop aggregation round
   audit     rank predicates, exhaustive entropy oracles, rate audits
   cli       command-line front end and JSON formats

@@ -196,7 +196,8 @@ def _oracle_from_matrix(m: Mat, target: int, cap: int) -> OracleResult:
         # Uniform over `distinct` values with distinct * tally = q^n, so
         # distinct is an exact power of q and the q-ary entropy an integer.
         r = round(math.log(distinct, q))
-        assert q**r == distinct and distinct * int(tallies[0]) == states
+        if q**r != distinct or distinct * int(tallies[0]) != states:
+            raise ArithmeticError(f"uniform tally: {distinct} values of {states} states, not q^{r}")
         entropy = float(r)
     else:
         entropy = -sum(

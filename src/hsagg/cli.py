@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
@@ -48,33 +49,50 @@ def _enc_int(x: int):
 
 
 def _dec_int(x) -> int:
-    if isinstance(x, bool) or not isinstance(x, (int, str)):
-        raise SchemeFileError(f"expected integer, got {x!r}")
-    try:
-        return int(x)
-    except ValueError as exc:
-        raise SchemeFileError(f"bad integer literal {x!r}") from exc
+    """The inverse of _enc_int, so that a file that loads re-saves to the same bytes.
+
+    A bool, a float, or a string that _enc_int would not write is refused.
+    """
+    if isinstance(x, int) and not isinstance(x, bool) and abs(x) < _JSON_SAFE:
+        return x
+    if isinstance(x, str):
+        try:
+            value = int(x)
+        except ValueError as exc:
+            raise SchemeFileError(f"bad integer literal {x[:40]!r}") from exc
+        if abs(value) >= _JSON_SAFE and str(value) == x:
+            return value
+    raise SchemeFileError(f"expected integer, got {x!r:.40}")
+
+
+def _dec_user(x) -> tuple[int, ...]:
+    return tuple(_dec_int(c) for c in x)
+
+
+def _dec_provenance(v):
+    """Integers, as numbers or digit strings, go through _dec_int; other values load as they are."""
+    is_int = isinstance(v, (int, str)) and not isinstance(v, bool) and str(v).lstrip("-").isdigit()
+    return _dec_int(v) if is_int else v
+
+
+def _fields(obj, *names: str) -> list:
+    """The values of a JSON object that must have exactly the named keys, in that order."""
+    if not isinstance(obj, dict) or list(obj) != list(names):
+        raise SchemeFileError(f"expected an object with keys {list(names)}")
+    return [obj[name] for name in names]
 
 
 def _dumps(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _mat_to_obj(m: Mat) -> dict:
-    return {"rows": m.rows, "cols": m.cols, "data": [_enc_int(x) for x in m.entries()]}
-
-
 def scheme_to_obj(s: PrecodingScheme) -> dict:
     blocks = []
     for g_idx, grp in enumerate(s.groups):
         for member in grp:
-            blocks.append(
-                {
-                    "group_index": g_idx,
-                    "user": list(member),
-                    "matrix": _mat_to_obj(s.block(g_idx, member)),
-                }
-            )
+            data = [_enc_int(x) for x in s.block(g_idx, member).reshape(-1).tolist()]
+            matrix = {"rows": s.dims.L, "cols": s.dims.L_S, "data": data}
+            blocks.append({"group_index": g_idx, "user": list(member), "matrix": matrix})
     return {
         "format_version": FORMAT_VERSION,
         "prng_id": linalg.PRNG_ID,
@@ -87,57 +105,67 @@ def scheme_to_obj(s: PrecodingScheme) -> dict:
 
 
 def scheme_from_obj(obj: dict) -> PrecodingScheme:
+    """The scheme a canonical scheme object describes; SchemeFileError for any other object.
+
+    The object must be exactly what scheme_to_obj writes for some scheme (same
+    keys in the same order, blocks in canonical (group, member) order, integers
+    encoded as _enc_int does), so that it re-saves to the same bytes. The
+    member blocks are copied into the encoding matrix as they are: a file that
+    breaks zero-sum loads, and verify reports it.
+    """
     try:
-        if obj["format_version"] != FORMAT_VERSION:
-            raise SchemeFileError(f"unsupported format_version {obj['format_version']!r}")
-        cfg_obj = obj["cfg"]
-        field = make_field(_dec_int(cfg_obj["q"]))
-        cfg = ProblemConfig(cfg_obj["U"], cfg_obj["V"], cfg_obj["G"], field)
+        version, prng_id, cfg_obj, dims_obj, group_order, blocks, provenance = _fields(
+            obj, "format_version", "prng_id", "cfg", "dims", "group_order", "blocks", "provenance"
+        )
+        if _dec_int(version) != FORMAT_VERSION:
+            raise SchemeFileError(f"unsupported format_version {version!r}")
+        if prng_id != linalg.PRNG_ID:
+            raise SchemeFileError(f"unsupported prng_id {prng_id!r}")
+        U, V, G, q = (_dec_int(x) for x in _fields(cfg_obj, "U", "V", "G", "q"))
+        cfg = ProblemConfig(U, V, G, make_field(q))
         dims = classify_regime(cfg)
-        dims_obj = obj["dims"]
-        if (dims_obj["regime"], dims_obj["L"], dims_obj["L_S"]) != (
-            dims.regime.value,
-            dims.L,
-            dims.L_S,
-        ):
+        regime, L, L_S = _fields(dims_obj, "regime", "L", "L_S")
+        L, L_S = _dec_int(L), _dec_int(L_S)
+        if (regime, L, L_S) != (dims.regime.value, dims.L, dims.L_S):
             raise SchemeFileError(f"dims {dims_obj} do not match the config's regime")
-        groups = tuple(enumerate_groups(cfg.U, cfg.V, cfg.G))
-        listed = [tuple(tuple(m) for m in grp) for grp in obj["group_order"]]
-        if listed != list(groups):
+        # Counted before the groups are enumerated, so the work stays in
+        # proportion to the file's size.
+        n_groups = comb(U * V, G)
+        if len(group_order) != n_groups or len(blocks) != n_groups * G:
+            raise SchemeFileError("group_order or blocks has the wrong number of entries")
+        groups = tuple(enumerate_groups(U, V, G))
+        if [tuple(_dec_user(m) for m in grp) for grp in group_order] != list(groups):
             raise SchemeFileError("group_order does not match the canonical enumeration")
-        blocks: dict[tuple[int, tuple[int, int]], Mat] = {}
-        for entry in obj["blocks"]:
-            g_idx = entry["group_index"]
-            user = tuple(entry["user"])
-            if not 0 <= g_idx < len(groups):
-                raise SchemeFileError(f"block group_index {g_idx} out of range")
-            if user not in groups[g_idx]:
-                raise SchemeFileError(f"block user {user} is not a member of group {g_idx}")
-            mobj = entry["matrix"]
-            if (mobj["rows"], mobj["cols"]) != (dims.L, dims.L_S):
-                raise SchemeFileError(f"block for group {g_idx} user {user} has wrong shape")
-            data = [_dec_int(x) for x in mobj["data"]]
-            if any(not 0 <= x < field.modulus for x in data):
+        e = np.zeros((U * V * L, n_groups * L_S), dtype=np.int64)
+        expected = ((g_idx, member) for g_idx, grp in enumerate(groups) for member in grp)
+        for i, (entry, (g_idx, member)) in enumerate(zip(blocks, expected)):
+            group_index, user, matrix = _fields(entry, "group_index", "user", "matrix")
+            if (_dec_int(group_index), _dec_user(user)) != (g_idx, member):
+                raise SchemeFileError(f"block {i} must be group {g_idx} member {list(member)}")
+            rows, cols, data = _fields(matrix, "rows", "cols", "data")
+            if (_dec_int(rows), _dec_int(cols), len(data)) != (L, L_S, L * L_S):
+                raise SchemeFileError(f"block for group {g_idx} user {member} has wrong shape")
+            values = [_dec_int(x) for x in data]
+            if any(not 0 <= x < q for x in values):
                 raise SchemeFileError("matrix entry outside [0, q-1]")
-            blocks[(g_idx, user)] = linalg.from_flat(field, dims.L, dims.L_S, data)
-        for g_idx, grp in enumerate(groups):
-            for member in grp:
-                if (g_idx, member) not in blocks:
-                    raise SchemeFileError(f"missing block for group {g_idx} member {member}")
-        provenance = {
-            k: _dec_int(v) if isinstance(v, str) and v.lstrip("-").isdigit() else v
-            for k, v in obj["provenance"].items()
-        }
-        return PrecodingScheme(cfg, dims, groups, blocks, provenance)
+            e[scheme_mod.block_slices(cfg, dims, g_idx, member)] = np.reshape(values, (L, L_S))
+        if not isinstance(provenance, dict):
+            raise SchemeFileError("provenance must be an object")
+        provenance = {k: _dec_provenance(v) for k, v in provenance.items()}
+        return PrecodingScheme(cfg, dims, groups, e, provenance)
     except (KeyError, TypeError, ValueError, Infeasible) as exc:
         if isinstance(exc, SchemeFileError):
             raise
         raise SchemeFileError(f"malformed scheme file: {exc}") from exc
 
 
-def save_scheme(s: PrecodingScheme, path: str):
+def _write(path: str, text: str):
     with open(path, "w") as fh:
-        fh.write(_dumps(scheme_to_obj(s)))
+        fh.write(text)
+
+
+def save_scheme(s: PrecodingScheme, path: str):
+    _write(path, _dumps(scheme_to_obj(s)))
 
 
 def load_scheme(path: str) -> PrecodingScheme:
@@ -150,7 +178,7 @@ def load_scheme(path: str) -> PrecodingScheme:
 
 
 def _vec_to_list(v: Mat) -> list:
-    return [_enc_int(x) for x in v.entries()]
+    return [_enc_int(x) for x in v.array.reshape(-1).tolist()]
 
 
 def transcript_to_obj(t: protocol.Transcript) -> dict:
@@ -221,6 +249,22 @@ def report_to_obj(r: audit.AuditReport) -> dict:
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _unwritable(path: str, exc: OSError) -> int:
+    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    return EXIT_USAGE
+
+
+def _count(text: str) -> int:
+    """argparse type of --rounds, --fuzz-rounds, --max-retries and --cap."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _cfg_from_args(args, q: int) -> ProblemConfig:
     try:
         field = make_field(q)
@@ -246,7 +290,11 @@ def cmd_rates(args) -> int:
     return EXIT_OK
 
 
-def _print_scheme_summary(s: PrecodingScheme):
+def _save_and_summarize(s: PrecodingScheme, path: str) -> int:
+    try:
+        save_scheme(s, path)
+    except OSError as exc:
+        return _unwritable(path, exc)
     _, achieved, _ = audit.rate_audit(s)
     retries = s.provenance.get("retries_used", 0)
     print(f"construction: {s.provenance['construction']}  retries_used: {retries}")
@@ -254,6 +302,8 @@ def _print_scheme_summary(s: PrecodingScheme):
         f"achieved rates: r_x={_frac(achieved.r_x)} r_y={_frac(achieved.r_y)} "
         f"r_s={_frac(achieved.r_s)}"
     )
+    print(f"scheme written to {path}")
+    return EXIT_OK
 
 
 def cmd_build(args) -> int:
@@ -266,18 +316,12 @@ def cmd_build(args) -> int:
     except ConstructionFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED
-    save_scheme(s, args.out)
-    _print_scheme_summary(s)
-    print(f"scheme written to {args.out}")
-    return EXIT_OK
+    return _save_and_summarize(s, args.out)
 
 
 def cmd_example(args) -> int:
     s = scheme_mod.build_example1() if args.id == 1 else scheme_mod.build_example2()
-    save_scheme(s, args.out)
-    _print_scheme_summary(s)
-    print(f"scheme written to {args.out}")
-    return EXIT_OK
+    return _save_and_summarize(s, args.out)
 
 
 def cmd_verify(args) -> int:
@@ -306,8 +350,10 @@ def cmd_verify(args) -> int:
     print(f"rates: {'pass' if report.rates_match else 'FAIL'}")
     print(f"overall: {'pass' if report.passed else 'FAIL'}")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(_dumps(obj))
+        try:
+            _write(args.out, _dumps(obj))
+        except OSError as exc:
+            return _unwritable(args.out, exc)
     return EXIT_OK if report.passed else EXIT_FAILED
 
 
@@ -331,8 +377,10 @@ def cmd_simulate(args) -> int:
             "seed": _enc_int(args.seed),
             "rounds": rounds,
         }
-        with open(args.out, "w") as fh:
-            fh.write(_dumps(obj))
+        try:
+            _write(args.out, _dumps(obj))
+        except OSError as exc:
+            return _unwritable(args.out, exc)
         print(f"transcripts written to {args.out}")
     return EXIT_OK if correct == args.rounds else EXIT_FAILED
 
@@ -357,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--G", type=int, required=True)
     p.add_argument("--q", type=int, default=scheme_mod.DEFAULT_RANDOM_MODULUS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-retries", type=int, default=16)
+    p.add_argument("--max-retries", type=_count, default=16)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build)
 
@@ -369,15 +417,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="audit a scheme file (ranks, fuzz, oracles, rates)")
     p.add_argument("scheme")
     p.add_argument("--oracle", action="store_true", help="run the exhaustive entropy oracles")
-    p.add_argument("--fuzz-rounds", type=int, default=100)
-    p.add_argument("--cap", type=int, default=1 << 26)
+    p.add_argument("--fuzz-rounds", type=_count, default=100)
+    p.add_argument("--cap", type=_count, default=1 << 26)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the audit report as JSON")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="run aggregation rounds and check decoding")
     p.add_argument("scheme")
-    p.add_argument("--rounds", type=int, default=100)
+    p.add_argument("--rounds", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the round transcripts as JSON")
     p.set_defaults(func=cmd_simulate)

@@ -23,21 +23,6 @@ class FieldSpec:
 
     modulus: int
 
-    def reduce(self, a: int) -> int:
-        return a % self.modulus
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.modulus
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.modulus
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.modulus
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.modulus
-
 
 def make_field(q: int) -> FieldSpec:
     """Return FieldSpec(q) for a prime q in [2, 2^61 - 1].

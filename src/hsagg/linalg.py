@@ -1,10 +1,10 @@
-"""Dense matrices over GF(q): construction, arithmetic, rank, seeded random generation.
+"""GF(q) linear algebra on numpy arrays: exact products and sums, rank, seeded random draws.
 
-Matrices are stored as numpy arrays. For moduli small enough that a product of
-two residues fits in int64 the array dtype is int64 and all operations are
-vectorized; for larger moduli (up to 2^61 - 1) entries are Python ints in an
-object array, which is exact but slower. The matrix product matmul_mod and
-the residue sums sum_mod work on int64 arrays at every modulus.
+Residues are int64 arrays at every modulus up to 2^61 - 1: the matrix product
+matmul_mod and the residue sums sum_mod are exact on them. Only a Mat, the
+input of rank and of the exhaustive oracles, switches to Python ints in an
+object array for moduli too large for a product of two residues to fit in
+int64, which is exact but slower.
 """
 
 from __future__ import annotations
@@ -32,17 +32,17 @@ def _dtype_for(field: FieldSpec):
     return np.int64 if field.modulus <= _INT64_SAFE_MODULUS else object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mat:
-    """An immutable rows x cols matrix over GF(q)."""
+    """An immutable rows x cols matrix over GF(q), in the field's storage dtype."""
 
     field: FieldSpec
     array: np.ndarray = dc_field(repr=False)
 
     def __post_init__(self):
         a = self.array
-        if a.ndim != 2:
-            raise DimensionMismatch("matrix array must be 2-dimensional")
+        if a.ndim != 2 or a.dtype != _dtype_for(self.field):
+            raise DimensionMismatch("a Mat is 2-dimensional, in its field's storage dtype")
         a.setflags(write=False)
 
     @property
@@ -53,13 +53,6 @@ class Mat:
     def cols(self) -> int:
         return self.array.shape[1]
 
-    def entry(self, r: int, c: int) -> int:
-        return int(self.array[r, c])
-
-    def entries(self) -> list[int]:
-        """Row-major flat list of entries."""
-        return [int(x) for x in self.array.reshape(-1)]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):
             return NotImplemented
@@ -68,73 +61,6 @@ class Mat:
             and self.array.shape == other.array.shape
             and bool(np.all(self.array == other.array))
         )
-
-    def __hash__(self):
-        return hash((self.field, self.array.shape, tuple(self.entries())))
-
-
-def from_rows(field: FieldSpec, rows: Sequence[Sequence[int]]) -> Mat:
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if n_rows else 0
-    a = np.empty((n_rows, n_cols), dtype=_dtype_for(field))
-    for i, row in enumerate(rows):
-        if len(row) != n_cols:
-            raise DimensionMismatch("ragged row lengths")
-        for j, x in enumerate(row):
-            a[i, j] = x % field.modulus
-    return Mat(field, a)
-
-
-def from_flat(field: FieldSpec, rows: int, cols: int, entries: Iterable[int]) -> Mat:
-    data = [x % field.modulus for x in entries]
-    if len(data) != rows * cols:
-        raise DimensionMismatch(f"expected {rows * cols} entries, got {len(data)}")
-    a = np.array(data, dtype=_dtype_for(field)).reshape(rows, cols)
-    return Mat(field, a)
-
-
-def zeros(field: FieldSpec, rows: int, cols: int) -> Mat:
-    return Mat(field, np.zeros((rows, cols), dtype=_dtype_for(field)))
-
-
-def identity(field: FieldSpec, n: int) -> Mat:
-    a = np.zeros((n, n), dtype=_dtype_for(field))
-    for i in range(n):
-        a[i, i] = 1
-    return Mat(field, a)
-
-
-def _check_same_field(a: Mat, b: Mat):
-    if a.field != b.field:
-        raise DimensionMismatch("operands live in different fields")
-
-
-def mat_add(a: Mat, b: Mat) -> Mat:
-    _check_same_field(a, b)
-    if a.array.shape != b.array.shape:
-        raise DimensionMismatch(f"shape {a.array.shape} vs {b.array.shape}")
-    return Mat(a.field, (a.array + b.array) % a.field.modulus)
-
-
-def mat_neg(a: Mat) -> Mat:
-    return Mat(a.field, (-a.array) % a.field.modulus)
-
-
-def mat_sum(mats: Sequence[Mat]) -> Mat:
-    acc = mats[0]
-    for m in mats[1:]:
-        acc = mat_add(acc, m)
-    return acc
-
-
-def mat_vec(m: Mat, v: Mat) -> Mat:
-    """Matrix-vector product over GF(q); v must be a column vector."""
-    _check_same_field(m, v)
-    if v.cols != 1 or m.cols != v.rows:
-        raise DimensionMismatch(f"cannot multiply {m.rows}x{m.cols} by {v.rows}x{v.cols}")
-    a = np.asarray(m.array, dtype=np.int64)
-    b = np.asarray(v.array, dtype=np.int64)
-    return from_array(m.field, matmul_mod(a, b, m.field.modulus))
 
 
 def from_array(field: FieldSpec, a: np.ndarray) -> Mat:
@@ -231,22 +157,6 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     return acc
 
 
-def hstack(mats: Sequence[Mat]) -> Mat:
-    for m in mats[1:]:
-        _check_same_field(mats[0], m)
-        if m.rows != mats[0].rows:
-            raise DimensionMismatch("row counts differ in hstack")
-    return Mat(mats[0].field, np.hstack([m.array for m in mats]))
-
-
-def vstack(mats: Sequence[Mat]) -> Mat:
-    for m in mats[1:]:
-        _check_same_field(mats[0], m)
-        if m.cols != mats[0].cols:
-            raise DimensionMismatch("column counts differ in vstack")
-    return Mat(mats[0].field, np.vstack([m.array for m in mats]))
-
-
 def rank(m: Mat) -> int:
     """GF(q) rank by Gaussian elimination with division by the pivot.
 
@@ -280,12 +190,12 @@ def rank(m: Mat) -> int:
     return r
 
 
-def vandermonde_block(field: FieldSpec, bases: Sequence[int], start_exp: int, rows: int) -> Mat:
-    """rows x len(bases) matrix with entry (r, c) = bases[c]^(start_exp + r)."""
+def vandermonde_block(field: FieldSpec, bases: Sequence[int], start_exp: int, rows: int) -> np.ndarray:
+    """int64 rows x len(bases) residues with entry (r, c) = bases[c]^(start_exp + r)."""
     if rows < 1:
         raise DimensionMismatch("rows must be >= 1")
-    out = [[f_pow(field, b, start_exp + r) for b in bases] for r in range(rows)]
-    return from_rows(field, out)
+    powers = [[f_pow(field, b, start_exp + r) for b in bases] for r in range(rows)]
+    return np.array(powers, dtype=np.int64)
 
 
 def _flatten_seed(seed) -> tuple[int, ...]:
@@ -297,19 +207,12 @@ def _flatten_seed(seed) -> tuple[int, ...]:
     return (int(seed) & 0xFFFFFFFFFFFFFFFF,)  # SeedSequence wants non-negative words
 
 
-def generator_from_seed(seed) -> np.random.Generator:
-    """Deterministic PCG64 generator; seed may be an int or a (nested) tuple of ints."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(_flatten_seed(seed))))
+def random_mat(rows: int, cols: int, field: FieldSpec, seed) -> np.ndarray:
+    """Uniform random rows x cols int64 residues, deterministic in the seed.
 
-
-def random_mat(rows: int, cols: int, field: FieldSpec, seed) -> Mat:
-    """Uniform random matrix over GF(q), deterministic in the seed.
-
-    numpy's Generator.integers draws bounded integers by rejection (Lemire),
-    so entries are exactly uniform on [0, q-1].
+    The seed may be an int or a (nested) tuple of ints; it seeds a PCG64
+    generator through SeedSequence. numpy's Generator.integers draws bounded
+    integers by rejection (Lemire), so entries are exactly uniform on [0, q-1].
     """
-    gen = generator_from_seed(seed)
-    a = gen.integers(0, field.modulus, size=(rows, cols), dtype=np.uint64).astype(np.int64)
-    if _dtype_for(field) is object:
-        a = a.astype(object)
-    return Mat(field, a)
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(_flatten_seed(seed))))
+    return gen.integers(0, field.modulus, size=(rows, cols), dtype=np.uint64).astype(np.int64)

@@ -3,7 +3,8 @@
 R rounds run as one product over GF(q): with every user's input stacked into
 W (UV*L x R) and every group's key into K (C(UV,G)*L_S x R), the user messages
 are X = W + E K for the scheme's encoding matrix E. Relay messages and the
-decoded sum are row-block sums of X.
+decoded sum are row-block sums of X. Inputs and keys are int64 residue
+columns throughout.
 """
 
 from __future__ import annotations
@@ -17,19 +18,6 @@ from . import linalg
 from .combi import UserId, all_users
 from .linalg import Mat, from_array, matmul_mod, sum_mod
 from .scheme import PrecodingScheme
-
-
-@dataclass(frozen=True)
-class KeyMaterial:
-    """One L_S x 1 key vector per group, in canonical group order.
-
-    Groups draw from disjoint PRNG substreams of the same seed, so the keys
-    are mutually independent by construction.
-    """
-
-    keys: tuple[Mat, ...]
-    seed: int
-    prng_id: str
 
 
 @dataclass(frozen=True)
@@ -77,41 +65,27 @@ class Rounds:
         )
 
 
-def keygen(s: PrecodingScheme, seed: int) -> KeyMaterial:
-    """Sample all C(UV, G) groupwise keys, i.i.d. uniform over GF(q)^{L_S}."""
-    keys = tuple(
-        linalg.random_mat(s.dims.L_S, 1, s.cfg.field, (seed, g_idx))
-        for g_idx in range(len(s.groups))
-    )
-    return KeyMaterial(keys, seed, linalg.PRNG_ID)
+def keygen(s: PrecodingScheme, seed: int) -> np.ndarray:
+    """All C(UV, G) groupwise keys, i.i.d. uniform over GF(q)^{L_S}, as one int64 column.
+
+    Rows g*L_S .. (g+1)*L_S - 1 hold group g's key, drawn from the PRNG
+    substream (seed, g); disjoint substreams make the keys independent.
+    """
+    keys = [linalg.random_mat(s.dims.L_S, 1, s.cfg.field, (seed, g)) for g in range(len(s.groups))]
+    return np.concatenate(keys)
 
 
-def user_key(s: PrecodingScheme, k: KeyMaterial, user: UserId) -> list[tuple[int, Mat]]:
-    """The keys of all groups containing the user, in canonical group order."""
-    return [(g_idx, k.keys[g_idx]) for g_idx, grp in enumerate(s.groups) if user in grp]
+def run(s: PrecodingScheme, w: np.ndarray, k: np.ndarray) -> Rounds:
+    """Encode, aggregate and decode the rounds whose inputs and keys are the columns of w, k.
 
-
-def _key_column(k: KeyMaterial) -> np.ndarray:
-    return np.concatenate([key.array[:, 0] for key in k.keys]).astype(np.int64)
-
-
-def _check_input(s: PrecodingScheme, w: Mat):
-    if w.cols != 1 or w.rows != s.dims.L:
-        raise linalg.DimensionMismatch(f"input must be {s.dims.L}x1, got {w.rows}x{w.cols}")
-
-
-def user_encode(s: PrecodingScheme, k: KeyMaterial, user: UserId, w: Mat) -> Mat:
-    """X = W + sum over the user's groups of block(g, user) * S_g."""
-    _check_input(s, w)
-    q, L = s.cfg.field.modulus, s.dims.L
-    row = all_users(s.cfg.U, s.cfg.V).index(user) * L
-    mask = matmul_mod(s.encoding[row : row + L], _key_column(k)[:, None], q)
-    return from_array(s.cfg.field, (np.asarray(w.array, dtype=np.int64) + mask) % q)
-
-
-def _run(s: PrecodingScheme, w: np.ndarray, k: np.ndarray) -> Rounds:
-    """Encode, aggregate and decode the rounds whose inputs and keys are the columns of w, k."""
+    w is UV*L x R (users' inputs stacked in canonical order), k is
+    C(UV,G)*L_S x R (as keygen stacks the keys); both hold int64 residues.
+    """
     q, U, V, L = s.cfg.field.modulus, s.cfg.U, s.cfg.V, s.dims.L
+    if w.ndim != 2 or w.shape[1:] != k.shape[1:] or (len(w), len(k)) != s.encoding.shape:
+        raise linalg.DimensionMismatch(
+            f"inputs {w.shape} and keys {k.shape} do not fit the encoding matrix {s.encoding.shape}"
+        )
     rounds = w.shape[1]
     x = (w + matmul_mod(s.encoding, k, q)) % q
     y = sum_mod(x.reshape(U, V, L, rounds), 1, q)
@@ -134,30 +108,18 @@ def run_rounds(s: PrecodingScheme, seeds: Sequence[tuple]) -> Rounds:
     L, field = s.dims.L, s.cfg.field
     users = all_users(s.cfg.U, s.cfg.V)
     w = np.empty((len(users) * L, len(seeds)), dtype=np.int64)
-    k = np.empty((len(s.groups) * s.dims.L_S, len(seeds)), dtype=np.int64)
+    k = np.empty((s.encoding.shape[1], len(seeds)), dtype=np.int64)
     for r, (input_seed, key_seed) in enumerate(seeds):
-        w[:, r] = np.concatenate(
-            [linalg.random_mat(L, 1, field, (input_seed, u, v)).array[:, 0] for u, v in users]
+        w[:, r : r + 1] = np.concatenate(
+            [linalg.random_mat(L, 1, field, (input_seed, u, v)) for u, v in users]
         )
-        k[:, r] = _key_column(keygen(s, key_seed))
-    return _run(s, w, k)
+        k[:, r : r + 1] = keygen(s, key_seed)
+    return run(s, w, k)
 
 
 def round_seeds(seed: int, rounds: int) -> list[tuple]:
     """The (input_seed, key_seed) pairs of `rounds` consecutive rounds under one seed."""
     return [((seed, 2 * i), (seed, 2 * i + 1)) for i in range(rounds)]
-
-
-def run_round_with_inputs(
-    s: PrecodingScheme, inputs: dict[UserId, Mat], keys: KeyMaterial
-) -> Transcript:
-    """Run encode / aggregate / decode on explicit inputs (one per user) and keys."""
-    for w in inputs.values():
-        _check_input(s, w)
-    w = np.concatenate(
-        [np.asarray(inputs[user].array, dtype=np.int64) for user in all_users(s.cfg.U, s.cfg.V)]
-    )
-    return _run(s, w, _key_column(keys)[:, None]).transcript(0)
 
 
 def run_round(s: PrecodingScheme, input_seed: int, key_seed: int) -> Transcript:

@@ -2,14 +2,14 @@
 
 A scheme assigns each (group, member user) pair an L x L_S matrix over GF(q)
 whose per-group sum is zero, so every key contribution cancels in the server's
-total. Non-members implicitly hold the zero matrix.
+total. Non-members hold the zero matrix. All of it is stored as one array, the
+encoding matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .combi import (
     groups_touching_relay,
 )
 from .gf import make_field
-from .linalg import Mat, mat_neg, mat_sum, vandermonde_block, zeros
+from .linalg import Mat, vandermonde_block
 from .rates import ProblemConfig, SchemeDims, check_feasible, classify_regime, Infeasible
 
 DEFAULT_RANDOM_MODULUS = 2_147_483_647  # Mersenne prime; retries essentially never needed
@@ -36,54 +36,65 @@ class ConstructionFailed(RuntimeError):
         self.attempts = attempts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrecodingScheme:
+    """A scheme, stored as its read-only UV*L x C(UV,G)*L_S int64 encoding matrix E.
+
+    Row block i belongs to the i-th user in canonical order ((1,1), (1,2),
+    ..., (U,V)), column block g to group g; the block is the user's matrix
+    for the group, zero for a non-member. Stacking every user's input and
+    every group's key gives all user messages at once, X = W + E K, and the
+    relay matrices, the server matrix and the zero-sum check are slices and
+    row-block sums of E.
+    """
+
     cfg: ProblemConfig
     dims: SchemeDims
     groups: tuple[Group, ...]
-    blocks: Mapping[tuple[int, UserId], Mat]
+    encoding: np.ndarray
     provenance: Mapping[str, object]
 
-    def block(self, group_index: int, user: UserId) -> Mat:
-        """The user's matrix for the given group; zero if the user is not a member."""
-        stored = self.blocks.get((group_index, user))
-        if stored is not None:
-            return stored
-        return zeros(self.cfg.field, self.dims.L, self.dims.L_S)
+    def __post_init__(self):
+        self.encoding.setflags(write=False)
 
-    @cached_property
-    def encoding(self) -> np.ndarray:
-        """The UV*L x C(UV,G)*L_S encoding matrix, as int64 residues.
-
-        Row block i belongs to the i-th user in canonical order ((1,1), (1,2),
-        ..., (U,V)), column block g to group g; the block is block(g, user).
-        Stacking every user's input and every group's key gives all user
-        messages at once, X = W + E K, and the relay matrices, the server
-        matrix and the zero-sum check are slices and row-block sums of E.
-        """
-        L, L_S = self.dims.L, self.dims.L_S
-        e = np.zeros((self.cfg.U * self.cfg.V * L, len(self.groups) * L_S), dtype=np.int64)
-        for (g_idx, (u, v)), m in self.blocks.items():
-            row = ((u - 1) * self.cfg.V + v - 1) * L
-            e[row : row + L, g_idx * L_S : (g_idx + 1) * L_S] = m.array
-        e.setflags(write=False)
-        return e
+    def block(self, group_index: int, user: UserId) -> np.ndarray:
+        """The user's L x L_S matrix for the group (a view of E); zero for a non-member."""
+        return self.encoding[block_slices(self.cfg, self.dims, group_index, user)]
 
 
-def complete_zero_sum(given: Mapping[UserId, Mat], dependent: UserId) -> dict[UserId, Mat]:
-    """Extend the given member matrices so the full set sums to zero.
+def _user_index(cfg: ProblemConfig, user: UserId) -> int:
+    return (user[0] - 1) * cfg.V + user[1] - 1
 
-    The dependent member (which must not appear in `given`) receives the
-    negated sum of the others.
+
+def block_slices(cfg: ProblemConfig, dims: SchemeDims, group_index: int, user: UserId):
+    """The (rows, columns) of the user's block for the group in the encoding matrix."""
+    row = _user_index(cfg, user) * dims.L
+    col = group_index * dims.L_S
+    return slice(row, row + dims.L), slice(col, col + dims.L_S)
+
+
+def _zero_sum_scheme(
+    cfg: ProblemConfig,
+    dims: SchemeDims,
+    groups: Sequence[Group],
+    given: Iterable[tuple[int, UserId, np.ndarray]],
+    provenance: Mapping[str, object],
+) -> PrecodingScheme:
+    """The scheme with the given (group index, member, block) entries, completed to zero sum.
+
+    The given entries cover every member of each group but the last; the
+    last member of every group then receives the negated sum of the others,
+    all groups at once: one sum over the users and one scatter.
     """
-    if dependent in given:
-        raise ValueError(f"dependent member {dependent} already has a matrix")
-    mats = list(given.values())
-    if not mats:
-        raise ValueError("need at least one given matrix")
-    out = dict(given)
-    out[dependent] = mat_neg(mat_sum(mats))
-    return out
+    q, L, L_S, n_groups = cfg.field.modulus, dims.L, dims.L_S, len(groups)
+    e = np.zeros((cfg.U * cfg.V * L, n_groups * L_S), dtype=np.int64)
+    for g_idx, member, block in given:
+        e[block_slices(cfg, dims, g_idx, member)] = block
+    total = linalg.sum_mod(e.reshape(-1, L, n_groups * L_S), 0, q)
+    last = [_user_index(cfg, grp[-1]) for grp in groups]
+    completion = ((-total) % q).reshape(L, n_groups, L_S).transpose(1, 0, 2)
+    e.reshape(-1, L, n_groups, L_S)[last, :, np.arange(n_groups), :] = completion
+    return PrecodingScheme(cfg, dims, tuple(groups), e, provenance)
 
 
 # The six 5x2 precoding matrices of the (U,V,G,q) = (2,2,2,5) construction,
@@ -101,17 +112,10 @@ _EXAMPLE1_MATRICES: dict[Group, list[list[int]]] = {
 
 def build_example1() -> PrecodingScheme:
     """The deterministic (U,V,G) = (2,2,2) scheme over GF(5) with L=5, L_S=2."""
-    field = make_field(5)
-    cfg = ProblemConfig(2, 2, 2, field)
-    dims = classify_regime(cfg)
-    groups = tuple(enumerate_groups(2, 2, 2))
-    blocks: dict[tuple[int, UserId], Mat] = {}
-    for g_idx, grp in enumerate(groups):
-        base = linalg.from_rows(field, _EXAMPLE1_MATRICES[grp])
-        first, second = grp
-        blocks[(g_idx, first)] = base
-        blocks[(g_idx, second)] = mat_neg(base)
-    return PrecodingScheme(cfg, dims, groups, blocks, {"construction": "example1"})
+    cfg = ProblemConfig(2, 2, 2, make_field(5))
+    groups = enumerate_groups(2, 2, 2)
+    given = [(g_idx, grp[0], _EXAMPLE1_MATRICES[grp]) for g_idx, grp in enumerate(groups)]
+    return _zero_sum_scheme(cfg, classify_regime(cfg), groups, given, {"construction": "example1"})
 
 
 # Per-user starting exponents of the GF(11) Vandermonde construction. User
@@ -132,26 +136,21 @@ def build_example2() -> PrecodingScheme:
 
     For group index i (1-based) the three Vandermonde bases are g^(i-1),
     g^(i+2), g^(i+5) with g = 2 and exponents reduced modulo 10 (the order of
-    GF(11)*). The last-indexed member of each group is completed to zero-sum.
+    GF(11)*). The last-indexed member of each group ((4,2) for i >= 2, (4,1)
+    for i = 1) is completed to zero-sum.
     """
     field = make_field(11)
     cfg = ProblemConfig(4, 2, 7, field)
     dims = classify_regime(cfg)
-    groups = tuple(enumerate_groups(4, 2, 7))
-    g = 2
-    blocks: dict[tuple[int, UserId], Mat] = {}
+    groups = enumerate_groups(4, 2, 7)
+    given = []
     for g_idx, grp in enumerate(groups):
         i = g_idx + 1
-        bases = [pow(g, e % 10, 11) for e in (i - 1, i + 2, i + 5)]
-        dependent = grp[-1]  # (4,2) for i >= 2, (4,1) for i = 1
-        given = {
-            member: vandermonde_block(field, bases, _EXAMPLE2_EXPONENTS[member], dims.L)
-            for member in grp
-            if member != dependent
-        }
-        for member, mat in complete_zero_sum(given, dependent).items():
-            blocks[(g_idx, member)] = mat
-    return PrecodingScheme(cfg, dims, groups, blocks, {"construction": "example2"})
+        bases = [pow(2, e % 10, 11) for e in (i - 1, i + 2, i + 5)]
+        for member in grp[:-1]:
+            block = vandermonde_block(field, bases, _EXAMPLE2_EXPONENTS[member], dims.L)
+            given.append((g_idx, member, block))
+    return _zero_sum_scheme(cfg, dims, groups, given, {"construction": "example2"})
 
 
 def sample_zero_sum_scheme(cfg: ProblemConfig, seed: int) -> PrecodingScheme:
@@ -162,22 +161,19 @@ def sample_zero_sum_scheme(cfg: ProblemConfig, seed: int) -> PrecodingScheme:
     gate is applied, so the result may be insecure (useful for audits).
     """
     dims = classify_regime(cfg)
-    groups = tuple(enumerate_groups(cfg.U, cfg.V, cfg.G))
-    blocks: dict[tuple[int, UserId], Mat] = {}
-    for g_idx, grp in enumerate(groups):
-        given = {
-            member: linalg.random_mat(dims.L, dims.L_S, cfg.field, (seed, g_idx, m_idx))
-            for m_idx, member in enumerate(grp[:-1])
-        }
-        for member, mat in complete_zero_sum(given, grp[-1]).items():
-            blocks[(g_idx, member)] = mat
+    groups = enumerate_groups(cfg.U, cfg.V, cfg.G)
+    given = (
+        (g_idx, member, linalg.random_mat(dims.L, dims.L_S, cfg.field, (seed, g_idx, m_idx)))
+        for g_idx, grp in enumerate(groups)
+        for m_idx, member in enumerate(grp[:-1])
+    )
     provenance = {
         "construction": "random",
         "seed": seed,
         "prng_id": linalg.PRNG_ID,
         "retries_used": 0,
     }
-    return PrecodingScheme(cfg, dims, groups, blocks, provenance)
+    return _zero_sum_scheme(cfg, dims, groups, given, provenance)
 
 
 def scheme_rank_checks_pass(s: PrecodingScheme) -> bool:
@@ -204,7 +200,7 @@ def build_random(cfg: ProblemConfig, seed: int, max_retries: int = 16) -> Precod
             provenance = dict(s.provenance)
             provenance["seed"] = seed
             provenance["retries_used"] = attempt
-            return PrecodingScheme(s.cfg, s.dims, s.groups, s.blocks, provenance)
+            return replace(s, provenance=provenance)
     raise ConstructionFailed(max_retries + 1)
 
 

@@ -7,12 +7,14 @@ lines on the terminal.
 import itertools
 import json
 import time
+from dataclasses import replace
 from fractions import Fraction
+
+import numpy as np
 
 from hsagg import audit, cli, linalg, protocol, scheme
 from hsagg.combi import cross_relay_groups, groups_touching_relay
 from hsagg.gf import make_field
-from hsagg.linalg import from_rows, mat_neg, mat_sum, zeros
 from hsagg.rates import (
     Infeasible,
     ProblemConfig,
@@ -22,6 +24,7 @@ from hsagg.rates import (
 )
 from hsagg.scheme import (
     PrecodingScheme,
+    block_slices,
     build_example1,
     build_example2,
     build_random,
@@ -91,9 +94,9 @@ def test_criterion_3_golden_example1():
     s = build_example1()
     ok = True
     for g_idx, grp in enumerate(s.groups):
-        base = from_rows(s.cfg.field, GOLDEN1[grp])
-        ok &= s.block(g_idx, grp[0]) == base
-        ok &= s.block(g_idx, grp[1]) == mat_neg(base)
+        base = np.array(GOLDEN1[grp])
+        ok &= np.array_equal(s.block(g_idx, grp[0]), base)
+        ok &= np.array_equal(s.block(g_idx, grp[1]), -base % 5)
     ok &= audit.verify_relay_rank(s, 1) == audit.RankCheck(10, 10)
     ok &= audit.verify_relay_rank(s, 2) == audit.RankCheck(10, 10)
     ok &= audit.verify_server_rank(s) == audit.RankCheck(5, 5)
@@ -178,36 +181,30 @@ def test_criterion_6_random_construction():
     report(6, f"random construction grid ({elapsed:.1f}s)", ok)
 
 
-def _rebuild(s, blocks):
-    return PrecodingScheme(s.cfg, s.dims, s.groups, blocks, s.provenance)
-
-
 def _zero_cross_family(s, user):
-    blocks = dict(s.blocks)
+    """Zero, in a copy of E, every cross-relay group containing the user."""
+    e = s.encoding.copy()
     _, cross = cross_relay_groups(s.cfg.U, s.cfg.V, s.cfg.G)
-    z = zeros(s.cfg.field, s.dims.L, s.dims.L_S)
     for g_idx in cross:
         if user in s.groups[g_idx]:
-            for m in s.groups[g_idx]:
-                blocks[(g_idx, m)] = z
-    return _rebuild(s, blocks)
+            e[:, block_slices(s.cfg, s.dims, g_idx, user)[1]] = 0
+    return replace(s, encoding=e)
 
 
 def _mutate_zero_sum_preserving(s, seed):
-    """Change one entry of one non-dependent block, then re-complete the group."""
-    pick = linalg.random_mat(1, 4, make_field(2147483647), (seed, 555))
-    g_idx = pick.entry(0, 0) % len(s.groups)
+    """Change one entry of one non-dependent block in a copy of E, then re-complete the group."""
+    g_pick, m_pick, r_pick, c_pick = linalg.random_mat(1, 4, make_field(2147483647), (seed, 555))[0]
+    g_idx = int(g_pick) % len(s.groups)
     grp = s.groups[g_idx]
-    member = grp[pick.entry(0, 1) % (len(grp) - 1)]  # never the dependent (last)
-    blocks = dict(s.blocks)
-    a = blocks[(g_idx, member)].array.copy()
-    r = pick.entry(0, 2) % s.dims.L
-    c = pick.entry(0, 3) % s.dims.L_S
-    a[r, c] = (int(a[r, c]) + 1) % s.cfg.field.modulus
-    blocks[(g_idx, member)] = linalg.Mat(s.cfg.field, a)
-    others = [blocks[(g_idx, m)] for m in grp[:-1]]
-    blocks[(g_idx, grp[-1])] = mat_neg(mat_sum(others))
-    return _rebuild(s, blocks)
+    member = grp[int(m_pick) % (len(grp) - 1)]  # never the dependent (last)
+    q = s.cfg.field.modulus
+    e = s.encoding.copy()
+    a = e[block_slices(s.cfg, s.dims, g_idx, member)]
+    r, c = int(r_pick) % s.dims.L, int(c_pick) % s.dims.L_S
+    a[r, c] = (a[r, c] + 1) % q
+    others = sum(e[block_slices(s.cfg, s.dims, g_idx, m)] for m in grp[:-1])
+    e[block_slices(s.cfg, s.dims, g_idx, grp[-1])] = -others % q
+    return replace(s, encoding=e)
 
 
 def test_criterion_7_negative_controls():
@@ -215,9 +212,10 @@ def test_criterion_7_negative_controls():
     ex1 = build_example1()
 
     # (a) one sign flip breaks zero-sum and correctness fuzzing
-    blocks = dict(ex1.blocks)
-    blocks[(0, (1, 1))] = mat_neg(blocks[(0, (1, 1))])
-    flipped = _rebuild(ex1, blocks)
+    e = ex1.encoding.copy()
+    rows, cols = block_slices(ex1.cfg, ex1.dims, 0, (1, 1))
+    e[rows, cols] = -e[rows, cols] % 5
+    flipped = replace(ex1, encoding=e)
     ok &= not check_zero_sum(flipped)
     ok &= audit.correctness_fuzz(flipped, rounds=20, seed=0) > 0
 
@@ -286,7 +284,7 @@ def test_criterion_9_determinism(tmp_path, capsys):
 
     # identical key material and transcripts
     s = build_example1()
-    ok &= protocol.keygen(s, 99) == protocol.keygen(s, 99)
+    ok &= np.array_equal(protocol.keygen(s, 99), protocol.keygen(s, 99))
     ok &= protocol.run_round(s, 4, 5) == protocol.run_round(s, 4, 5)
 
     # byte-identical transcript files across two CLI runs

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
-from hsagg import audit, linalg, scheme
+from hsagg import audit, scheme
 from hsagg.audit import (
     OracleResult,
     StateSpaceTooLarge,
@@ -15,9 +18,9 @@ from hsagg.audit import (
 )
 from hsagg.combi import cross_relay_groups
 from hsagg.gf import make_field
-from hsagg.linalg import identity, mat_neg, mat_sum, zeros
+from hsagg.linalg import from_array
 from hsagg.rates import ProblemConfig, SchemeDims
-from hsagg.scheme import PrecodingScheme, build_random, sample_zero_sum_scheme
+from hsagg.scheme import block_slices, build_random, sample_zero_sum_scheme
 
 CAP = 1 << 26
 Q61 = (1 << 61) - 1
@@ -25,31 +28,28 @@ GF2 = make_field(2)
 GF3 = make_field(3)
 
 
-def rebuild(s, blocks):
-    return PrecodingScheme(s.cfg, s.dims, s.groups, blocks, s.provenance)
+def zeros(field, rows, cols):
+    return from_array(field, np.zeros((rows, cols), dtype=np.int64))
 
 
 def zero_group_recompleted(s, g_idx, member):
-    """Zero one member's block and re-complete the group's last member."""
-    blocks = dict(s.blocks)
+    """Zero one member's block in a copy of E and re-complete the group's last member."""
+    e = s.encoding.copy()
     grp = s.groups[g_idx]
-    blocks[(g_idx, member)] = zeros(s.cfg.field, s.dims.L, s.dims.L_S)
-    others = [blocks[(g_idx, m)] for m in grp[:-1]]
-    blocks[(g_idx, grp[-1])] = mat_neg(mat_sum(others))
-    return rebuild(s, blocks)
+    e[block_slices(s.cfg, s.dims, g_idx, member)] = 0
+    others = sum(e[block_slices(s.cfg, s.dims, g_idx, m)] for m in grp[:-1])
+    e[block_slices(s.cfg, s.dims, g_idx, grp[-1])] = -others % s.cfg.field.modulus
+    return replace(s, encoding=e)
 
 
 def zero_cross_family(s, user):
-    """Zero every cross-relay group containing the user (zero-sum preserved)."""
-    blocks = dict(s.blocks)
+    """Zero, in a copy of E, every cross-relay group containing the user (zero-sum preserved)."""
+    e = s.encoding.copy()
     _, cross = cross_relay_groups(s.cfg.U, s.cfg.V, s.cfg.G)
-    z = zeros(s.cfg.field, s.dims.L, s.dims.L_S)
     for g_idx in cross:
-        grp = s.groups[g_idx]
-        if user in grp:
-            for m in grp:
-                blocks[(g_idx, m)] = z
-    return rebuild(s, blocks)
+        if user in s.groups[g_idx]:
+            e[:, block_slices(s.cfg, s.dims, g_idx, user)[1]] = 0
+    return replace(s, encoding=e)
 
 
 def test_relay_rank_examples(ex1, ex2):
@@ -91,7 +91,7 @@ def test_all_cross_blocks_zeroed_rank_zero_and_entropy_zero():
 def test_mask_distribution_basics():
     states, tallies = mask_distribution(zeros(GF2, 1, 1), CAP)
     assert states == 2 and list(tallies) == [2]
-    states, tallies = mask_distribution(identity(GF3, 2), CAP)
+    states, tallies = mask_distribution(from_array(GF3, np.eye(2, dtype=np.int64)), CAP)
     assert states == 9 and sorted(tallies) == [1] * 9
     with pytest.raises(StateSpaceTooLarge) as exc:
         mask_distribution(zeros(GF2, 1, 40), 1 << 26)
@@ -149,7 +149,7 @@ def test_rate_audit(ex1, ex2):
     assert ok
     # Padding the key blocklength breaks rate optimality.
     padded_dims = SchemeDims(ex1.dims.regime, ex1.dims.L, ex1.dims.L_S + 1)
-    padded = PrecodingScheme(ex1.cfg, padded_dims, ex1.groups, {}, {})
+    padded = replace(ex1, dims=padded_dims)
     ok, achieved, optimal = rate_audit(padded)
     assert not ok and achieved.r_s > optimal.r_s
 
@@ -179,9 +179,10 @@ def test_full_audit_oracles_not_run(ex1):
 
 
 def test_full_audit_catches_sign_flip(ex1):
-    blocks = dict(ex1.blocks)
-    blocks[(0, (1, 1))] = mat_neg(blocks[(0, (1, 1))])
-    corrupted = rebuild(ex1, blocks)
+    e = ex1.encoding.copy()
+    rows, cols = block_slices(ex1.cfg, ex1.dims, 0, (1, 1))
+    e[rows, cols] = -e[rows, cols] % 5
+    corrupted = replace(ex1, encoding=e)
     report = full_audit(corrupted, fuzz_rounds=20, run_oracles=False)
     assert not report.zero_sum
     assert report.fuzz_failures > 0
@@ -208,3 +209,11 @@ def test_oracle_and_rank_verdicts_agree_on_ungated_schemes():
 
 def test_correctness_fuzz_counts(ex1):
     assert correctness_fuzz(ex1, rounds=25, seed=3) == 0
+
+
+def test_oracle_checks_uniform_tally_without_assert(ex1, monkeypatch):
+    # Four equal tallies over GF(5) cannot come from a linear map; the check
+    # raises even under python -O, which strips asserts.
+    monkeypatch.setattr(audit, "mask_distribution", lambda m, cap: (8, np.array([2, 2, 2, 2])))
+    with pytest.raises(ArithmeticError):
+        entropy_oracle_relay(ex1, 1, CAP)

@@ -1,8 +1,11 @@
+import functools
 import json
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hsagg import cli
 from hsagg.cli import (
@@ -15,8 +18,9 @@ from hsagg.cli import (
     scheme_from_obj,
     scheme_to_obj,
 )
-from hsagg.linalg import from_rows
-from hsagg.scheme import build_example1
+from hsagg.gf import make_field
+from hsagg.rates import ProblemConfig
+from hsagg.scheme import build_example1, build_random
 
 
 def run(argv):
@@ -70,10 +74,8 @@ def test_example_roundtrip_and_verify(tmp_path, capsys):
     capsys.readouterr()
     s = load_scheme(path)
     golden = build_example1()
-    assert s.blocks == golden.blocks
-    assert s.block(0, (1, 1)) == from_rows(
-        s.cfg.field, [[1, 0], [0, 1], [1, 1], [1, 2], [2, 1]]
-    )
+    assert np.array_equal(s.encoding, golden.encoding)
+    assert s.block(0, (1, 1)).tolist() == [[1, 0], [0, 1], [1, 1], [1, 2], [2, 1]]
     # save(load(f)) is byte-identical
     again = str(tmp_path / "again.json")
     save_scheme(s, again)
@@ -137,6 +139,11 @@ def test_load_rejects_inconsistent_files(tmp_path):
         scheme_from_obj(bad)
 
     bad = json.loads(json.dumps(obj))
+    bad["prng_id"] = "other-prng"
+    with pytest.raises(SchemeFileError):
+        scheme_from_obj(bad)
+
+    bad = json.loads(json.dumps(obj))
     bad["dims"]["L"] = 6
     with pytest.raises(SchemeFileError):
         scheme_from_obj(bad)
@@ -160,6 +167,34 @@ def test_load_rejects_inconsistent_files(tmp_path):
     del bad["blocks"][0]
     with pytest.raises(SchemeFileError):
         scheme_from_obj(bad)
+
+    # The blocks must be exactly the canonical (group, member) sequence.
+    for edit in (
+        lambda blocks: blocks.insert(1, blocks[0]),  # listed twice
+        lambda blocks: blocks.append(blocks[-1]),  # extra entry
+        lambda blocks: blocks.insert(0, blocks.pop(1)),  # reordered
+    ):
+        bad = json.loads(json.dumps(obj))
+        edit(bad["blocks"])
+        with pytest.raises(SchemeFileError):
+            scheme_from_obj(bad)
+
+    # Integers are decoded strictly: no bools, floats or small numbers as strings.
+    for path, value in (
+        (("blocks", 2, "group_index"), True),  # group 1
+        (("blocks", 0, "user"), [True, 1]),  # user (1, 1)
+        (("blocks", 0, "matrix", "rows"), 5.0),
+        (("cfg", "q"), "5"),
+        (("format_version",), True),
+    ):
+        bad = json.loads(json.dumps(obj))
+        *parents, last = path
+        target = bad
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(SchemeFileError):
+            scheme_from_obj(bad)
 
 
 def test_build_pipeline(tmp_path, capsys):
@@ -232,3 +267,111 @@ def test_large_modulus_serialized_as_strings(tmp_path):
     again = str(tmp_path / "big2.json")
     save_scheme(s, again)
     assert open(path).read() == open(again).read()
+
+
+def _json_paths(obj, path=()):
+    """Every position in a JSON value, as the tuple of keys that leads to it."""
+    yield path
+    if isinstance(obj, (dict, list)):
+        for key, child in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from _json_paths(child, path + (key,))
+
+
+@functools.cache
+def _fuzz_golden(name):
+    """Canonical scheme objects: example 1, and a build at q = 2^61 - 1 (entries as strings)."""
+    if name == "ex1":
+        return scheme_to_obj(build_example1())
+    return scheme_to_obj(build_random(ProblemConfig(2, 2, 2, make_field((1 << 61) - 1)), seed=1))
+
+
+_JSON_VALUES = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**70), 2**70),
+    st.text(max_size=4),
+    st.from_regex(r"[-+ 0]?[0-9]{1,22}", fullmatch=True),  # digit strings, canonical or not
+    st.just("9" * 5000),  # past Python's int() digit limit
+    st.lists(st.integers(0, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_scheme_loader_fuzz(data):
+    # Every mutation of a canonical scheme object either loads and re-saves to
+    # the same bytes, or is refused with SchemeFileError.
+    obj = json.loads(json.dumps(_fuzz_golden(data.draw(st.sampled_from(["ex1", "p61"])))))
+    paths = list(_json_paths(obj))
+    path = paths[data.draw(st.integers(0, len(paths) - 1))]
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    target = parent[path[-1]] if path else obj
+    kinds = ["replace", "derive", "delete", "duplicate", "add", "reorder"]
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "replace" and path:
+        parent[path[-1]] = data.draw(_JSON_VALUES)
+    elif kind == "derive" and path and isinstance(target, int):
+        derived = [target + 1, target - 1, -target, float(target), str(target), bool(target)]
+        parent[path[-1]] = data.draw(st.sampled_from(derived))
+    elif kind == "delete" and path:
+        del parent[path[-1]]
+    elif kind == "duplicate" and isinstance(target, list) and target:
+        copy = target[data.draw(st.integers(0, len(target) - 1))]
+        target.insert(data.draw(st.integers(0, len(target))), copy)
+    elif kind == "add" and isinstance(target, dict):
+        target[data.draw(st.text(max_size=3))] = data.draw(_JSON_VALUES)
+    elif kind == "reorder" and isinstance(target, (dict, list)) and len(target) > 1:
+        items = list(target.items()) if isinstance(target, dict) else list(target)
+        i = data.draw(st.integers(0, len(items) - 1))
+        items.append(items.pop(i))
+        if isinstance(target, dict):
+            target.clear()
+            target.update(items)
+        else:
+            target[:] = items
+    try:
+        s = scheme_from_obj(obj)
+    except SchemeFileError:
+        return
+    assert cli._dumps(scheme_to_obj(s)) == cli._dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["simulate", "{scheme}"], "--rounds"),
+        (["verify", "{scheme}"], "--fuzz-rounds"),
+        (["verify", "{scheme}"], "--cap"),
+        (["build", "--U", "2", "--V", "2", "--G", "2", "--out", "{out}"], "--max-retries"),
+    ],
+    ids=["rounds", "fuzz-rounds", "cap", "max-retries"],
+)
+def test_count_flags_reject_negative_values(argv, flag, tmp_path, capsys):
+    scheme_path, out = tmp_path / "ex1.json", tmp_path / "out.json"
+    run(["example", "--id", "1", "--out", str(scheme_path)])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run([a.format(scheme=scheme_path, out=out) for a in argv] + [flag, "-1"])
+    assert exc.value.code == EXIT_USAGE
+    assert f"argument {flag}: expected a non-negative integer, got '-1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["build", "example", "verify", "simulate"])
+def test_unwritable_out_is_a_usage_error(command, tmp_path, capsys):
+    scheme_path = str(tmp_path / "ex1.json")
+    run(["example", "--id", "1", "--out", scheme_path])
+    capsys.readouterr()
+    out = str(tmp_path / "no-such-dir" / "x.json")
+    argv = {
+        "build": ["build", "--U", "2", "--V", "2", "--G", "2"],
+        "example": ["example", "--id", "1"],
+        "verify": ["verify", scheme_path, "--fuzz-rounds", "5"],
+        "simulate": ["simulate", scheme_path, "--rounds", "5"],
+    }[command]
+    assert run(argv + ["--out", out]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"

@@ -9,21 +9,12 @@ from hsagg.linalg import (
     PRNG_ID,
     DimensionMismatch,
     Mat,
-    from_flat,
-    from_rows,
-    hstack,
-    identity,
-    mat_add,
-    mat_neg,
-    mat_sum,
-    mat_vec,
+    from_array,
     matmul_mod,
     random_mat,
     rank,
     sum_mod,
     vandermonde_block,
-    vstack,
-    zeros,
 )
 
 GF2 = make_field(2)
@@ -31,7 +22,20 @@ GF3 = make_field(3)
 GF5 = make_field(5)
 GF11 = make_field(11)
 BIG = make_field(2147483647)
-HUGE = make_field((1 << 61) - 1)  # exercises the object-dtype path
+HUGE = make_field((1 << 61) - 1)  # a Mat over it holds Python ints (object dtype)
+
+
+def mat(field, rows) -> Mat:
+    """A Mat from nested lists of integers, reduced mod q."""
+    return from_array(field, np.array(rows, dtype=np.int64).reshape(len(rows), -1) % field.modulus)
+
+
+def zeros(field, rows, cols) -> Mat:
+    return from_array(field, np.zeros((rows, cols), dtype=np.int64))
+
+
+def identity(field, n) -> Mat:
+    return from_array(field, np.eye(n, dtype=np.int64))
 
 
 def brute_rank(m: Mat) -> int:
@@ -55,7 +59,7 @@ def brute_rank(m: Mat) -> int:
 def test_rank_examples():
     assert rank(identity(GF5, 3)) == 3
     assert rank(zeros(GF5, 4, 7)) == 0
-    assert rank(from_rows(GF5, [[1, 2], [2, 4]])) == 1  # second row = 2x first
+    assert rank(mat(GF5, [[1, 2], [2, 4]])) == 1  # second row = 2x first
 
 
 def test_rank_empty_matrix():
@@ -67,9 +71,9 @@ def test_rank_matches_brute_force():
     for q, f in ((2, GF2), (3, GF3)):
         for i in range(25):
             gen_shape = random_mat(1, 2, make_field(7), (q, i, 99))
-            r = 1 + gen_shape.entry(0, 0) % 6
-            c = 1 + gen_shape.entry(0, 1) % 6
-            m = random_mat(r, c, f, (q, i))
+            r = 1 + int(gen_shape[0, 0]) % 6
+            c = 1 + int(gen_shape[0, 1]) % 6
+            m = from_array(f, random_mat(r, c, f, (q, i)))
             assert rank(m) == brute_rank(m)
             assert rank(m) <= min(r, c)
 
@@ -77,57 +81,50 @@ def test_rank_matches_brute_force():
 def test_rank_block_diagonal_sums():
     a = random_mat(3, 4, GF3, 10)
     b = random_mat(2, 3, GF3, 11)
-    top = hstack([a, zeros(GF3, 3, 3)])
-    bot = hstack([zeros(GF3, 2, 4), b])
-    assert rank(vstack([top, bot])) == rank(a) + rank(b)
+    zero = np.zeros((5, 7), dtype=np.int64)
+    diagonal = np.block([[a, zero[:3, :3]], [zero[:2, :4], b]])
+    assert rank(from_array(GF3, diagonal)) == rank(from_array(GF3, a)) + rank(from_array(GF3, b))
 
 
 def test_rank_invariant_under_row_permutation_and_scaling():
     m = random_mat(4, 5, GF5, 42)
-    perm = from_rows(GF5, [list(m.array[i]) for i in (2, 0, 3, 1)])
-    assert rank(perm) == rank(m)
-    scaled_rows = [[(3 * int(x)) % 5 for x in m.array[i]] for i in range(4)]
-    assert rank(from_rows(GF5, scaled_rows)) == rank(m)
+    assert rank(from_array(GF5, m[[2, 0, 3, 1]])) == rank(from_array(GF5, m))
+    assert rank(from_array(GF5, 3 * m % 5)) == rank(from_array(GF5, m))
 
 
 def test_mat_vec_examples():
-    v = from_rows(GF5, [[1], [2], [3]])
-    assert mat_vec(identity(GF5, 3), v) == v
-    assert mat_vec(zeros(GF5, 3, 3), v) == zeros(GF5, 3, 1)
-    assert mat_vec(from_rows(GF5, [[2]]), from_rows(GF5, [[3]])) == from_rows(GF5, [[1]])
+    # matmul_mod with a column vector: the matrix-vector case.
+    v = np.array([[1], [2], [3]])
+    assert matmul_mod(np.eye(3, dtype=np.int64), v, 5).tolist() == v.tolist()
+    assert not matmul_mod(np.zeros((3, 3), dtype=np.int64), v, 5).any()
+    assert matmul_mod(np.array([[2]]), np.array([[3]]), 5).tolist() == [[1]]
 
 
 def test_mat_vec_dimension_errors():
+    with pytest.raises(ValueError):
+        matmul_mod(np.eye(3, dtype=np.int64), np.array([[1], [2]]), 5)  # inner 3 vs 2
     with pytest.raises(DimensionMismatch):
-        mat_vec(identity(GF5, 3), from_rows(GF5, [[1], [2]]))
+        Mat(GF5, np.zeros(3, dtype=np.int64))  # not 2-dimensional
     with pytest.raises(DimensionMismatch):
-        mat_vec(identity(GF5, 2), identity(GF5, 2))  # not a column vector
-    with pytest.raises(DimensionMismatch):
-        mat_add(identity(GF5, 2), identity(GF3, 2))  # different fields
+        Mat(HUGE, np.zeros((2, 2), dtype=np.int64))  # rank needs Python ints at this q
 
 
 def test_mat_vec_large_modulus_overflow_path():
     # q*q*cols exceeds int64 headroom here, so the product splits one operand.
     m = random_mat(4, 3, BIG, 5)
     v = random_mat(3, 1, BIG, 6)
-    expected = [
-        sum(m.entry(i, k) * v.entry(k, 0) for k in range(3)) % BIG.modulus
-        for i in range(4)
-    ]
-    assert mat_vec(m, v).entries() == expected
+    expected = reference_product(m.tolist(), v.tolist(), 3, 1, BIG.modulus)
+    assert matmul_mod(m, v, BIG.modulus).tolist() == expected
 
 
 def test_object_dtype_field_is_exact():
+    q = HUGE.modulus
     m = random_mat(3, 3, HUGE, 1)
     v = random_mat(3, 1, HUGE, 2)
-    assert m.array.dtype == object
-    expected = [
-        sum(m.entry(i, k) * v.entry(k, 0) for k in range(3)) % HUGE.modulus
-        for i in range(3)
-    ]
-    assert mat_vec(m, v).entries() == expected
+    assert from_array(HUGE, m).array.dtype == object
+    assert matmul_mod(m, v, q).tolist() == reference_product(m.tolist(), v.tolist(), 3, 1, q)
     assert rank(identity(HUGE, 4)) == 4
-    assert mat_add(m, mat_neg(m)) == zeros(HUGE, 3, 3)
+    assert not sum_mod(np.stack([m, -m % q]), 0, q).any()
 
 
 @settings(max_examples=40, deadline=None)
@@ -136,13 +133,15 @@ def test_mat_vec_distributes_over_addition(seed):
     m = random_mat(4, 3, GF11, (seed, 0))
     v1 = random_mat(3, 1, GF11, (seed, 1))
     v2 = random_mat(3, 1, GF11, (seed, 2))
-    assert mat_vec(m, mat_add(v1, v2)) == mat_add(mat_vec(m, v1), mat_vec(m, v2))
+    lhs = matmul_mod(m, (v1 + v2) % 11, 11)
+    assert np.array_equal(lhs, (matmul_mod(m, v1, 11) + matmul_mod(m, v2, 11)) % 11)
 
 
 def test_vandermonde_examples():
-    assert vandermonde_block(GF11, (1, 8, 9), 0, 2) == from_rows(GF11, [[1, 1, 1], [1, 8, 9]])
-    assert vandermonde_block(GF11, (1, 1, 1), 7, 2) == from_rows(GF11, [[1, 1, 1], [1, 1, 1]])
-    assert vandermonde_block(GF11, (2, 2, 2), 1, 1) == from_rows(GF11, [[2, 2, 2]])
+    assert vandermonde_block(GF11, (1, 8, 9), 0, 2).tolist() == [[1, 1, 1], [1, 8, 9]]
+    assert vandermonde_block(GF11, (1, 1, 1), 7, 2).tolist() == [[1, 1, 1], [1, 1, 1]]
+    assert vandermonde_block(GF11, (2, 2, 2), 1, 1).tolist() == [[2, 2, 2]]
+    assert vandermonde_block(GF11, (2, 2, 2), 1, 1).dtype == np.int64
     with pytest.raises(DimensionMismatch):
         vandermonde_block(GF11, (1, 2, 3), 0, 0)
 
@@ -153,48 +152,34 @@ def test_vandermonde_distinct_bases_full_rank():
         bases = [pow(2, e % 10, 11) for e in (i - 1, i + 2, i + 5)]
         assert len(set(bases)) == 3 and 0 not in bases
         for rows in (3, 5, 8):
-            assert rank(vandermonde_block(GF11, bases, 0, rows)) == 3
+            assert rank(from_array(GF11, vandermonde_block(GF11, bases, 0, rows))) == 3
 
 
 def test_random_mat_determinism_and_sensitivity():
     assert PRNG_ID == "numpy-pcg64"
-    assert random_mat(4, 4, GF5, 123) == random_mat(4, 4, GF5, 123)
-    assert random_mat(4, 4, GF5, (1, 2)) == random_mat(4, 4, GF5, (1, 2))
+    assert random_mat(4, 4, GF5, 123).dtype == random_mat(4, 4, HUGE, 123).dtype == np.int64
+    assert np.array_equal(random_mat(4, 4, GF5, 123), random_mat(4, 4, GF5, 123))
+    assert np.array_equal(random_mat(4, 4, GF5, (1, 2)), random_mat(4, 4, GF5, (1, 2)))
     for s in range(100):
-        a = random_mat(8, 8, BIG, s)
-        b = random_mat(8, 8, BIG, s + 1)
-        assert a != b
+        assert not np.array_equal(random_mat(8, 8, BIG, s), random_mat(8, 8, BIG, s + 1))
 
 
 def test_random_mat_empty():
     m = random_mat(0, 3, GF5, 0)
-    assert m.rows == 0 and m.cols == 3
-    assert rank(m) == 0
+    assert m.shape == (0, 3)
+    assert rank(from_array(GF5, m)) == 0
 
 
 def test_random_mat_entries_in_range():
     m = random_mat(20, 20, GF3, 7)
-    assert all(0 <= x < 3 for x in m.entries())
-
-
-def test_from_flat_and_stacking():
-    m = from_flat(GF5, 2, 3, [1, 2, 3, 4, 5, 6])
-    assert m == from_rows(GF5, [[1, 2, 3], [4, 0, 1]])
-    with pytest.raises(DimensionMismatch):
-        from_flat(GF5, 2, 3, [1, 2, 3])
-    h = hstack([m, m])
-    assert (h.rows, h.cols) == (2, 6)
-    v = vstack([m, m])
-    assert (v.rows, v.cols) == (4, 3)
-    with pytest.raises(DimensionMismatch):
-        hstack([m, identity(GF5, 3)])
-    with pytest.raises(DimensionMismatch):
-        vstack([m, identity(GF5, 2)])
+    assert m.min() >= 0 and m.max() < 3
 
 
 def test_mat_sum_and_immutability():
-    m = random_mat(3, 3, GF5, 9)
-    assert mat_sum([m, mat_neg(m)]) == zeros(GF5, 3, 3)
+    # A residue array plus its negation sums to zero; a Mat's array is read-only.
+    a = random_mat(3, 3, GF5, 9)
+    assert not sum_mod(np.stack([a, -a % 5]), 0, 5).any()
+    m = from_array(GF5, a)
     with pytest.raises(ValueError):
         m.array[0, 0] = 1
 

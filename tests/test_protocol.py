@@ -1,18 +1,12 @@
 import itertools
 
+import numpy as np
 import pytest
 
-from hsagg import linalg, protocol
+from hsagg import linalg
 from hsagg.gf import make_field
-from hsagg.linalg import DimensionMismatch, from_rows, mat_add, mat_sum, mat_vec, zeros
-from hsagg.protocol import (
-    KeyMaterial,
-    keygen,
-    run_round,
-    run_round_with_inputs,
-    user_encode,
-    user_key,
-)
+from hsagg.linalg import DimensionMismatch
+from hsagg.protocol import keygen, run, run_round
 from hsagg.rates import ProblemConfig
 from hsagg.scheme import build_random
 
@@ -21,106 +15,113 @@ def minimal_scheme(q):
     return build_random(ProblemConfig(2, 1, 2, make_field(q)), seed=0)
 
 
+def inputs(s, seed, rounds=1):
+    """Uniform random inputs of every user, one column per round."""
+    return linalg.random_mat(s.encoding.shape[0], rounds, s.cfg.field, seed)
+
+
+def zero_keys(s, rounds=1):
+    return np.zeros((s.encoding.shape[1], rounds), dtype=np.int64)
+
+
+def user_rows(s, user):
+    """The rows of the user's input and message in the stacked columns."""
+    i = (user[0] - 1) * s.cfg.V + user[1] - 1
+    return slice(i * s.dims.L, (i + 1) * s.dims.L)
+
+
 def test_keygen_determinism_and_shape(ex1):
     k1 = keygen(ex1, 42)
-    k2 = keygen(ex1, 42)
-    assert k1.keys == k2.keys
-    assert len(k1.keys) == 6
-    assert all(k.rows == 2 and k.cols == 1 for k in k1.keys)
-    assert k1.prng_id == linalg.PRNG_ID
-    assert keygen(ex1, 43).keys != k1.keys
+    assert np.array_equal(k1, keygen(ex1, 42))
+    assert k1.shape == (6 * 2, 1) and k1.dtype == np.int64
+    assert not np.array_equal(keygen(ex1, 43), k1)
+    # Group g's key comes from the substream (seed, g).
+    for g in range(6):
+        substream = linalg.random_mat(2, 1, ex1.cfg.field, (42, g))
+        assert np.array_equal(k1[2 * g : 2 * g + 2], substream)
 
 
 def test_user_key_counts(ex1, ex2):
-    k = keygen(ex1, 0)
-    assert len(user_key(ex1, k, (1, 1))) == 3
-    k2 = keygen(ex2, 0)
-    assert len(user_key(ex2, k2, (1, 1))) == 7
-    s = minimal_scheme(5)
-    assert len(user_key(s, keygen(s, 0), (2, 1))) == 1
+    # A user's message depends on the keys of exactly the groups it belongs to.
+    for s, user, count in ((ex1, (1, 1), 3), (ex2, (1, 1), 7), (minimal_scheme(5), (2, 1), 1)):
+        w, k = inputs(s, 1), keygen(s, 2)
+        base = run(s, w, k).user_messages[user_rows(s, user)]
+        used = []
+        for g in range(len(s.groups)):
+            bumped = k.copy()
+            bumped[g * s.dims.L_S] = (bumped[g * s.dims.L_S] + 1) % s.cfg.field.modulus
+            if not np.array_equal(run(s, w, bumped).user_messages[user_rows(s, user)], base):
+                used.append(g)
+        assert used == [g for g, grp in enumerate(s.groups) if user in grp]
+        assert len(used) == count
 
 
 def test_user_encode_zero_keys_is_identity(ex1):
-    zero_keys = KeyMaterial(
-        keys=tuple(zeros(ex1.cfg.field, 2, 1) for _ in ex1.groups),
-        seed=0,
-        prng_id=linalg.PRNG_ID,
-    )
-    w = linalg.random_mat(5, 1, ex1.cfg.field, 3)
-    assert user_encode(ex1, zero_keys, (1, 1), w) == w
+    w = inputs(ex1, 3)
+    assert np.array_equal(run(ex1, w, zero_keys(ex1)).user_messages, w)
 
 
 def test_user_encode_zero_input_is_pure_mask(ex1):
+    # With zero inputs a user's message is sum over its groups of block(g, user) * S_g.
     k = keygen(ex1, 5)
-    w0 = zeros(ex1.cfg.field, 5, 1)
-    x = user_encode(ex1, k, (1, 1), w0)
-    expected = w0
-    for g_idx, key in user_key(ex1, k, (1, 1)):
-        expected = mat_add(expected, mat_vec(ex1.block(g_idx, (1, 1)), key))
-    assert x == expected
+    x = run(ex1, np.zeros((20, 1), dtype=np.int64), k).user_messages
+    for user in [(1, 1), (2, 2)]:
+        expected = sum(
+            ex1.block(g, user).astype(object) @ k[2 * g : 2 * g + 2].astype(object)
+            for g in range(len(ex1.groups))
+        )
+        assert x[user_rows(ex1, user)].tolist() == (expected % 5).tolist()
 
 
 def test_user_encode_rejects_bad_shape(ex1):
     k = keygen(ex1, 0)
     with pytest.raises(DimensionMismatch):
-        user_encode(ex1, k, (1, 1), zeros(ex1.cfg.field, 4, 1))
+        run(ex1, np.zeros((19, 1), dtype=np.int64), k)  # one input row short
     with pytest.raises(DimensionMismatch):
-        user_encode(ex1, k, (1, 1), zeros(ex1.cfg.field, 5, 2))
+        run(ex1, np.zeros((20, 2), dtype=np.int64), k)  # two rounds of inputs, one of keys
+    with pytest.raises(DimensionMismatch):
+        run(ex1, np.zeros(20, dtype=np.int64), k[:, 0])  # not columns
 
 
 def test_encode_is_affine_in_the_input(ex1):
-    f = ex1.cfg.field
     k = keygen(ex1, 9)
-    w1 = linalg.random_mat(5, 1, f, 21)
-    w2 = linalg.random_mat(5, 1, f, 22)
-    lhs = user_encode(ex1, k, (2, 1), mat_add(w1, w2))
-    mask = user_encode(ex1, k, (2, 1), zeros(f, 5, 1))
-    rhs = mat_add(
-        mat_add(user_encode(ex1, k, (2, 1), w1), user_encode(ex1, k, (2, 1), w2)),
-        linalg.mat_neg(mask),
-    )
-    assert lhs == rhs
+    w1, w2 = inputs(ex1, 21), inputs(ex1, 22)
+    lhs = run(ex1, (w1 + w2) % 5, k).user_messages
+    mask = run(ex1, np.zeros_like(w1), k).user_messages
+    rhs = run(ex1, w1, k).user_messages + run(ex1, w2, k).user_messages - mask
+    assert np.array_equal(lhs, rhs % 5)
 
 
 def test_relay_and_server_sums(ex1):
     # V = 1: each relay forwards its one user's message; the server adds them.
     s = minimal_scheme(5)
-    f = s.cfg.field
-    inputs = {(1, 1): from_rows(f, [[3]]), (2, 1): from_rows(f, [[4]])}
-    keys = KeyMaterial((from_rows(f, [[2]]),), seed=0, prng_id=linalg.PRNG_ID)
-    t = run_round_with_inputs(s, inputs, keys)
-    assert t.relay_messages == {1: t.user_messages[(1, 1)], 2: t.user_messages[(2, 1)]}
-    assert t.decoded_sum == from_rows(f, [[2]])
+    rounds = run(s, np.array([[3], [4]]), np.array([[2]]))
+    assert np.array_equal(rounds.relay_messages, rounds.user_messages)
+    assert rounds.decoded_sum.tolist() == [[2]]
     # V = 2: a relay message is the entrywise sum of its users' messages.
     t = run_round(ex1, input_seed=8, key_seed=9)
     for u in (1, 2):
-        assert t.relay_messages[u] == mat_add(t.user_messages[(u, 1)], t.user_messages[(u, 2)])
-    assert t.decoded_sum == mat_add(t.relay_messages[1], t.relay_messages[2])
+        relay = (t.user_messages[(u, 1)].array + t.user_messages[(u, 2)].array) % 5
+        assert np.array_equal(t.relay_messages[u].array, relay)
+    decoded = (t.relay_messages[1].array + t.relay_messages[2].array) % 5
+    assert np.array_equal(t.decoded_sum.array, decoded)
 
 
 def test_exhaustive_correctness_minimal():
-    # (2,1,2): every input pair x every key value decodes to the exact sum.
+    # (2,1,2): every input pair x every key value decodes to the exact sum,
+    # all q^3 cases as the columns of one run.
     for q in (2, 3):
         s = minimal_scheme(q)
-        f = s.cfg.field
-        for w1, w2, key in itertools.product(range(q), repeat=3):
-            inputs = {
-                (1, 1): from_rows(f, [[w1]]),
-                (2, 1): from_rows(f, [[w2]]),
-            }
-            keys = KeyMaterial((from_rows(f, [[key]]),), seed=0, prng_id=linalg.PRNG_ID)
-            t = run_round_with_inputs(s, inputs, keys)
-            assert t.decoded_sum.entries() == [(w1 + w2) % q]
+        cases = np.array(list(itertools.product(range(q), repeat=3)), dtype=np.int64).T
+        rounds = run(s, cases[:2], cases[2:])
+        assert rounds.decoded_sum.tolist() == [((cases[0] + cases[1]) % q).tolist()]
+        assert rounds.correct.all()
 
 
 def test_decode_for_fixed_input_over_both_keys():
     s = minimal_scheme(2)
-    f = s.cfg.field
-    inputs = {(1, 1): from_rows(f, [[1]]), (2, 1): from_rows(f, [[0]])}
-    for key in (0, 1):
-        keys = KeyMaterial((from_rows(f, [[key]]),), seed=0, prng_id=linalg.PRNG_ID)
-        t = run_round_with_inputs(s, inputs, keys)
-        assert t.decoded_sum.entries() == [1]
+    rounds = run(s, np.array([[1, 1], [0, 0]]), np.array([[0, 1]]))
+    assert rounds.decoded_sum.tolist() == [[1, 1]]
 
 
 def test_run_round_deterministic(ex1):
@@ -132,9 +133,11 @@ def test_run_round_deterministic(ex1):
 
 def test_hundred_rounds_examples(ex1, ex2):
     for s in (ex1, ex2):
+        q = s.cfg.field.modulus
         for i in range(100):
             t = run_round(s, input_seed=(1, i), key_seed=(2, i))
-            assert t.decoded_sum == mat_sum(list(t.inputs.values()))
+            input_sum = sum(w.array.astype(object) for w in t.inputs.values()) % q
+            assert t.decoded_sum.array.tolist() == input_sum.tolist()
             assert all(x.rows == s.dims.L for x in t.user_messages.values())
             assert all(y.rows == s.dims.L for y in t.relay_messages.values())
 
@@ -143,14 +146,9 @@ def test_intra_relay_key_cancels_in_relay_message(ex1):
     # Group 0 = {(1,1),(1,2)} lives entirely inside relay 1; changing its key
     # must leave Y_1 unchanged.
     k = keygen(ex1, 3)
-    bumped = list(k.keys)
-    bumped[0] = mat_add(bumped[0], from_rows(ex1.cfg.field, [[1], [1]]))
-    k2 = KeyMaterial(tuple(bumped), seed=3, prng_id=k.prng_id)
-    inputs = {
-        user: linalg.random_mat(5, 1, ex1.cfg.field, (77, user[0], user[1]))
-        for user in [(1, 1), (1, 2), (2, 1), (2, 2)]
-    }
-    t1 = run_round_with_inputs(ex1, inputs, k)
-    t2 = run_round_with_inputs(ex1, inputs, k2)
-    assert t1.relay_messages[1] == t2.relay_messages[1]
-    assert t1.user_messages[(1, 1)] != t2.user_messages[(1, 1)]
+    bumped = k.copy()
+    bumped[0:2] = (bumped[0:2] + 1) % 5
+    w = inputs(ex1, 77)
+    r1, r2 = run(ex1, w, k), run(ex1, w, bumped)
+    assert np.array_equal(r1.relay_messages[:5], r2.relay_messages[:5])
+    assert not np.array_equal(r1.user_messages[:5], r2.user_messages[:5])

@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 
-from hsagg import linalg, scheme
+from hsagg import cli, linalg, scheme
 from hsagg.combi import enumerate_groups
 from hsagg.gf import make_field
-from hsagg.linalg import from_rows, mat_neg, mat_sum, rank, vandermonde_block, zeros
+from hsagg.linalg import rank, vandermonde_block
 from hsagg.rates import Infeasible, ProblemConfig, Regime
 from hsagg.scheme import (
     ConstructionFailed,
@@ -11,14 +12,13 @@ from hsagg.scheme import (
     assemble_server_matrix,
     build_random,
     check_zero_sum,
-    complete_zero_sum,
     cross_relay_server_matrix,
     sample_zero_sum_scheme,
 )
 
 GF2 = make_field(2)
-GF5 = make_field(5)
 GF11 = make_field(11)
+Q61 = 2**61 - 1
 
 # Golden 5x2 matrices of the (2,2,2) GF(5) construction, one per group in
 # canonical order; the earlier member of each pair holds +H, the later -H.
@@ -33,27 +33,26 @@ GOLDEN1 = {
 
 
 def test_complete_zero_sum_examples():
-    given = {(1, 1): from_rows(GF5, [[1]])}
-    full = complete_zero_sum(given, (1, 2))
-    assert full[(1, 2)] == from_rows(GF5, [[4]])
-    given = {(1, 1): zeros(GF5, 2, 2), (1, 2): zeros(GF5, 2, 2)}
-    assert complete_zero_sum(given, (2, 1))[(2, 1)] == zeros(GF5, 2, 2)
-    with pytest.raises(ValueError):
-        complete_zero_sum({(1, 1): zeros(GF5, 1, 1)}, (1, 1))
-    with pytest.raises(ValueError):
-        complete_zero_sum({}, (1, 1))
+    # Every builder gives each group's last member the negated sum of the
+    # other members' blocks, computed here in Python ints per group.
+    draws = [sample_zero_sum_scheme(ProblemConfig(3, 2, 3, make_field(q)), 4) for q in (5, Q61)]
+    for s in [*draws, scheme.build_example1(), scheme.build_example2()]:
+        q = s.cfg.field.modulus
+        for g_idx, grp in enumerate(s.groups):
+            others = sum(s.block(g_idx, m).astype(object) for m in grp[:-1])
+            assert s.block(g_idx, grp[-1]).tolist() == (-others % q).tolist()
 
 
 def test_example1_matrices_bit_exact(ex1):
     assert (ex1.cfg.U, ex1.cfg.V, ex1.cfg.G, ex1.cfg.field.modulus) == (2, 2, 2, 5)
     assert (ex1.dims.regime, ex1.dims.L, ex1.dims.L_S) == (Regime.RELAY_DOMINANT, 5, 2)
     for g_idx, grp in enumerate(ex1.groups):
-        base = from_rows(GF5, GOLDEN1[grp])
+        base = np.array(GOLDEN1[grp])
         first, second = grp
-        assert ex1.block(g_idx, first) == base
-        assert ex1.block(g_idx, second) == mat_neg(base)
-    # non-member block is implicitly zero
-    assert ex1.block(0, (2, 2)) == zeros(GF5, 5, 2)
+        assert ex1.block(g_idx, first).tolist() == base.tolist()
+        assert ex1.block(g_idx, second).tolist() == (-base % 5).tolist()
+    # a non-member's block is zero
+    assert ex1.block(0, (2, 2)).tolist() == [[0, 0]] * 5
     assert check_zero_sum(ex1)
 
 
@@ -76,15 +75,15 @@ def test_example2_structure(ex2):
     assert check_zero_sum(ex2)
     # First group: bases 2^0, 2^3, 2^6 = (1, 8, 9); user (1,1) starts at exponent 0.
     b = ex2.block(0, (1, 1))
-    assert [b.entry(0, c) for c in range(3)] == [1, 1, 1]
-    assert [b.entry(1, c) for c in range(3)] == [1, 8, 9]
-    assert b == vandermonde_block(GF11, (1, 8, 9), 0, 8)
+    assert b[0].tolist() == [1, 1, 1]
+    assert b[1].tolist() == [1, 8, 9]
+    assert np.array_equal(b, vandermonde_block(GF11, (1, 8, 9), 0, 8))
     # Dependent member of the first group is (4,1): the negated sum of the rest.
-    others = [ex2.block(0, m) for m in ex2.groups[0] if m != (4, 1)]
-    assert ex2.block(0, (4, 1)) == mat_neg(mat_sum(others))
+    others = sum(ex2.block(0, m) for m in ex2.groups[0] if m != (4, 1))
+    assert np.array_equal(ex2.block(0, (4, 1)), -others % 11)
     # (3,2) is not a member of the third group, so its block is zero.
     assert (3, 2) not in ex2.groups[2]
-    assert ex2.block(2, (3, 2)) == zeros(GF11, 8, 3)
+    assert not ex2.block(2, (3, 2)).any()
     # (4,2) is the dependent member for every group it belongs to.
     for g_idx, grp in enumerate(ex2.groups):
         if (4, 2) in grp:
@@ -118,8 +117,8 @@ def test_build_random_gf2_minimal():
     # (2,1,2) over GF(2): the only passing block pair is (1, 1) = (h, -h), h=1.
     cfg = ProblemConfig(2, 1, 2, GF2)
     s = build_random(cfg, seed=0)
-    assert s.block(0, (1, 1)).entries() == [1]
-    assert s.block(0, (2, 1)).entries() == [1]
+    assert s.block(0, (1, 1)).tolist() == [[1]]
+    assert s.block(0, (2, 1)).tolist() == [[1]]
 
 
 def test_build_random_infeasible_and_failure():
@@ -135,7 +134,7 @@ def test_build_random_reproducible():
     cfg = ProblemConfig(3, 2, 3, make_field(scheme.DEFAULT_RANDOM_MODULUS))
     a = build_random(cfg, seed=7)
     b = build_random(cfg, seed=7)
-    assert a.blocks == b.blocks
+    assert np.array_equal(a.encoding, b.encoding)
     assert a.provenance == b.provenance
 
 
@@ -155,8 +154,8 @@ def test_relay_matrix_v1_is_horizontal_concat():
     from hsagg.combi import groups_touching_relay
 
     _, touching = groups_touching_relay(3, 1, 2, 2)
-    expected = linalg.hstack([s.block(g, (2, 1)) for g in touching])
-    assert m == expected
+    expected = np.hstack([s.block(g, (2, 1)) for g in touching])
+    assert m == linalg.from_array(s.cfg.field, expected)
 
 
 def test_server_matrix_row_blocks_sum_to_zero():
@@ -165,10 +164,8 @@ def test_server_matrix_row_blocks_sum_to_zero():
         s = sample_zero_sum_scheme(cfg, seed)  # ungated draws included
         full = assemble_server_matrix(s)
         L = s.dims.L
-        acc = linalg.Mat(s.cfg.field, full.array[0:L, :])
-        for u in range(1, s.cfg.U):
-            acc = linalg.mat_add(acc, linalg.Mat(s.cfg.field, full.array[u * L : (u + 1) * L, :]))
-        assert acc == zeros(s.cfg.field, L, full.cols)
+        row_blocks = [full.array[u * L : (u + 1) * L].astype(object) for u in range(s.cfg.U)]
+        assert not (sum(row_blocks) % 5).any()
         # hence the server rank can never exceed (U-1)L
         assert rank(full) <= (s.cfg.U - 1) * L
 
@@ -185,3 +182,29 @@ def test_intra_relay_column_blocks_are_zero(ex1):
 def test_groups_match_canonical_enumeration(ex1, ex2):
     assert list(ex1.groups) == enumerate_groups(2, 2, 2)
     assert list(ex2.groups) == enumerate_groups(4, 2, 7)
+
+
+REPRESENTATION_BUILDS = {
+    "example1": scheme.build_example1,
+    "example2": scheme.build_example2,
+    "p31": lambda: build_random(ProblemConfig(3, 2, 3, make_field(2**31 - 1)), seed=3),
+    "p61": lambda: build_random(ProblemConfig(3, 2, 3, make_field(Q61)), seed=3),
+}
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+@pytest.mark.parametrize("name", sorted(REPRESENTATION_BUILDS))
+def test_encoding_matrix_is_the_scheme(name, loaded, tmp_path):
+    s = REPRESENTATION_BUILDS[name]()
+    if loaded:
+        cli.save_scheme(s, str(tmp_path / "s.json"))
+        s = cli.load_scheme(str(tmp_path / "s.json"))
+    U, V, L, L_S, C = s.cfg.U, s.cfg.V, s.dims.L, s.dims.L_S, len(s.groups)
+    e = s.encoding
+    assert e.dtype == np.int64 and not e.flags.writeable
+    assert e.shape == (U * V * L, C * L_S)
+    blocks = e.reshape(U * V, L, C, L_S)  # user, row, group, column
+    for g, grp in enumerate(s.groups):
+        members = {(u - 1) * V + v - 1 for u, v in grp}
+        assert all(not blocks[i, :, g].any() for i in range(U * V) if i not in members)
+        assert not (blocks[:, :, g].astype(object).sum(axis=0) % s.cfg.field.modulus).any()
