@@ -6,7 +6,7 @@ Library layout:
   combi     user/group enumeration and saturating binomials
   rates     optimal rate region and blocklength selection
   scheme    the encoding matrix of a scheme: constructions and its slices
-  protocol  the two-hop aggregation round
+  protocol  R two-hop aggregation rounds as one GF(q) product of int64 arrays
   audit     rank predicates, exhaustive entropy oracles, rate audits
   cli       command-line front end and JSON formats
 """

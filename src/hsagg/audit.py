@@ -20,7 +20,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg, protocol, scheme as scheme_mod
-from .combi import cross_relay_groups, groups_touching_relay
 from .linalg import Mat
 from .rates import RateTuple, optimal_rates
 from .scheme import PrecodingScheme
@@ -212,8 +211,6 @@ def entropy_oracle_relay(s: PrecodingScheme, u: int, cap: int) -> OracleResult:
     Relay security holds iff the mask is uniform on GF(q)^{VL}, i.e. the
     entropy equals V*L.
     """
-    t_u, _ = groups_touching_relay(s.cfg.U, s.cfg.V, s.cfg.G, u)
-    _check_states(s.cfg.field.modulus, t_u * s.dims.L_S, cap)
     m = scheme_mod.assemble_relay_matrix(s, u)
     return _oracle_from_matrix(m, s.cfg.V * s.dims.L, cap)
 
@@ -225,8 +222,6 @@ def entropy_oracle_server(s: PrecodingScheme, cap: int) -> OracleResult:
     by the others, so server security holds iff this joint mask is uniform on
     GF(q)^{(U-1)L}, i.e. the entropy equals (U-1)*L.
     """
-    c_x, _ = cross_relay_groups(s.cfg.U, s.cfg.V, s.cfg.G)
-    _check_states(s.cfg.field.modulus, c_x * s.dims.L_S, cap)
     m = scheme_mod.cross_relay_server_matrix(s)
     return _oracle_from_matrix(m, (s.cfg.U - 1) * s.dims.L, cap)
 
@@ -241,7 +236,7 @@ def rate_audit(s: PrecodingScheme) -> tuple[bool, RateTuple, RateTuple]:
 
 def correctness_fuzz(s: PrecodingScheme, rounds: int, seed: int) -> int:
     """Number of rounds whose decoded sum differs from the true input sum."""
-    batch = protocol.run_rounds(s, protocol.round_seeds(seed, rounds))
+    batch = protocol.run_rounds(s, seed, rounds)
     return int(np.count_nonzero(~batch.correct))
 
 

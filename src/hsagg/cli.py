@@ -17,9 +17,8 @@ from math import comb
 import numpy as np
 
 from . import audit, linalg, protocol, scheme as scheme_mod
-from .combi import enumerate_groups
+from .combi import CountOverflow, all_users, enumerate_groups
 from .gf import NotPrime, make_field
-from .linalg import Mat
 from .rates import (
     Infeasible,
     ProblemConfig,
@@ -177,20 +176,23 @@ def load_scheme(path: str) -> PrecodingScheme:
     return scheme_from_obj(obj)
 
 
-def _vec_to_list(v: Mat) -> list:
-    return [_enc_int(x) for x in v.array.reshape(-1).tolist()]
+def transcript_to_obj(batch: protocol.Rounds, r: int) -> dict:
+    """Round r of the batch: each user's input and message in canonical order, then each relay's."""
+    s = batch.scheme
 
+    def blocks(a: np.ndarray) -> list[list]:
+        return [[_enc_int(x) for x in block] for block in a[:, r].reshape(-1, s.dims.L).tolist()]
 
-def transcript_to_obj(t: protocol.Transcript) -> dict:
+    users = all_users(s.cfg.U, s.cfg.V)
     return {
-        "inputs": [{"user": list(u), "data": _vec_to_list(w)} for u, w in sorted(t.inputs.items())],
+        "inputs": [{"user": list(u), "data": w} for u, w in zip(users, blocks(batch.inputs))],
         "user_messages": [
-            {"user": list(u), "data": _vec_to_list(x)} for u, x in sorted(t.user_messages.items())
+            {"user": list(u), "data": x} for u, x in zip(users, blocks(batch.user_messages))
         ],
         "relay_messages": [
-            {"relay": u, "data": _vec_to_list(y)} for u, y in sorted(t.relay_messages.items())
+            {"relay": u, "data": y} for u, y in enumerate(blocks(batch.relay_messages), 1)
         ],
-        "decoded_sum": _vec_to_list(t.decoded_sum),
+        "decoded_sum": blocks(batch.decoded_sum)[0],
     }
 
 
@@ -316,6 +318,9 @@ def cmd_build(args) -> int:
     except ConstructionFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED
+    except CountOverflow as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return _save_and_summarize(s, args.out)
 
 
@@ -363,11 +368,11 @@ def cmd_simulate(args) -> int:
     except SchemeFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    batch = protocol.run_rounds(s, protocol.round_seeds(args.seed, args.rounds))
+    batch = protocol.run_rounds(s, args.seed, args.rounds)
     correct = int(np.count_nonzero(batch.correct))
     print(f"correct rounds: {correct}/{args.rounds}")
     if args.out:
-        rounds = [transcript_to_obj(batch.transcript(i)) for i in range(args.rounds)]
+        rounds = [transcript_to_obj(batch, i) for i in range(args.rounds)]
         # Free the round arrays and the encoding matrix before the JSON text,
         # the peak of this command's memory, is built.
         del s, batch
@@ -385,8 +390,15 @@ def cmd_simulate(args) -> int:
     return EXIT_OK if correct == args.rounds else EXIT_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Prints a usage error as the one line `<prog>: error: <message>`; subparsers inherit it."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hsagg",
         description="Hierarchical secure aggregation with groupwise keys: "
         "rate region, scheme construction, verification, simulation.",

@@ -41,10 +41,6 @@ def all_users(U: int, V: int) -> list[UserId]:
     return [(u, v) for u in range(1, U + 1) for v in range(1, V + 1)]
 
 
-def relay_users(u: int, V: int) -> list[UserId]:
-    return [(u, v) for v in range(1, V + 1)]
-
-
 def enumerate_groups(U: int, V: int, G: int) -> list[Group]:
     """All C(UV, G) size-G groups in lexicographic order of sorted members."""
     if G < 1 or G > U * V:

@@ -53,15 +53,6 @@ class Mat:
     def cols(self) -> int:
         return self.array.shape[1]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Mat):
-            return NotImplemented
-        return (
-            self.field == other.field
-            and self.array.shape == other.array.shape
-            and bool(np.all(self.array == other.array))
-        )
-
 
 def from_array(field: FieldSpec, a: np.ndarray) -> Mat:
     """A Mat over the field from an int64 array of residues, in the field's storage dtype.

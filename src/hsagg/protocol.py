@@ -10,22 +10,13 @@ columns throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import linalg
-from .combi import UserId, all_users
-from .linalg import Mat, from_array, matmul_mod, sum_mod
+from .combi import all_users
+from .linalg import matmul_mod, sum_mod
 from .scheme import PrecodingScheme
-
-
-@dataclass(frozen=True)
-class Transcript:
-    inputs: dict[UserId, Mat]
-    user_messages: dict[UserId, Mat]
-    relay_messages: dict[int, Mat]
-    decoded_sum: Mat
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,28 +39,13 @@ class Rounds:
         """Per round: whether the decoded sum equals the input sum."""
         return np.all(self.decoded_sum == self.input_sum, axis=0)
 
-    def transcript(self, r: int) -> Transcript:
-        """Round r as per-user and per-relay column vectors."""
-        s = self.scheme
-        L, field = s.dims.L, s.cfg.field
 
-        def block(a: np.ndarray, i: int) -> Mat:
-            return from_array(field, a[i * L : (i + 1) * L, r : r + 1])
-
-        users = all_users(s.cfg.U, s.cfg.V)
-        return Transcript(
-            inputs={user: block(self.inputs, i) for i, user in enumerate(users)},
-            user_messages={user: block(self.user_messages, i) for i, user in enumerate(users)},
-            relay_messages={u: block(self.relay_messages, u - 1) for u in range(1, s.cfg.U + 1)},
-            decoded_sum=block(self.decoded_sum, 0),
-        )
-
-
-def keygen(s: PrecodingScheme, seed: int) -> np.ndarray:
+def keygen(s: PrecodingScheme, seed) -> np.ndarray:
     """All C(UV, G) groupwise keys, i.i.d. uniform over GF(q)^{L_S}, as one int64 column.
 
     Rows g*L_S .. (g+1)*L_S - 1 hold group g's key, drawn from the PRNG
-    substream (seed, g); disjoint substreams make the keys independent.
+    substream (seed, g), where seed is an int or a tuple of ints; disjoint
+    substreams make the keys independent.
     """
     keys = [linalg.random_mat(s.dims.L_S, 1, s.cfg.field, (seed, g)) for g in range(len(s.groups))]
     return np.concatenate(keys)
@@ -99,29 +75,18 @@ def run(s: PrecodingScheme, w: np.ndarray, k: np.ndarray) -> Rounds:
     )
 
 
-def run_rounds(s: PrecodingScheme, seeds: Sequence[tuple]) -> Rounds:
-    """One round per (input_seed, key_seed) pair, with uniform random inputs and keys.
+def run_rounds(s: PrecodingScheme, seed: int, rounds: int) -> Rounds:
+    """`rounds` rounds with uniform random inputs and keys, deterministic in the seed.
 
-    Round r draws user (u, v)'s input from the substream (input_seed, u, v)
-    and group g's key from (key_seed, g), exactly as a single run_round does.
+    Round i draws user (u, v)'s input from the substream ((seed, 2i), u, v)
+    and its keys as keygen(s, (seed, 2i + 1)) does.
     """
     L, field = s.dims.L, s.cfg.field
     users = all_users(s.cfg.U, s.cfg.V)
-    w = np.empty((len(users) * L, len(seeds)), dtype=np.int64)
-    k = np.empty((s.encoding.shape[1], len(seeds)), dtype=np.int64)
-    for r, (input_seed, key_seed) in enumerate(seeds):
-        w[:, r : r + 1] = np.concatenate(
-            [linalg.random_mat(L, 1, field, (input_seed, u, v)) for u, v in users]
-        )
-        k[:, r : r + 1] = keygen(s, key_seed)
+    w = np.empty((len(users) * L, rounds), dtype=np.int64)
+    k = np.empty((s.encoding.shape[1], rounds), dtype=np.int64)
+    for i in range(rounds):
+        draws = [linalg.random_mat(L, 1, field, ((seed, 2 * i), u, v)) for u, v in users]
+        w[:, i : i + 1] = np.concatenate(draws)
+        k[:, i : i + 1] = keygen(s, (seed, 2 * i + 1))
     return run(s, w, k)
-
-
-def round_seeds(seed: int, rounds: int) -> list[tuple]:
-    """The (input_seed, key_seed) pairs of `rounds` consecutive rounds under one seed."""
-    return [((seed, 2 * i), (seed, 2 * i + 1)) for i in range(rounds)]
-
-
-def run_round(s: PrecodingScheme, input_seed: int, key_seed: int) -> Transcript:
-    """One full round with uniform random inputs and keys, deterministic in the seeds."""
-    return run_rounds(s, [(input_seed, key_seed)]).transcript(0)

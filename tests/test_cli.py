@@ -2,6 +2,7 @@ import functools
 import json
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +58,28 @@ def test_rates_infeasible(capsys):
     assert "infeasible: G=1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["nosuch"],
+        ["rates", "--U", "2"],
+        ["rates", "--U", "x", "--V", "2", "--G", "2"],
+        ["example", "--id", "3", "--out", "x.json"],
+        ["simulate"],
+        ["verify", "x.json", "--bogus"],
+    ],
+    ids=["no-command", "unknown-command", "missing-flags", "bad-int", "bad-choice", "no-scheme",
+         "unknown-flag"],
+)
+def test_usage_errors_are_one_line(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("hsagg") and ": error: " in err and err.count("\n") == 1, err
+
+
 def test_rates_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["rates", "--U", "1", "--V", "2", "--G", "2"])  # U < 2
@@ -79,7 +102,7 @@ def test_example_roundtrip_and_verify(tmp_path, capsys):
     # save(load(f)) is byte-identical
     again = str(tmp_path / "again.json")
     save_scheme(s, again)
-    assert open(path).read() == open(again).read()
+    assert Path(path).read_bytes() == Path(again).read_bytes()
     assert run(["verify", path]) == EXIT_OK
     out = capsys.readouterr().out
     assert "overall: pass" in out
@@ -93,7 +116,7 @@ def test_verify_with_oracle_example1(tmp_path, capsys):
     assert run(["verify", path, "--oracle", "--out", report_path]) == EXIT_OK
     out = capsys.readouterr().out
     assert "server oracle: pass" in out
-    report = json.load(open(report_path))
+    report = json.loads(Path(report_path).read_text())
     assert report["passed"] is True
     assert report["oracle_relay"]["1"]["entropy_qary"] == 10.0
     assert report["oracle_server"]["entropy_qary"] == 5.0
@@ -113,7 +136,7 @@ def test_verify_corrupted_entry(tmp_path, capsys):
     path = str(tmp_path / "ex1.json")
     run(["example", "--id", "1", "--out", path])
     capsys.readouterr()
-    obj = json.load(open(path))
+    obj = json.loads(Path(path).read_text())
     obj["blocks"][0]["matrix"]["data"][0] = (obj["blocks"][0]["matrix"]["data"][0] + 1) % 5
     with open(path, "w") as fh:
         json.dump(obj, fh)
@@ -214,7 +237,7 @@ def test_build_pipeline(tmp_path, capsys):
     s = load_scheme(path)
     again = str(tmp_path / "s2.json")
     save_scheme(s, again)
-    assert open(path).read() == open(again).read()
+    assert Path(path).read_bytes() == Path(again).read_bytes()
 
 
 def test_build_infeasible_and_bad_modulus(tmp_path, capsys):
@@ -239,7 +262,51 @@ def test_simulate(tmp_path, capsys):
     t2 = str(tmp_path / "t2.json")
     assert run(["simulate", path, "--rounds", "100", "--seed", "3", "--out", t2]) == EXIT_OK
     capsys.readouterr()
-    assert open(t1).read() == open(t2).read()
+    assert Path(t1).read_bytes() == Path(t2).read_bytes()
+
+
+def test_build_count_overflow_is_a_usage_error(tmp_path, capsys):
+    # C(1600, 30) groups cannot be enumerated; the build is refused, not crashed.
+    out = tmp_path / "s.json"
+    assert run(["build", "--U", "40", "--V", "40", "--G", "30", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: C(1600,30) = ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["ex1", "p61"])
+def test_simulate_transcript_file(source, tmp_path, capsys):
+    path, out = str(tmp_path / "s.json"), tmp_path / "t.json"
+    if source == "ex1":
+        run(["example", "--id", "1", "--out", path])
+    else:
+        run(["build", "--U", "2", "--V", "2", "--G", "2", "--q", str((1 << 61) - 1), "--out", path])
+    s = load_scheme(path)
+    q, U, V = s.cfg.field.modulus, s.cfg.U, s.cfg.V
+    assert run(["simulate", path, "--rounds", "6", "--seed", "4", "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    obj = json.loads(out.read_text())
+    assert len(obj["rounds"]) == 6
+
+    def vec(data):
+        assert len(data) == s.dims.L
+        return [int(x) for x in data]  # entries >= 2^53 are decimal strings
+
+    def total(vectors):
+        return [sum(column) % q for column in zip(*vectors)]
+
+    users = [[u, v] for u in range(1, U + 1) for v in range(1, V + 1)]
+    for r in obj["rounds"]:
+        assert [e["user"] for e in r["inputs"]] == users
+        assert [e["user"] for e in r["user_messages"]] == users
+        assert [e["relay"] for e in r["relay_messages"]] == list(range(1, U + 1))
+        messages = {tuple(e["user"]): vec(e["data"]) for e in r["user_messages"]}
+        relays = [vec(e["data"]) for e in r["relay_messages"]]
+        for u, y in enumerate(relays, 1):
+            assert y == total(messages[(u, v)] for v in range(1, V + 1))
+        assert vec(r["decoded_sum"]) == total(relays) == total(vec(e["data"]) for e in r["inputs"])
+    if source == "p61":
+        assert any(isinstance(x, str) for e in obj["rounds"][0]["user_messages"] for x in e["data"])
 
 
 def test_simulate_zero_rounds(tmp_path, capsys):
@@ -260,13 +327,13 @@ def test_large_modulus_serialized_as_strings(tmp_path):
         )
         == EXIT_OK
     )
-    obj = json.load(open(path))
+    obj = json.loads(Path(path).read_text())
     assert obj["cfg"]["q"] == str(q)  # >= 2^53, so written as a decimal string
     s = load_scheme(path)
     assert s.cfg.field.modulus == q
     again = str(tmp_path / "big2.json")
     save_scheme(s, again)
-    assert open(path).read() == open(again).read()
+    assert Path(path).read_bytes() == Path(again).read_bytes()
 
 
 def _json_paths(obj, path=()):
@@ -357,7 +424,8 @@ def test_count_flags_reject_negative_values(argv, flag, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run([a.format(scheme=scheme_path, out=out) for a in argv] + [flag, "-1"])
     assert exc.value.code == EXIT_USAGE
-    assert f"argument {flag}: expected a non-negative integer, got '-1'" in capsys.readouterr().err
+    message = f"argument {flag}: expected a non-negative integer, got '-1'"
+    assert capsys.readouterr().err == f"hsagg {argv[0]}: error: {message}\n"
     assert not out.exists()
 
 

@@ -10,7 +10,6 @@ from hsagg.combi import (
     cross_relay_groups,
     enumerate_groups,
     groups_touching_relay,
-    relay_users,
 )
 
 
@@ -34,7 +33,6 @@ def test_binom_sat_matches_math_comb():
 
 def test_user_listing():
     assert all_users(2, 2) == [(1, 1), (1, 2), (2, 1), (2, 2)]
-    assert relay_users(3, 2) == [(3, 1), (3, 2)]
 
 
 def test_enumerate_groups_examples():

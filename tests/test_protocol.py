@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from hsagg import linalg
+from hsagg.combi import all_users
 from hsagg.gf import make_field
 from hsagg.linalg import DimensionMismatch
-from hsagg.protocol import keygen, run, run_round
+from hsagg.protocol import keygen, run, run_rounds
 from hsagg.rates import ProblemConfig
 from hsagg.scheme import build_random
 
@@ -99,12 +100,11 @@ def test_relay_and_server_sums(ex1):
     assert np.array_equal(rounds.relay_messages, rounds.user_messages)
     assert rounds.decoded_sum.tolist() == [[2]]
     # V = 2: a relay message is the entrywise sum of its users' messages.
-    t = run_round(ex1, input_seed=8, key_seed=9)
-    for u in (1, 2):
-        relay = (t.user_messages[(u, 1)].array + t.user_messages[(u, 2)].array) % 5
-        assert np.array_equal(t.relay_messages[u].array, relay)
-    decoded = (t.relay_messages[1].array + t.relay_messages[2].array) % 5
-    assert np.array_equal(t.decoded_sum.array, decoded)
+    rounds = run_rounds(ex1, seed=8, rounds=3)
+    x = rounds.user_messages.reshape(2, 2, 5, 3)
+    y = rounds.relay_messages.reshape(2, 5, 3)
+    assert np.array_equal(y, (x[:, 0] + x[:, 1]) % 5)
+    assert np.array_equal(rounds.decoded_sum, (y[0] + y[1]) % 5)
 
 
 def test_exhaustive_correctness_minimal():
@@ -125,21 +125,31 @@ def test_decode_for_fixed_input_over_both_keys():
 
 
 def test_run_round_deterministic(ex1):
-    t1 = run_round(ex1, input_seed=5, key_seed=6)
-    t2 = run_round(ex1, input_seed=5, key_seed=6)
-    assert t1 == t2
-    assert t1 != run_round(ex1, input_seed=5, key_seed=7)
+    r1, r2 = run_rounds(ex1, seed=5, rounds=4), run_rounds(ex1, seed=5, rounds=4)
+    assert np.array_equal(r1.inputs, r2.inputs)
+    assert np.array_equal(r1.user_messages, r2.user_messages)
+    assert not np.array_equal(run_rounds(ex1, seed=6, rounds=4).user_messages, r1.user_messages)
+    # Round i depends on (seed, i) alone: its inputs come from the substreams
+    # ((seed, 2i), u, v) and its keys from keygen(s, (seed, 2i + 1)).
+    assert np.array_equal(run_rounds(ex1, seed=5, rounds=2).user_messages, r1.user_messages[:, :2])
+    for i in range(4):
+        w = np.concatenate(
+            [linalg.random_mat(5, 1, ex1.cfg.field, ((5, 2 * i), u, v)) for u, v in all_users(2, 2)]
+        )
+        assert np.array_equal(r1.inputs[:, i : i + 1], w)
+        expected = run(ex1, w, keygen(ex1, (5, 2 * i + 1))).user_messages
+        assert np.array_equal(r1.user_messages[:, i : i + 1], expected)
 
 
 def test_hundred_rounds_examples(ex1, ex2):
     for s in (ex1, ex2):
-        q = s.cfg.field.modulus
-        for i in range(100):
-            t = run_round(s, input_seed=(1, i), key_seed=(2, i))
-            input_sum = sum(w.array.astype(object) for w in t.inputs.values()) % q
-            assert t.decoded_sum.array.tolist() == input_sum.tolist()
-            assert all(x.rows == s.dims.L for x in t.user_messages.values())
-            assert all(y.rows == s.dims.L for y in t.relay_messages.values())
+        q, L, n_users = s.cfg.field.modulus, s.dims.L, s.cfg.U * s.cfg.V
+        rounds = run_rounds(s, seed=1, rounds=100)
+        assert rounds.inputs.shape == rounds.user_messages.shape == (n_users * L, 100)
+        assert rounds.relay_messages.shape == (s.cfg.U * L, 100)
+        input_sum = rounds.inputs.astype(object).reshape(n_users, L, 100).sum(axis=0) % q
+        assert rounds.decoded_sum.tolist() == input_sum.tolist()
+        assert rounds.correct.all()
 
 
 def test_intra_relay_key_cancels_in_relay_message(ex1):
