@@ -13,7 +13,6 @@ entropy values; the float entropy in the results is for reporting only.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -140,50 +139,31 @@ def mask_distribution(m: Mat, cap: int) -> tuple[int, np.ndarray]:
     """Exact distribution of m @ s over all q^cols inputs s.
 
     Returns (state count, array of the positive multiplicities of every
-    attained output vector). Enumeration is sliced into slabs whose tallies
-    are merged order-independently. Output vectors are packed base-q into
-    one or more int64 chunk codes; when a single chunk suffices and the
-    output space is small the tally is a dense bincount, otherwise a Counter
-    over code tuples.
+    attained output vector). Enumeration is sliced into slabs, and each
+    output vector's base-q code is counted in one dense tally of length
+    q^rows, so both q^cols and q^rows must be within the cap. The relay and
+    server oracles never meet the second limit first: their matrices have
+    rows <= cols, since L_S / L is the optimal key rate.
     """
     q = m.field.modulus
     n, rows = m.cols, m.rows
     _check_states(q, n, cap)
-    states = q**n
-    coords_per_chunk = max(1, int(62 / math.log2(q)))
-    chunks = [range(j, min(j + coords_per_chunk, rows)) for j in range(0, rows, coords_per_chunk)]
+    _check_states(q, rows, cap)
+    states, out_space = q**n, q**rows
     col = np.asarray(m.array, dtype=np.int64)
-    powers = [q**k for k in range(n)]
-    out_space = q**rows
-    dense = len(chunks) == 1 and out_space <= (1 << 27)
-    dense_counts = np.zeros(out_space, dtype=np.int64) if dense else None
-    sparse_counts: Counter = Counter()
+    powers = q ** np.arange(n, dtype=np.int64)
+    pack = q ** np.arange(rows - 1, -1, -1, dtype=np.int64)
+    counts = np.zeros(out_space, dtype=np.int64)
     for start in range(0, states, _SLAB):
         idx = np.arange(start, min(start + _SLAB, states), dtype=np.int64)
         # Base-q digits of the state index are the key symbols; since
         # q^n <= cap, the dot products below stay far from int64 overflow.
-        digits = np.stack([(idx // powers[k]) % q for k in range(n)], axis=1)
-        out = (digits @ col.T) % q
-        codes = []
-        for chunk in chunks:
-            pack = np.array([q ** (len(chunk) - 1 - i) for i in range(len(chunk))], dtype=np.int64)
-            codes.append(out[:, list(chunk)] @ pack)
-        if dense:
-            dense_counts += np.bincount(codes[0], minlength=out_space)
-        elif len(codes) == 1:
-            uniq, cnt = np.unique(codes[0], return_counts=True)
-            for key, c in zip(uniq, cnt):
-                sparse_counts[int(key)] += int(c)
-        else:
-            stacked = np.stack(codes, axis=1)
-            uniq, cnt = np.unique(stacked, axis=0, return_counts=True)
-            for row, c in zip(uniq, cnt):
-                sparse_counts[tuple(int(x) for x in row)] += int(c)
-    if dense:
-        tallies = dense_counts[dense_counts > 0]
-    else:
-        tallies = np.array(list(sparse_counts.values()), dtype=np.int64)
-    return states, tallies
+        digits = idx[:, None] // powers
+        digits %= q
+        out = digits @ col.T
+        out %= q
+        counts += np.bincount(out @ pack, minlength=out_space)
+    return states, counts[counts > 0]
 
 
 def _oracle_from_matrix(m: Mat, target: int, cap: int) -> OracleResult:

@@ -121,6 +121,11 @@ def scheme_from_obj(obj: dict) -> PrecodingScheme:
         if prng_id != linalg.PRNG_ID:
             raise SchemeFileError(f"unsupported prng_id {prng_id!r}")
         U, V, G, q = (_dec_int(x) for x in _fields(cfg_obj, "U", "V", "G", "q"))
+        # A canonical file has at least UV blocks: UV of them if G = UV, else
+        # C(UV,G) >= UV groups of G members. Checked before any binomial, so
+        # a huge config in a small file is refused at once.
+        if U * V > len(blocks):
+            raise SchemeFileError(f"{len(blocks)} blocks cannot describe U*V = {U * V} users")
         cfg = ProblemConfig(U, V, G, make_field(q))
         dims = classify_regime(cfg)
         regime, L, L_S = _fields(dims_obj, "regime", "L", "L_S")
@@ -169,9 +174,9 @@ def save_scheme(s: PrecodingScheme, path: str):
 
 def load_scheme(path: str) -> PrecodingScheme:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
         raise SchemeFileError(f"cannot read scheme file {path}: {exc}") from exc
     return scheme_from_obj(obj)
 

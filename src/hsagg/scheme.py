@@ -14,13 +14,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import linalg
-from .combi import (
-    Group,
-    UserId,
-    cross_relay_groups,
-    enumerate_groups,
-    groups_touching_relay,
-)
+from .combi import Group, UserId, enumerate_groups
 from .gf import make_field
 from .linalg import Mat, vandermonde_block
 from .rates import ProblemConfig, SchemeDims, check_feasible, classify_regime, Infeasible
@@ -216,10 +210,19 @@ def assemble_relay_matrix(s: PrecodingScheme, u: int) -> Mat:
     relay u (canonical order) for user (u, v); zero where (u, v) is not a
     member. Full row rank VL is exactly the relay security condition.
     """
-    _, touching = groups_touching_relay(s.cfg.U, s.cfg.V, s.cfg.G, u)
+    if not 1 <= u <= s.cfg.U:
+        raise ValueError(f"relay index {u} outside [1, {s.cfg.U}]")
+    touching = [g for g, grp in enumerate(s.groups) if any(m[0] == u for m in grp)]
     height = s.cfg.V * s.dims.L
     rows = s.encoding[(u - 1) * height : u * height]
     return linalg.from_array(s.cfg.field, rows[:, _block_columns(touching, s.dims.L_S)])
+
+
+def _relay_sums(s: PrecodingScheme, rows: np.ndarray) -> np.ndarray:
+    """The mod-q sum of each relay's V user row blocks, for rows of E that cover whole relays."""
+    V, L, cols = s.cfg.V, s.dims.L, rows.shape[1]
+    per_user = rows.reshape(rows.shape[0] // (V * L), V, L, cols)
+    return linalg.sum_mod(per_user, 1, s.cfg.field.modulus).reshape(-1, cols)
 
 
 def assemble_server_matrix(s: PrecodingScheme) -> Mat:
@@ -230,10 +233,7 @@ def assemble_server_matrix(s: PrecodingScheme) -> Mat:
     since their members cancel within the relay. Rank (U-1)L is exactly the
     server security condition.
     """
-    U, V, L = s.cfg.U, s.cfg.V, s.dims.L
-    per_user = s.encoding.reshape(U, V, L, -1)
-    summed = linalg.sum_mod(per_user, 1, s.cfg.field.modulus)
-    return linalg.from_array(s.cfg.field, summed.reshape(U * L, -1))
+    return linalg.from_array(s.cfg.field, _relay_sums(s, s.encoding))
 
 
 def check_zero_sum(s: PrecodingScheme) -> bool:
@@ -244,7 +244,6 @@ def check_zero_sum(s: PrecodingScheme) -> bool:
 
 def cross_relay_server_matrix(s: PrecodingScheme) -> Mat:
     """Server matrix restricted to cross-relay column blocks and the first U-1 row blocks."""
-    full = assemble_server_matrix(s)
-    _, cross = cross_relay_groups(s.cfg.U, s.cfg.V, s.cfg.G)
-    rows = full.array[: (s.cfg.U - 1) * s.dims.L]
-    return Mat(s.cfg.field, np.ascontiguousarray(rows[:, _block_columns(cross, s.dims.L_S)]))
+    cross = [g for g, grp in enumerate(s.groups) if len({m[0] for m in grp}) > 1]
+    summed = _relay_sums(s, s.encoding[: (s.cfg.U - 1) * s.cfg.V * s.dims.L])
+    return linalg.from_array(s.cfg.field, summed[:, _block_columns(cross, s.dims.L_S)])

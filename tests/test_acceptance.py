@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from hsagg import audit, cli, linalg, protocol, scheme
-from hsagg.combi import cross_relay_groups, groups_touching_relay
+from hsagg.combi import enumerate_groups
 from hsagg.gf import make_field
 from hsagg.rates import (
     Infeasible,
@@ -57,10 +57,9 @@ def report(n: int, name: str, ok: bool):
 def oracle_computable(cfg: ProblemConfig) -> bool:
     dims = classify_regime(cfg)
     q = cfg.field.modulus
-    t_max = max(
-        groups_touching_relay(cfg.U, cfg.V, cfg.G, u)[0] for u in range(1, cfg.U + 1)
-    )
-    c_x, _ = cross_relay_groups(cfg.U, cfg.V, cfg.G)
+    groups = enumerate_groups(cfg.U, cfg.V, cfg.G)
+    t_max = max(sum(any(m[0] == u for m in grp) for grp in groups) for u in range(1, cfg.U + 1))
+    c_x = sum(len({m[0] for m in grp}) >= 2 for grp in groups)
     return q ** (t_max * dims.L_S) <= CAP and q ** (c_x * dims.L_S) <= CAP
 
 
@@ -185,9 +184,8 @@ def test_criterion_6_random_construction():
 def _zero_cross_family(s, user):
     """Zero, in a copy of E, every cross-relay group containing the user."""
     e = s.encoding.copy()
-    _, cross = cross_relay_groups(s.cfg.U, s.cfg.V, s.cfg.G)
-    for g_idx in cross:
-        if user in s.groups[g_idx]:
+    for g_idx, grp in enumerate(s.groups):
+        if user in grp and len({m[0] for m in grp}) >= 2:
             e[:, block_slices(s.cfg, s.dims, g_idx, user)[1]] = 0
     return replace(s, encoding=e)
 

@@ -1,7 +1,11 @@
+import itertools
+from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hsagg import audit, scheme
 from hsagg.audit import (
@@ -16,7 +20,6 @@ from hsagg.audit import (
     verify_relay_rank,
     verify_server_rank,
 )
-from hsagg.combi import cross_relay_groups
 from hsagg.gf import make_field
 from hsagg.linalg import from_array
 from hsagg.rates import ProblemConfig, SchemeDims
@@ -45,9 +48,8 @@ def zero_group_recompleted(s, g_idx, member):
 def zero_cross_family(s, user):
     """Zero, in a copy of E, every cross-relay group containing the user (zero-sum preserved)."""
     e = s.encoding.copy()
-    _, cross = cross_relay_groups(s.cfg.U, s.cfg.V, s.cfg.G)
-    for g_idx in cross:
-        if user in s.groups[g_idx]:
+    for g_idx, grp in enumerate(s.groups):
+        if user in grp and len({m[0] for m in grp}) >= 2:
             e[:, block_slices(s.cfg, s.dims, g_idx, user)[1]] = 0
     return replace(s, encoding=e)
 
@@ -112,6 +114,42 @@ def test_state_space_guard_is_exact():
     exc = StateSpaceTooLarge(Q61, 10**6, CAP)
     assert exc.required_text == f"{Q61}^{10**6}" and not exc.printable
     assert StateSpaceTooLarge(11, 24, CAP).required_text == str(11**24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mask_distribution_matches_brute_force(data):
+    """The tallies equal a Counter of the outputs over all key vectors."""
+    q = data.draw(st.sampled_from([2, 3, 5, 7]), label="q")
+    rows, cols = data.draw(st.integers(1, 4), label="rows"), data.draw(st.integers(1, 4), label="cols")
+    # A product through an inner dimension r: r = 0 gives the zero matrix,
+    # r < min(rows, cols) a rank-deficient one.
+    r = data.draw(st.integers(0, min(rows, cols)), label="r")
+    entry = st.integers(0, q - 1)
+    left = data.draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=rows, max_size=rows))
+    right = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=r, max_size=r))
+    a = [[sum(left[i][k] * right[k][j] for k in range(r)) % q for j in range(cols)] for i in range(rows)]
+    slab = data.draw(st.sampled_from([1, 5, 1 << 20]), label="slab")
+    expected = Counter(
+        tuple(sum(x * k for x, k in zip(row, keys)) % q for row in a)
+        for keys in itertools.product(range(q), repeat=cols)
+    )
+    with mock.patch.object(audit, "_SLAB", slab):
+        states, tallies = mask_distribution(from_array(make_field(q), np.array(a, dtype=np.int64)), CAP)
+    assert states == q**cols
+    assert tallies.tolist() == [expected[out] for out in sorted(expected)]
+
+
+def test_mask_distribution_refuses_an_output_space_over_the_cap():
+    m = zeros(GF3, 5, 2)  # 3^2 key states, 3^5 possible outputs
+    with pytest.raises(StateSpaceTooLarge) as exc:
+        mask_distribution(m, 3**5 - 1)
+    assert exc.value.required == 3**5 and exc.value.cap == 3**5 - 1
+    assert mask_distribution(m, 3**5)[1].tolist() == [9]
+    # The key states are checked first.
+    with pytest.raises(StateSpaceTooLarge) as exc:
+        mask_distribution(zeros(GF3, 5, 6), 3**5 - 1)
+    assert exc.value.required == 3**6
 
 
 def test_entropy_oracle_minimal():

@@ -1,5 +1,6 @@
 import functools
 import json
+import time
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -150,6 +151,32 @@ def test_verify_malformed_file(tmp_path, capsys):
         fh.write("{ not json")
     assert run(["verify", path]) == EXIT_USAGE
     assert "error" in capsys.readouterr().err
+
+
+def _write_oversized_config(path):
+    """Example 1 with U = V = 3000 and G = 200000: a small file naming a huge problem."""
+    obj = scheme_to_obj(build_example1())
+    obj["cfg"].update(U=3000, V=3000, G=200_000)
+    path.write_text(json.dumps(obj, separators=(",", ":")))
+
+
+UNLOADABLE_FILES = {
+    "not-utf8": lambda path: path.write_text(cli._dumps(scheme_to_obj(build_example1())), encoding="utf-16"),
+    "nested-200000-deep": lambda path: path.write_text("[" * 200_000 + "]" * 200_000),
+    "oversized-config": _write_oversized_config,
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+@pytest.mark.parametrize("kind", sorted(UNLOADABLE_FILES))
+def test_unloadable_file_is_a_usage_error(kind, command, tmp_path, capsys):
+    path = tmp_path / "s.json"
+    UNLOADABLE_FILES[kind](path)
+    start = time.process_time()
+    assert run([command, str(path)]) == EXIT_USAGE
+    assert time.process_time() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_load_rejects_inconsistent_files(tmp_path):

@@ -1,13 +1,17 @@
+from dataclasses import replace
+from math import comb
+
 import numpy as np
 import pytest
 
 from hsagg import cli, linalg, scheme
-from hsagg.combi import enumerate_groups
+from hsagg.combi import all_users, enumerate_groups
 from hsagg.gf import make_field
 from hsagg.linalg import rank, vandermonde_block
-from hsagg.rates import Infeasible, ProblemConfig, Regime
+from hsagg.rates import Infeasible, ProblemConfig, Regime, classify_regime, security_fractions
 from hsagg.scheme import (
     ConstructionFailed,
+    PrecodingScheme,
     assemble_relay_matrix,
     assemble_server_matrix,
     build_random,
@@ -18,6 +22,7 @@ from hsagg.scheme import (
 
 GF2 = make_field(2)
 GF11 = make_field(11)
+Q31 = 2**31 - 1
 Q61 = 2**61 - 1
 
 # Golden 5x2 matrices of the (2,2,2) GF(5) construction, one per group in
@@ -151,11 +156,71 @@ def test_relay_matrix_v1_is_horizontal_concat():
     s = build_random(cfg, seed=0)
     m = assemble_relay_matrix(s, 2)
     assert m.rows == s.dims.L
-    from hsagg.combi import groups_touching_relay
-
-    _, touching = groups_touching_relay(3, 1, 2, 2)
+    touching = [g for g, grp in enumerate(s.groups) if (2, 1) in grp]
     expected = np.hstack([s.block(g, (2, 1)) for g in touching])
     assert np.array_equal(m.array, expected)
+
+
+def _grid_scheme(U, V, G):
+    """A random draw over GF(2^31 - 1) with the config's groups and blocklengths.
+
+    Configs whose encoding matrix would pass 2^20 entries keep their groups
+    and L_S but get L = 1, and their member blocks are uniform nonzero
+    without zero-sum completion, so that the whole grid stays small.
+    """
+    cfg = ProblemConfig(U, V, G, make_field(Q31))
+    dims = classify_regime(cfg)
+    n_groups = comb(U * V, G)
+    if U * V * dims.L * n_groups * dims.L_S <= 1 << 20:
+        return sample_zero_sum_scheme(cfg, seed=100 * U + 10 * V + G)
+    groups = tuple(enumerate_groups(U, V, G))
+    members = np.array([[user in grp for grp in groups] for user in all_users(U, V)])
+    draws = np.random.default_rng(G).integers(1, Q31, size=(U * V, n_groups * dims.L_S))
+    e = np.repeat(members, dims.L_S, axis=1) * draws
+    return PrecodingScheme(cfg, replace(dims, L=1), groups, e, {})
+
+
+def _columns(group_indices, L_S):
+    return [g * L_S + c for g in group_indices for c in range(L_S)]
+
+
+def _grid(U):
+    """The feasible (V, G) for U relays: V up to 4, and G = 1 has no scheme."""
+    return [(V, G) for V in range(1, 5) for G in range(2, U * V + 1)]
+
+
+@pytest.mark.parametrize("U", [2, 3, 4])
+def test_relay_matrix_column_blocks_are_the_groups_touching_the_relay(U):
+    for V, G in _grid(U):
+        s = _grid_scheme(U, V, G)
+        relay_frac, _ = security_fractions(s.cfg)
+        height = V * s.dims.L
+        for u in range(1, U + 1):
+            touching = [g for g, grp in enumerate(s.groups) if any(m[0] == u for m in grp)]
+            expected = s.encoding[(u - 1) * height : u * height, _columns(touching, s.dims.L_S)]
+            m = assemble_relay_matrix(s, u)
+            assert np.array_equal(m.array, expected), (U, V, G, u)
+            # C(UV,G) - C((U-1)V,G) groups touch each relay.
+            assert m.cols == V / relay_frac * s.dims.L_S
+        for u in (0, U + 1):
+            with pytest.raises(ValueError, match="outside"):
+                assemble_relay_matrix(s, u)
+
+
+@pytest.mark.parametrize("U", [2, 3, 4])
+def test_cross_relay_matrix_column_blocks_are_the_groups_spanning_relays(U):
+    for V, G in _grid(U):
+        s = _grid_scheme(U, V, G)
+        L, q = s.dims.L, s.cfg.field.modulus
+        _, server_frac = security_fractions(s.cfg)
+        cross = [g for g, grp in enumerate(s.groups) if len({m[0] for m in grp}) >= 2]
+        relay_sums = s.encoding.astype(object).reshape(U, V, L, -1).sum(axis=1) % q
+        expected = relay_sums.reshape(U * L, -1)[: (U - 1) * L, _columns(cross, s.dims.L_S)]
+        m = cross_relay_server_matrix(s)
+        assert np.array_equal(m.array, expected), (U, V, G)
+        # The other U*C(V,G) groups lie within one relay.
+        assert len(s.groups) - len(cross) == U * comb(V, G)
+        assert m.cols == (U - 1) / server_frac * s.dims.L_S
 
 
 def test_server_matrix_row_blocks_sum_to_zero():
