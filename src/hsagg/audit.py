@@ -82,7 +82,7 @@ class OracleResult:
     states: int
     distinct: int
     uniform: bool
-    entropy_qary: float  # exact integer when the distribution is uniform
+    entropy_qary: float  # the exact integer log_q(distinct): a tally is always uniform
     target: int
 
     @property
@@ -150,7 +150,6 @@ def mask_distribution(m: Mat, cap: int) -> tuple[int, np.ndarray]:
     _check_states(q, n, cap)
     _check_states(q, rows, cap)
     states, out_space = q**n, q**rows
-    col = np.asarray(m.array, dtype=np.int64)
     powers = q ** np.arange(n, dtype=np.int64)
     pack = q ** np.arange(rows - 1, -1, -1, dtype=np.int64)
     counts = np.zeros(out_space, dtype=np.int64)
@@ -160,29 +159,27 @@ def mask_distribution(m: Mat, cap: int) -> tuple[int, np.ndarray]:
         # q^n <= cap, the dot products below stay far from int64 overflow.
         digits = idx[:, None] // powers
         digits %= q
-        out = digits @ col.T
+        out = digits @ m.array.T
         out %= q
         counts += np.bincount(out @ pack, minlength=out_space)
     return states, counts[counts > 0]
 
 
 def _oracle_from_matrix(m: Mat, target: int, cap: int) -> OracleResult:
+    """The oracle's verdict from the exact tally of m's outputs.
+
+    A linear image of uniform keys is uniform on its image: every attained
+    output has q^(cols - rank) preimages. So the tally is uniform over a power
+    of q many outputs, and anything else is an arithmetic fault, not a verdict.
+    """
     states, tallies = mask_distribution(m, cap)
     q = m.field.modulus
-    uniform = bool(np.all(tallies == tallies[0]))
     distinct = len(tallies)
-    if uniform:
-        # Uniform over `distinct` values with distinct * tally = q^n, so
-        # distinct is an exact power of q and the q-ary entropy an integer.
-        r = round(math.log(distinct, q))
-        if q**r != distinct or distinct * int(tallies[0]) != states:
-            raise ArithmeticError(f"uniform tally: {distinct} values of {states} states, not q^{r}")
-        entropy = float(r)
-    else:
-        entropy = -sum(
-            (int(c) / states) * math.log(int(c) / states, q) for c in tallies
-        )
-    return OracleResult(states, distinct, uniform, entropy, target)
+    r = round(math.log(distinct, q))
+    if np.any(tallies != tallies[0]) or q**r != distinct or distinct * int(tallies[0]) != states:
+        raise ArithmeticError(f"tally of {distinct} values over {states} states is not uniform on q^{r}")
+    # The q-ary entropy of a uniform tally is the exact integer r.
+    return OracleResult(states, distinct, True, float(r), target)
 
 
 def entropy_oracle_relay(s: PrecodingScheme, u: int, cap: int) -> OracleResult:

@@ -17,7 +17,7 @@ from math import comb
 import numpy as np
 
 from . import audit, linalg, protocol, scheme as scheme_mod
-from .combi import CountOverflow, all_users, enumerate_groups
+from .combi import CountOverflow, all_users, count_groups, enumerate_groups
 from .gf import NotPrime, make_field
 from .rates import (
     Infeasible,
@@ -34,6 +34,10 @@ _JSON_SAFE = 1 << 53
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
+
+# Most entries of an encoding matrix that build makes: 2^27 int64 entries are
+# 1 GiB, and the relay and server matrices are copies of parts of it.
+MAX_ENCODING_ENTRIES = 1 << 27
 
 
 class SchemeFileError(ValueError):
@@ -79,10 +83,6 @@ def _fields(obj, *names: str) -> list:
     if not isinstance(obj, dict) or list(obj) != list(names):
         raise SchemeFileError(f"expected an object with keys {list(names)}")
     return [obj[name] for name in names]
-
-
-def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
 
 
 def scheme_to_obj(s: PrecodingScheme) -> dict:
@@ -163,13 +163,20 @@ def scheme_from_obj(obj: dict) -> PrecodingScheme:
         raise SchemeFileError(f"malformed scheme file: {exc}") from exc
 
 
-def _write(path: str, text: str):
+def _write_json(path: str, obj):
+    """Write obj as canonical JSON: two-space indent, then a newline.
+
+    json.dump hands the encoder's chunks to the file one by one, so the whole
+    text (6.5 MB for 100 rounds at (U,V,G) = (3,3,6), q = 2^61 - 1) is never
+    held in memory at once.
+    """
     with open(path, "w") as fh:
-        fh.write(text)
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
 
 
 def save_scheme(s: PrecodingScheme, path: str):
-    _write(path, _dumps(scheme_to_obj(s)))
+    _write_json(path, scheme_to_obj(s))
 
 
 def load_scheme(path: str) -> PrecodingScheme:
@@ -316,6 +323,18 @@ def _save_and_summarize(s: PrecodingScheme, path: str) -> int:
 def cmd_build(args) -> int:
     cfg = _cfg_from_args(args, q=args.q)
     try:
+        # E has UV*L x C(UV,G)*L_S entries. The group count comes first: once
+        # it fits 64 bits, the regime's binomials are cheap.
+        n_groups = count_groups(cfg.U, cfg.V, cfg.G)
+        dims = classify_regime(cfg)
+        entries = cfg.U * cfg.V * dims.L * n_groups * dims.L_S
+        if entries > MAX_ENCODING_ENTRIES:
+            print(
+                f"error: the encoding matrix would have {entries} entries, "
+                f"more than the limit of {MAX_ENCODING_ENTRIES}",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
         s = scheme_mod.build_random(cfg, seed=args.seed, max_retries=args.max_retries)
     except Infeasible:
         print("infeasible: G=1", file=sys.stderr)
@@ -361,7 +380,7 @@ def cmd_verify(args) -> int:
     print(f"overall: {'pass' if report.passed else 'FAIL'}")
     if args.out:
         try:
-            _write(args.out, _dumps(obj))
+            _write_json(args.out, obj)
         except OSError as exc:
             return _unwritable(args.out, exc)
     return EXIT_OK if report.passed else EXIT_FAILED
@@ -378,8 +397,8 @@ def cmd_simulate(args) -> int:
     print(f"correct rounds: {correct}/{args.rounds}")
     if args.out:
         rounds = [transcript_to_obj(batch, i) for i in range(args.rounds)]
-        # Free the round arrays and the encoding matrix before the JSON text,
-        # the peak of this command's memory, is built.
+        # Free the round arrays and the encoding matrix before the JSON is
+        # written, the peak of this command's memory.
         del s, batch
         obj = {
             "format_version": FORMAT_VERSION,
@@ -388,7 +407,7 @@ def cmd_simulate(args) -> int:
             "rounds": rounds,
         }
         try:
-            _write(args.out, _dumps(obj))
+            _write_json(args.out, obj)
         except OSError as exc:
             return _unwritable(args.out, exc)
         print(f"transcripts written to {args.out}")
@@ -450,8 +469,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; its exit code is 0 ok, 1 verification failed, 2 anything else.
+
+    An exception that no subcommand handles, MemoryError included, is a
+    resource or program error, not a verdict: it exits 2 with one line.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        message = " ".join(str(exc).split()) or "no message"
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

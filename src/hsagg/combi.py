@@ -29,11 +29,26 @@ def all_users(U: int, V: int) -> list[UserId]:
     return [(u, v) for u in range(1, U + 1) for v in range(1, V + 1)]
 
 
-def enumerate_groups(U: int, V: int, G: int) -> list[Group]:
-    """All C(UV, G) size-G groups in lexicographic order of sorted members."""
+def count_groups(U: int, V: int, G: int) -> int:
+    """C(UV, G), the number of groups; CountOverflow if it does not fit in 64 bits.
+
+    With k = min(G, UV - G), C(UV, G) < (e UV / k)^k. A count whose bound has
+    more than 14,000 bits is refused without computing it: math.comb would
+    take seconds, and Python prints at most 4300 decimal digits. Such a count
+    has more than 1000 bits anyway: it is at least (UV / k)^k, and UV / k >= 2.
+    """
     if G < 1 or G > U * V:
         raise BadGroupSize(f"G must be in [1, {U * V}], got {G}")
+    k = min(G, U * V - G)
+    if k and k * math.log2(math.e * U * V / k) > 14_000:
+        raise CountOverflow(f"C({U * V},{G}) exceeds 64 bits")
     count = math.comb(U * V, G)
-    if count > _COUNT_MAX:  # refused before anything is materialized
+    if count > _COUNT_MAX:
         raise CountOverflow(f"C({U * V},{G}) = {count} exceeds 64 bits")
+    return count
+
+
+def enumerate_groups(U: int, V: int, G: int) -> list[Group]:
+    """All C(UV, G) size-G groups in lexicographic order of sorted members."""
+    count_groups(U, V, G)  # refused before anything is materialized
     return [tuple(c) for c in combinations(all_users(U, V), G)]

@@ -36,22 +36,14 @@ def make_field(q: int) -> FieldSpec:
 
 
 def f_inv(field: FieldSpec, a: int) -> int:
-    """Multiplicative inverse of a nonzero element, via extended Euclid."""
-    a %= field.modulus
-    if a == 0:
+    """Multiplicative inverse of a nonzero element."""
+    if a % field.modulus == 0:
         raise DivisionByZero("0 has no multiplicative inverse")
-    # Iterative extended Euclid; only the Bezout coefficient of a is tracked.
-    r0, r1 = field.modulus, a
-    t0, t1 = 0, 1
-    while r1:
-        quot = r0 // r1
-        r0, r1 = r1, r0 - quot * r1
-        t0, t1 = t1, t0 - quot * t1
-    return t0 % field.modulus
+    return pow(a, -1, field.modulus)
 
 
 def f_pow(field: FieldSpec, b: int, e: int) -> int:
     """b^e mod q for e >= 0, with the empty-product convention 0^0 = 1."""
     if e < 0:
         raise ValueError("exponent must be non-negative")
-    return pow(b % field.modulus, e, field.modulus)
+    return pow(b, e, field.modulus)

@@ -1,10 +1,14 @@
-"""GF(q) linear algebra on numpy arrays: exact products and sums, rank, seeded random draws.
+"""GF(q) linear algebra on int64 arrays: exact products and sums, rank, seeded random draws.
 
-Residues are int64 arrays at every modulus up to 2^61 - 1: the matrix product
-matmul_mod and the residue sums sum_mod are exact on them. Only a Mat, the
-input of rank and of the exhaustive oracles, switches to Python ints in an
-object array for moduli too large for a product of two residues to fit in
-int64, which is exact but slower.
+Residues are int64 arrays at every modulus up to 2^61 - 1, and every result
+here is exact. The matrix product matmul_mod and the residue sums sum_mod work
+at every such q. rank is row elimination with plain int64 products while a
+product of two residues fits int64, that is up to q = 3,037,000,499. Above
+that it is the recursive elimination of Jeannerod, Pernet and Storjohann
+(J. Symbolic Comput. 2013): split the columns in half, eliminate the left
+half, update the right half by one matmul_mod product (its Schur complement)
+and recurse on it. Blocks at most _LEAF_COLS columns wide are eliminated row
+by row, with matmul_mod outer products as the updates.
 """
 
 from __future__ import annotations
@@ -14,11 +18,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .gf import FieldSpec, f_inv, f_pow
+from .gf import FieldSpec, f_pow
 
 # Largest modulus for which (q-1)^2 fits comfortably in int64.
 _INT64_SAFE_MODULUS = 3_037_000_499
 _INT64_MAX = (1 << 63) - 1
+
+# Widest block that rank eliminates row by row above _INT64_SAFE_MODULUS.
+_LEAF_COLS = 8
 
 # Identifier of the pseudo-random generator recorded in serialized schemes.
 PRNG_ID = "numpy-pcg64"
@@ -28,21 +35,17 @@ class DimensionMismatch(ValueError):
     """Raised when operand shapes or fields are incompatible."""
 
 
-def _dtype_for(field: FieldSpec):
-    return np.int64 if field.modulus <= _INT64_SAFE_MODULUS else object
-
-
 @dataclass(frozen=True, eq=False)
 class Mat:
-    """An immutable rows x cols matrix over GF(q), in the field's storage dtype."""
+    """An immutable rows x cols int64 matrix of residues over GF(q)."""
 
     field: FieldSpec
     array: np.ndarray = dc_field(repr=False)
 
     def __post_init__(self):
         a = self.array
-        if a.ndim != 2 or a.dtype != _dtype_for(self.field):
-            raise DimensionMismatch("a Mat is 2-dimensional, in its field's storage dtype")
+        if a.ndim != 2 or a.dtype != np.int64:
+            raise DimensionMismatch("a Mat is a 2-dimensional int64 array")
         a.setflags(write=False)
 
     @property
@@ -55,13 +58,12 @@ class Mat:
 
 
 def from_array(field: FieldSpec, a: np.ndarray) -> Mat:
-    """A Mat over the field from an int64 array of residues, in the field's storage dtype.
+    """A Mat over the field from an int64 array of residues.
 
     The array is made row-major: rank eliminates row by row, which is slower
     on the column-major arrays that numpy's column gathers return.
     """
-    a = np.ascontiguousarray(a)
-    return Mat(field, a if _dtype_for(field) is np.int64 else a.astype(object))
+    return Mat(field, np.ascontiguousarray(a))
 
 
 def sum_mod(a: np.ndarray, axis: int, q: int) -> np.ndarray:
@@ -100,13 +102,26 @@ def _dot_mod(pairs: Iterable[tuple[np.ndarray, np.ndarray]], shape, bound: int, 
 
 
 def _mul_pow2(x: np.ndarray, bits: int, q: int) -> np.ndarray:
-    """x * 2^bits mod q for an int64 array of residues, in shifts that fit int64."""
-    step = 63 - (q - 1).bit_length()
-    while bits > 0:
-        shift = min(bits, step)
-        x = (x << shift) % q
-        bits -= shift
-    return x
+    """x * 2^bits mod q for an int64 array of residues, exactly, for bits <= 31.
+
+    If x * 2^bits fits int64 this is one shift and one reduction. Otherwise
+    Barrett's method estimates the quotient from the top bits of x: with
+    B = bitlen(q), a = B + bits - 63 and mu = 2^(B+bits) // q, the estimate
+    ((x >> a) * mu) >> (63 - bits) is below 2^63 and at most 2 below the true
+    quotient (the two truncations each lose less than 1, since bits <= 31).
+    x * 2^bits minus the estimate times q, in wrapping uint64 arithmetic, is
+    then the remainder plus at most 2q, and 3q < 2^63 for q < 2^61.
+    """
+    if bits + (q - 1).bit_length() <= 63:
+        return (x << bits) % q
+    top = q.bit_length() + bits
+    mu = np.uint64((1 << top) // q)
+    u = x.view(np.uint64)
+    quot = ((u >> np.uint64(top - 63)) * mu) >> np.uint64(63 - bits)
+    r = (u << np.uint64(bits)) - quot * np.uint64(q)
+    for _ in range(2):
+        r = np.minimum(r, r - np.uint64(q))  # r - q wraps past r when r < q
+    return r.view(np.int64)
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -148,37 +163,84 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     return acc
 
 
-def rank(m: Mat) -> int:
-    """GF(q) rank by Gaussian elimination with division by the pivot.
+def _eliminate(a: np.ndarray, q: int, need_t: bool):
+    """Pivot rows R, pivot columns C and (if need_t) T of a block, by row elimination.
 
-    Pivot rule: within the current column, the first row (top to bottom) with
-    a nonzero entry is chosen, which keeps the elimination deterministic.
+    As in plain Gaussian elimination, a column's pivot is the first row below
+    the earlier pivots that is nonzero there once they are eliminated, and it
+    is swapped up to just below them. A[R, C] is invertible, and
+    A[N] = T A[R] for the other rows N in increasing order:
+    T = A[N, C] A[R, C]^-1. T is tracked in extra columns of the working
+    array: a new pivot row gets -1 in its own T column, so that eliminating
+    with it leaves each row's multiplier there. Up to _INT64_SAFE_MODULUS the
+    products are plain int64, above it matmul_mod outer products.
     """
-    q = m.field.modulus
-    a = np.array(m.array, copy=True)
-    n_rows, n_cols = a.shape
+    m, n = a.shape
+    work = np.zeros((m, 2 * n if need_t else n), dtype=np.int64)
+    work[:, :n] = a
+    order = np.arange(m)  # order[i]: the row of a now in row i of work
+    pivot_cols: list[int] = []
     r = 0
-    for c in range(n_cols):
-        pivot = None
-        for i in range(r, n_rows):
-            if a[i, c] != 0:
-                pivot = i
-                break
-        if pivot is None:
+    for c in range(n):
+        nonzero = np.nonzero(work[r:, c])[0]
+        if nonzero.size == 0:
             continue
-        if pivot != r:
-            a[[r, pivot], :] = a[[pivot, r], :]
-        inv = f_inv(m.field, int(a[r, c]))
-        a[r, :] = (a[r, :] * inv) % q
-        below = a[r + 1 :, c]
-        nz = np.nonzero(below)[0]
-        if nz.size:
-            rows = nz + r + 1
-            a[rows, :] = (a[rows, :] - a[rows, c : c + 1] * a[r : r + 1, :]) % q
+        if nonzero[0]:
+            i = r + nonzero[0]
+            work[[r, i]] = work[[i, r]]
+            order[[r, i]] = order[[i, r]]
+        rows = r + nonzero[1:]
+        end = n + r + 1 if need_t else n
+        if need_t:
+            work[r, end - 1] = q - 1
+        inv = pow(int(work[r, c]), -1, q)
+        if rows.size and q <= _INT64_SAFE_MODULUS:
+            update = work[rows, c : c + 1] * (work[r, c:end] * inv % q)
+            work[rows, c:end] = (work[rows, c:end] - update) % q
+        elif rows.size:
+            pivot = np.array([[x * inv % q for x in work[r, c:end].tolist()]], dtype=np.int64)
+            work[rows, c:end] = (work[rows, c:end] - matmul_mod(work[rows, c : c + 1], pivot, q)) % q
+        pivot_cols.append(c)
         r += 1
-        if r == n_rows:
+        if r == m:
             break
-    return r
+    t = None
+    if need_t:
+        rest = np.argsort(order[r:])
+        t = work[r:, n : n + r][rest]
+    return order[:r], np.array(pivot_cols, dtype=np.int64), t
+
+
+def _echelon(a: np.ndarray, q: int, need_t: bool):
+    """(R, C, T) of a as _eliminate defines them; recursive on column halves above the int64 bound.
+
+    The left half gives R1, C1, T1. Its rows N1 outside R1, minus T1 times
+    R1's rows, are the Schur complement of the right half, which gives R2,
+    C2, T2 over N1. A row of N1 outside R2 is then T2 on R2's rows plus
+    T1_N - T2 T1_R2 on R1's: one more matmul_mod, made only when T is needed.
+    """
+    m, n = a.shape
+    if q <= _INT64_SAFE_MODULUS or n <= _LEAF_COLS or m == 0:
+        return _eliminate(a, q, need_t)
+    h = n // 2
+    r1, c1, t1 = _echelon(a[:, :h], q, True)
+    n1 = np.delete(np.arange(m), r1)
+    schur = (a[n1, h:] - matmul_mod(t1, a[r1, h:], q)) % q
+    r2, c2, t2 = _echelon(schur, q, need_t)
+    pivot_rows, pivot_cols = np.concatenate([r1, n1[r2]]), np.concatenate([c1, h + c2])
+    if not need_t:
+        return pivot_rows, pivot_cols, None
+    t1_n = t1[np.delete(np.arange(n1.size), r2)]
+    return pivot_rows, pivot_cols, np.hstack([(t1_n - matmul_mod(t2, t1[r2], q)) % q, t2])
+
+
+def rank(m: Mat) -> int:
+    """GF(q) rank: the number of pivots that _echelon finds.
+
+    Up to q = 3,037,000,499 that is one row elimination of the whole matrix;
+    the rank does not depend on the pivot order.
+    """
+    return len(_echelon(m.array, m.field.modulus, False)[0])
 
 
 def vandermonde_block(field: FieldSpec, bases: Sequence[int], start_exp: int, rows: int) -> np.ndarray:

@@ -255,3 +255,14 @@ def test_oracle_checks_uniform_tally_without_assert(ex1, monkeypatch):
     monkeypatch.setattr(audit, "mask_distribution", lambda m, cap: (8, np.array([2, 2, 2, 2])))
     with pytest.raises(ArithmeticError):
         entropy_oracle_relay(ex1, 1, CAP)
+
+
+def test_oracle_refuses_a_non_uniform_tally(ex1, monkeypatch):
+    # A linear image of uniform keys is uniform on its image, so unequal
+    # tallies are an arithmetic fault, not a failed verdict. They sum to
+    # 5^2 over 5 outputs, so only the uniformity check can catch them.
+    monkeypatch.setattr(audit, "mask_distribution", lambda m, cap: (25, np.array([6, 4, 5, 5, 5])))
+    with pytest.raises(ArithmeticError, match="not uniform"):
+        entropy_oracle_relay(ex1, 1, CAP)
+    with pytest.raises(ArithmeticError, match="not uniform"):
+        entropy_oracle_server(ex1, CAP)

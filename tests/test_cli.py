@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hsagg import cli
+from hsagg import cli, scheme as scheme_mod
 from hsagg.cli import (
     EXIT_FAILED,
     EXIT_OK,
@@ -27,6 +27,11 @@ from hsagg.scheme import build_example1, build_random
 
 def run(argv):
     return cli.main(argv)
+
+
+def canonical_text(obj) -> str:
+    """The text the tool writes for a JSON object."""
+    return json.dumps(obj, indent=2) + "\n"
 
 
 def test_rates_example1(capsys):
@@ -161,7 +166,7 @@ def _write_oversized_config(path):
 
 
 UNLOADABLE_FILES = {
-    "not-utf8": lambda path: path.write_text(cli._dumps(scheme_to_obj(build_example1())), encoding="utf-16"),
+    "not-utf8": lambda path: path.write_text(canonical_text(scheme_to_obj(build_example1())), encoding="utf-16"),
     "nested-200000-deep": lambda path: path.write_text("[" * 200_000 + "]" * 200_000),
     "oversized-config": _write_oversized_config,
 }
@@ -301,6 +306,73 @@ def test_build_count_overflow_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        # C(64,5) = 7,624,512 groups fit 64 bits, but E would have about 10^16 entries.
+        (("8", "8", "5"), "error: the encoding matrix would have "),
+        # C(9,000,000, 200,000) is refused before it is computed.
+        (("3000", "3000", "200000"), "error: C(9000000,200000) exceeds 64 bits"),
+    ],
+    ids=["encoding-entries", "group-count"],
+)
+def test_oversized_build_is_refused_before_enumeration(config, message, tmp_path, capsys, monkeypatch):
+    def enumerate_groups(*args):
+        raise AssertionError("enumerated the groups of a refused build")
+
+    monkeypatch.setattr(scheme_mod, "enumerate_groups", enumerate_groups)
+    out = tmp_path / "s.json"
+    U, V, G = config
+    start = time.process_time()
+    assert run(["build", "--U", U, "--V", V, "--G", G, "--out", str(out)]) == EXIT_USAGE
+    assert time.process_time() - start < 0.5
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_build_size_limit_is_the_entry_count_of_e(tmp_path, capsys, monkeypatch):
+    # (2,2,2)@5: E is UV*L x C(4,2)*L_S = 20 x 12, 240 entries.
+    argv = ["build", "--U", "2", "--V", "2", "--G", "2", "--q", "5", "--max-retries", "100"]
+    monkeypatch.setattr(cli, "MAX_ENCODING_ENTRIES", 239)
+    assert run(argv + ["--out", str(tmp_path / "a.json")]) == EXIT_USAGE
+    assert "240 entries" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "MAX_ENCODING_ENTRIES", 240)
+    assert run(argv + ["--out", str(tmp_path / "b.json")]) == EXIT_OK
+    assert load_scheme(str(tmp_path / "b.json")).encoding.shape == (20, 12)
+
+
+@pytest.mark.parametrize(
+    "target, exc",
+    [
+        ("audit.full_audit", MemoryError()),
+        ("audit.full_audit", RuntimeError("two\nlines")),
+        ("scheme_mod.build_random", MemoryError("out of memory")),
+        ("protocol.run_rounds", ValueError("")),
+    ],
+    ids=["verify-MemoryError", "verify-two-line-message", "build-MemoryError", "simulate-empty-message"],
+)
+def test_unexpected_errors_exit_2_with_one_line(target, exc, tmp_path, capsys, monkeypatch):
+    # An error no subcommand handles is not a verdict: exit 2, not 1.
+    path = str(tmp_path / "ex1.json")
+    assert run(["example", "--id", "1", "--out", path]) == EXIT_OK
+    capsys.readouterr()
+
+    def fail(*args, **kwargs):
+        raise exc
+
+    module, name = target.split(".")
+    monkeypatch.setattr({"audit": cli.audit, "scheme_mod": scheme_mod, "protocol": cli.protocol}[module], name, fail)
+    argv = {
+        "full_audit": ["verify", path],
+        "build_random": ["build", "--U", "2", "--V", "2", "--G", "2", "--out", str(tmp_path / "s.json")],
+        "run_rounds": ["simulate", path],
+    }[name]
+    assert run(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {type(exc).__name__}: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("source", ["ex1", "p61"])
 def test_simulate_transcript_file(source, tmp_path, capsys):
     path, out = str(tmp_path / "s.json"), tmp_path / "t.json"
@@ -431,7 +503,7 @@ def test_scheme_loader_fuzz(data):
         s = scheme_from_obj(obj)
     except SchemeFileError:
         return
-    assert cli._dumps(scheme_to_obj(s)) == cli._dumps(obj)
+    assert canonical_text(scheme_to_obj(s)) == canonical_text(obj)
 
 
 @pytest.mark.parametrize(

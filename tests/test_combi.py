@@ -1,8 +1,9 @@
 import math
+import time
 
 import pytest
 
-from hsagg.combi import BadGroupSize, CountOverflow, all_users, enumerate_groups
+from hsagg.combi import BadGroupSize, CountOverflow, all_users, count_groups, enumerate_groups
 
 
 def test_user_listing():
@@ -26,6 +27,18 @@ def test_enumerate_groups_refuses_counts_past_64_bits():
         enumerate_groups(40, 40, 30)
     with pytest.raises(CountOverflow, match=r"^C\(70,35\) = 112186277816662845432 exceeds"):
         enumerate_groups(35, 2, 35)  # ~1.1e20 groups, refused before any is made
+
+
+def test_count_groups_refuses_huge_counts_without_computing_them():
+    # C(9000,4500) has 8994 bits, under the 14,000-bit bound: computed and printed.
+    with pytest.raises(CountOverflow, match=r"^C\(9000,4500\) = \d{2708} exceeds 64 bits$"):
+        count_groups(9000, 1, 4500)
+    # C(9,000,000, 200,000) would take math.comb seconds and has too many digits to print.
+    start = time.process_time()
+    with pytest.raises(CountOverflow, match=r"^C\(9000000,200000\) exceeds 64 bits$"):
+        count_groups(3000, 3000, 200_000)
+    assert time.process_time() - start < 0.1
+    assert count_groups(4, 2, 4) == 70 and count_groups(2, 2, 4) == 1
 
 
 def test_enumeration_count_order_and_distinctness():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hsagg.gf import make_field
+from hsagg import linalg
 from hsagg.linalg import (
     PRNG_ID,
     DimensionMismatch,
@@ -22,7 +23,7 @@ GF3 = make_field(3)
 GF5 = make_field(5)
 GF11 = make_field(11)
 BIG = make_field(2147483647)
-HUGE = make_field((1 << 61) - 1)  # a Mat over it holds Python ints (object dtype)
+HUGE = make_field((1 << 61) - 1)  # rank recurses on column halves at this q
 
 
 def mat(field, rows) -> Mat:
@@ -106,7 +107,7 @@ def test_mat_vec_dimension_errors():
     with pytest.raises(DimensionMismatch):
         Mat(GF5, np.zeros(3, dtype=np.int64))  # not 2-dimensional
     with pytest.raises(DimensionMismatch):
-        Mat(HUGE, np.zeros((2, 2), dtype=np.int64))  # rank needs Python ints at this q
+        Mat(GF5, np.zeros((2, 2)))  # not int64
 
 
 def test_mat_vec_large_modulus_overflow_path():
@@ -117,13 +118,18 @@ def test_mat_vec_large_modulus_overflow_path():
     assert matmul_mod(m, v, BIG.modulus).tolist() == expected
 
 
-def test_object_dtype_field_is_exact():
+def test_huge_field_is_int64_and_exact():
     q = HUGE.modulus
     m = random_mat(3, 3, HUGE, 1)
     v = random_mat(3, 1, HUGE, 2)
-    assert from_array(HUGE, m).array.dtype == object
+    assert from_array(HUGE, m).array.dtype == np.int64
     assert matmul_mod(m, v, q).tolist() == reference_product(m.tolist(), v.tolist(), 3, 1, q)
     assert rank(identity(HUGE, 4)) == 4
+    # Rows 2 and 3 are q-1 and 2^60 times row 1, whose entries are near q.
+    row = [q - 1, q - 2, 1 << 60, 3]
+    a = np.array([row, [(q - 1) * x % q for x in row], [(1 << 60) * x % q for x in row]], dtype=np.int64)
+    assert rank(from_array(HUGE, a)) == reference_rank(a.tolist(), q) == 1
+    assert rank(from_array(HUGE, random_mat(20, 20, HUGE, 3))) == 20
     assert not sum_mod(np.stack([m, -m % q]), 0, q).any()
 
 
@@ -253,3 +259,84 @@ def test_sum_mod_never_overflows(q):
     # 10 entries of q - 1 along axis 1: past 2^63 unreduced when q is near 2^61.
     a = np.full((2, 10, 3), q - 1, dtype=np.int64)
     assert sum_mod(a, 1, q).tolist() == [[(10 * (q - 1)) % q] * 3] * 2
+
+
+# Moduli for the Horner step x * 2^bits mod q of matmul_mod: the largest prime
+# at which x * 2^21 still fits int64, the smallest above it, and larger ones
+# up to the 61-bit Mersenne prime, where the quotient is estimated (Barrett).
+HORNER_MODULI = (4398046511093, 4398046511119, 1152921504606847009, 2305843009213693921, 2**61 - 1)
+
+
+@pytest.mark.parametrize("q", HORNER_MODULI)
+@pytest.mark.parametrize("bits", [1, 16, 21, 31])
+def test_mul_pow2_is_exact_at_the_edges(q, bits):
+    rng = np.random.default_rng(bits)
+    edges = [0, 1, 2, q // 2, q // 2 + 1, q - 2, q - 1, (1 << (q.bit_length() - 1)) - 1]
+    x = np.array(edges + rng.integers(0, q, size=200).tolist(), dtype=np.int64)
+    assert linalg._mul_pow2(x, bits, q).tolist() == [v * (1 << bits) % q for v in x.tolist()]
+
+
+def reference_rank(rows: list, q: int) -> int:
+    """GF(q) rank of nested lists of residues by Gaussian elimination in Python ints."""
+    rows = [list(r) for r in rows]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = pow(rows[r][c], -1, q)
+        rows[r] = [x * inv % q for x in rows[r]]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c]
+            rows[i] = [(x - f * y) % q for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+# Moduli on both sides of the int64 bound 3,037,000,499: below it rank is one
+# row elimination; 2^32 - 5 and 2^61 - 1 take the recursion on column halves.
+RANK_MODULI = (2, 3, 5, 2**31 - 1, 4_294_967_291, 2**61 - 1)
+LEAF = linalg._LEAF_COLS
+# Column counts at the leaf width and at twice it, one either side, plus the
+# small and degenerate ones.
+RANK_COLS = (0, 1, 2, LEAF - 1, LEAF, LEAF + 1, 2 * LEAF - 1, 2 * LEAF, 2 * LEAF + 1, 3 * LEAF + 2)
+
+
+@st.composite
+def rank_inputs(draw):
+    """(q, matrix): random, tall, zero, rank-deficient (a product of thin factors), 1 x n, n x 1."""
+    q = draw(st.sampled_from(RANK_MODULI))
+    kind = draw(st.sampled_from(["random", "tall", "zero", "deficient", "row", "column"]))
+    cols = draw(st.sampled_from(RANK_COLS))
+    rows = draw(st.integers(0, 3 * LEAF + 2))  # tall, square and wide
+    if kind == "tall":  # rows outside the pivots, so T has rows
+        rows = cols + draw(st.integers(1, LEAF))
+    elif kind == "row":
+        rows = 1
+    elif kind == "column":
+        rows, cols = cols, 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    entries = lambda r, c: rng.integers(0, q, size=(r, c), dtype=np.int64)  # noqa: E731
+    if kind == "zero":
+        return q, np.zeros((rows, cols), dtype=np.int64)
+    if kind == "deficient":
+        inner = draw(st.integers(0, max(0, min(rows, cols) - 1)))
+        return q, matmul_mod(entries(rows, inner), entries(inner, cols), q)
+    return q, entries(rows, cols)
+
+
+@settings(max_examples=500, deadline=None)
+@given(rank_inputs())
+def test_rank_matches_python_int_elimination(inputs):
+    q, a = inputs
+    expected = reference_rank(a.tolist(), q)
+    assert rank(from_array(make_field(q), a)) == expected
+    if a.shape[0]:
+        # The pivots and T, recursive above the int64 bound: A[R, C] is
+        # invertible and A[N] = T A[R].
+        pivot_rows, pivot_cols, t = linalg._echelon(a, q, True)
+        assert len(pivot_rows) == len(pivot_cols) == expected
+        assert reference_rank(a[np.ix_(pivot_rows, pivot_cols)].tolist(), q) == expected
+        others = np.delete(np.arange(a.shape[0]), pivot_rows)
+        assert np.array_equal(matmul_mod(t, a[pivot_rows], q), a[others])
