@@ -3,8 +3,9 @@
 Two independent routes check the same security claims:
   * rank predicates on the stacked precoding matrices (relay: rank VL,
     server: rank (U-1)L), and
-  * exhaustive enumeration of all key assignments, tallying the exact
-    distribution of the relay/server mask and testing it for uniformity.
+  * exact oracles: the distribution of the relay/server mask over all key
+    assignments, tallied exactly by convolving the mask's column terms, and
+    tested for uniformity. They do not use rank.
 
 Pass/fail is always decided on exact integer tallies, never on floating-point
 entropy values; the float entropy in the results is for reporting only.
@@ -12,7 +13,6 @@ entropy values; the float entropy in the results is for reporting only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,9 +22,6 @@ from . import linalg, protocol, scheme as scheme_mod
 from .linalg import Mat
 from .rates import RateTuple, optimal_rates
 from .scheme import PrecodingScheme
-
-_SLAB = 1 << 20  # states tallied per numpy pass; keeps memory bounded
-
 
 # Python's default limit on the digits of an int converted to str.
 _MAX_DECIMAL_DIGITS = 4300
@@ -135,34 +132,55 @@ def verify_server_rank(s: PrecodingScheme) -> RankCheck:
     return RankCheck((s.cfg.U - 1) * s.dims.L, linalg.rank(m))
 
 
+def _roll(a: np.ndarray, shift: list[int]) -> np.ndarray:
+    """a rolled by shift[j] along axis j, 8 axes per np.roll: it copies 2^k slices for k axes."""
+    axes = [j for j, x in enumerate(shift) if x]
+    for k in range(0, len(axes), 8):
+        chunk = axes[k : k + 8]
+        a = np.roll(a, [shift[j] for j in chunk], chunk)
+    return a
+
+
 def mask_distribution(m: Mat, cap: int) -> tuple[int, np.ndarray]:
     """Exact distribution of m @ s over all q^cols inputs s.
 
-    Returns (state count, array of the positive multiplicities of every
-    attained output vector). Enumeration is sliced into slabs, and each
-    output vector's base-q code is counted in one dense tally of length
-    q^rows, so both q^cols and q^rows must be within the cap. The relay and
-    server oracles never meet the second limit first: their matrices have
-    rows <= cols, since L_S / L is the optimal key rate.
+    Returns (q^cols, the positive multiplicities of the attained outputs in
+    base-q code order, row 0 the most significant digit). m @ s sums the
+    independent terms s_j * c_j over the columns c_j, so one dense (q,)*rows
+    tally is convolved in place with the uniform distribution on each line
+    {s * c_j}. q^cols and then q^rows must be within the cap; the relay and
+    server matrices have rows <= cols, since L_S / L is the optimal key rate.
     """
     q = m.field.modulus
-    n, rows = m.cols, m.rows
-    _check_states(q, n, cap)
+    rows, cols = m.rows, m.cols
+    _check_states(q, cols, cap)
     _check_states(q, rows, cap)
-    states, out_space = q**n, q**rows
-    powers = q ** np.arange(n, dtype=np.int64)
-    pack = q ** np.arange(rows - 1, -1, -1, dtype=np.int64)
-    counts = np.zeros(out_space, dtype=np.int64)
-    for start in range(0, states, _SLAB):
-        idx = np.arange(start, min(start + _SLAB, states), dtype=np.int64)
-        # Base-q digits of the state index are the key symbols; since
-        # q^n <= cap, the dot products below stay far from int64 overflow.
-        digits = idx[:, None] // powers
-        digits %= q
-        out = digits @ m.array.T
-        out %= q
-        counts += np.bincount(out @ pack, minlength=out_space)
-    return states, counts[counts > 0]
+    states = q**cols
+    # Tallies sum to q^cols: int64 is exact unless a cap past 2^63 admits more.
+    tally = np.zeros((q,) * rows, dtype=np.int64 if states <= np.iinfo(np.int64).max else object)
+    tally[(0,) * rows] = 1
+    for c in m.array.T.tolist():
+        nonzero = [a for a, x in enumerate(c) if x]
+        if not nonzero:
+            tally *= q  # s * 0 = 0 for all q keys s
+            continue
+        # c scaled to c[i] = 1 spans the same line; each line parallel to it meets
+        # the hyperplane y_i = 0 once, and its point in slice y_i = t gets there by -t * c.
+        i = nonzero[0]
+        inv = pow(c[i], -1, q)
+        step = [c[a] * inv % q for a in range(rows) if a != i]
+        if not step:  # one row: the line is the whole tally
+            tally[...] = tally.sum()
+            continue
+        by_i = np.moveaxis(tally, i, 0)  # a view: by_i[t] is the slice y_i = t
+        line = by_i[0].copy()  # line[z] = sum of the tally on z + {s * c}
+        for t in range(1, q):
+            line += _roll(by_i[t], [-t * x % q for x in step])
+        # The new tally at y is the sum over the line through y.
+        for t in range(q):
+            by_i[t] = _roll(line, [t * x % q for x in step])
+    tally = tally.ravel()
+    return states, tally[tally > 0]
 
 
 def _oracle_from_matrix(m: Mat, target: int, cap: int) -> OracleResult:
@@ -175,7 +193,9 @@ def _oracle_from_matrix(m: Mat, target: int, cap: int) -> OracleResult:
     states, tallies = mask_distribution(m, cap)
     q = m.field.modulus
     distinct = len(tallies)
-    r = round(math.log(distinct, q))
+    r = 0  # the least r with q^r >= distinct, found without float logs
+    while q**r < distinct:
+        r += 1
     if np.any(tallies != tallies[0]) or q**r != distinct or distinct * int(tallies[0]) != states:
         raise ArithmeticError(f"tally of {distinct} values over {states} states is not uniform on q^{r}")
     # The q-ary entropy of a uniform tally is the exact integer r.
@@ -204,9 +224,7 @@ def entropy_oracle_server(s: PrecodingScheme, cap: int) -> OracleResult:
 
 
 def rate_audit(s: PrecodingScheme) -> tuple[bool, RateTuple, RateTuple]:
-    achieved = RateTuple(
-        Fraction(1), Fraction(1), Fraction(s.dims.L_S, s.dims.L)
-    )
+    achieved = RateTuple(Fraction(1), Fraction(1), Fraction(s.dims.L_S, s.dims.L))
     optimal = optimal_rates(s.cfg)
     return achieved == optimal, achieved, optimal
 
@@ -215,6 +233,13 @@ def correctness_fuzz(s: PrecodingScheme, rounds: int, seed: int) -> int:
     """Number of rounds whose decoded sum differs from the true input sum."""
     batch = protocol.run_rounds(s, seed, rounds)
     return int(np.count_nonzero(~batch.correct))
+
+
+def _result_or_refusal(oracle, *args) -> OracleResult | StateSpaceTooLarge:
+    try:
+        return oracle(*args)
+    except StateSpaceTooLarge as exc:
+        return exc
 
 
 def full_audit(
@@ -227,21 +252,11 @@ def full_audit(
     """Run every check; oversized oracles are recorded as skipped, not failed."""
     relay_ranks = {u: verify_relay_rank(s, u) for u in range(1, s.cfg.U + 1)}
     server_rank = verify_server_rank(s)
-    oracle_relay: dict[int, OracleResult | StateSpaceTooLarge | None] = {}
-    oracle_server: OracleResult | StateSpaceTooLarge | None = None
-    for u in range(1, s.cfg.U + 1):
-        if not run_oracles:
-            oracle_relay[u] = None
-            continue
-        try:
-            oracle_relay[u] = entropy_oracle_relay(s, u, oracle_cap)
-        except StateSpaceTooLarge as exc:
-            oracle_relay[u] = exc
-    if run_oracles:
-        try:
-            oracle_server = entropy_oracle_server(s, oracle_cap)
-        except StateSpaceTooLarge as exc:
-            oracle_server = exc
+    oracle_relay = {
+        u: _result_or_refusal(entropy_oracle_relay, s, u, oracle_cap) if run_oracles else None
+        for u in range(1, s.cfg.U + 1)
+    }
+    oracle_server = _result_or_refusal(entropy_oracle_server, s, oracle_cap) if run_oracles else None
     _, achieved, optimal = rate_audit(s)
     return AuditReport(
         zero_sum=scheme_mod.check_zero_sum(s),

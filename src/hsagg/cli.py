@@ -17,15 +17,9 @@ from math import comb
 import numpy as np
 
 from . import audit, linalg, protocol, scheme as scheme_mod
-from .combi import CountOverflow, all_users, count_groups, enumerate_groups
+from .combi import CountOverflow, all_users, count_groups, enumerate_groups, huge_count
 from .gf import NotPrime, make_field
-from .rates import (
-    Infeasible,
-    ProblemConfig,
-    classify_regime,
-    optimal_rates,
-    security_fractions,
-)
+from .rates import Infeasible, ProblemConfig, classify_regime, optimal_rates, security_fractions
 from .scheme import ConstructionFailed, PrecodingScheme
 
 FORMAT_VERSION = 1
@@ -212,6 +206,10 @@ def _frac(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
+def _rates_to_obj(t) -> dict:
+    return {"r_x": _frac(t.r_x), "r_y": _frac(t.r_y), "r_s": _frac(t.r_s)}
+
+
 def _oracle_to_obj(result) -> dict:
     if result is None:
         return {"status": "not-run"}
@@ -247,16 +245,8 @@ def report_to_obj(r: audit.AuditReport) -> dict:
         "fuzz": {"rounds": r.fuzz_rounds, "failures": r.fuzz_failures},
         "oracle_relay": {str(u): _oracle_to_obj(o) for u, o in r.oracle_relay.items()},
         "oracle_server": _oracle_to_obj(r.oracle_server),
-        "achieved_rates": {
-            "r_x": _frac(r.achieved_rates.r_x),
-            "r_y": _frac(r.achieved_rates.r_y),
-            "r_s": _frac(r.achieved_rates.r_s),
-        },
-        "optimal_rates": {
-            "r_x": _frac(r.optimal_rates.r_x),
-            "r_y": _frac(r.optimal_rates.r_y),
-            "r_s": _frac(r.optimal_rates.r_s),
-        },
+        "achieved_rates": _rates_to_obj(r.achieved_rates),
+        "optimal_rates": _rates_to_obj(r.optimal_rates),
     }
 
 
@@ -293,6 +283,10 @@ def cmd_rates(args) -> int:
     if cfg.G == 1:
         print("infeasible: G=1", file=sys.stderr)
         return EXIT_FAILED
+    if huge_count(cfg.U, cfg.V, cfg.G):
+        n = cfg.U * cfg.V
+        print(f"error: C({n},{cfg.G}) may exceed 14000 bits, too large for exact rates", file=sys.stderr)
+        return EXIT_USAGE
     rates = optimal_rates(cfg)
     dims = classify_regime(cfg)
     relay_frac, server_frac = security_fractions(cfg)
@@ -354,11 +348,7 @@ def cmd_example(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        s = load_scheme(args.scheme)
-    except SchemeFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    s = load_scheme(args.scheme)
     report = audit.full_audit(
         s,
         fuzz_rounds=args.fuzz_rounds,
@@ -387,11 +377,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        s = load_scheme(args.scheme)
-    except SchemeFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    s = load_scheme(args.scheme)
     batch = protocol.run_rounds(s, args.seed, args.rounds)
     correct = int(np.count_nonzero(batch.correct))
     print(f"correct rounds: {correct}/{args.rounds}")
@@ -471,12 +457,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand; its exit code is 0 ok, 1 verification failed, 2 anything else.
 
-    An exception that no subcommand handles, MemoryError included, is a
-    resource or program error, not a verdict: it exits 2 with one line.
+    A scheme file that does not load exits 2. So does an exception that no
+    subcommand handles, MemoryError included: it is a resource or program
+    error, not a verdict.
     """
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except SchemeFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except Exception as exc:
         message = " ".join(str(exc).split()) or "no message"
         print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)

@@ -29,18 +29,22 @@ def all_users(U: int, V: int) -> list[UserId]:
     return [(u, v) for u in range(1, U + 1) for v in range(1, V + 1)]
 
 
-def count_groups(U: int, V: int, G: int) -> int:
-    """C(UV, G), the number of groups; CountOverflow if it does not fit in 64 bits.
+def huge_count(U: int, V: int, G: int) -> bool:
+    """Whether the bound C(UV, G) < (e UV / k)^k, k = min(G, UV - G), passes 14,000 bits.
 
-    With k = min(G, UV - G), C(UV, G) < (e UV / k)^k. A count whose bound has
-    more than 14,000 bits is refused without computing it: math.comb would
-    take seconds, and Python prints at most 4300 decimal digits. Such a count
-    has more than 1000 bits anyway: it is at least (UV / k)^k, and UV / k >= 2.
+    Under it, math.comb takes milliseconds and the count has at most the 4300
+    decimal digits Python prints; over it, math.comb can take seconds. Such a
+    count has over 1000 bits anyway: it is at least (UV / k)^k, and UV / k >= 2.
     """
+    k = min(G, U * V - G)
+    return k > 0 and k * math.log2(math.e * U * V / k) > 14_000
+
+
+def count_groups(U: int, V: int, G: int) -> int:
+    """C(UV, G), the number of groups; CountOverflow past 64 bits, or at once for a huge_count."""
     if G < 1 or G > U * V:
         raise BadGroupSize(f"G must be in [1, {U * V}], got {G}")
-    k = min(G, U * V - G)
-    if k and k * math.log2(math.e * U * V / k) > 14_000:
+    if huge_count(U, V, G):
         raise CountOverflow(f"C({U * V},{G}) exceeds 64 bits")
     count = math.comb(U * V, G)
     if count > _COUNT_MAX:

@@ -13,10 +13,6 @@ class NotPrime(ValueError):
     """Raised when a requested modulus is composite or below 2."""
 
 
-class DivisionByZero(ZeroDivisionError):
-    """Raised on inversion of the zero element."""
-
-
 @dataclass(frozen=True)
 class FieldSpec:
     """A prime field GF(q). Construct through make_field so primality is checked."""
@@ -33,13 +29,6 @@ def make_field(q: int) -> FieldSpec:
     if q < 2 or q > MAX_MODULUS or not sympy.isprime(q):
         raise NotPrime(f"modulus must be a prime in [2, 2^61-1], got {q}")
     return FieldSpec(q)
-
-
-def f_inv(field: FieldSpec, a: int) -> int:
-    """Multiplicative inverse of a nonzero element."""
-    if a % field.modulus == 0:
-        raise DivisionByZero("0 has no multiplicative inverse")
-    return pow(a, -1, field.modulus)
 
 
 def f_pow(field: FieldSpec, b: int, e: int) -> int:

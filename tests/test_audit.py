@@ -1,7 +1,7 @@
 import itertools
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -129,15 +129,36 @@ def test_mask_distribution_matches_brute_force(data):
     left = data.draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=rows, max_size=rows))
     right = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=r, max_size=r))
     a = [[sum(left[i][k] * right[k][j] for k in range(r)) % q for j in range(cols)] for i in range(rows)]
-    slab = data.draw(st.sampled_from([1, 5, 1 << 20]), label="slab")
     expected = Counter(
         tuple(sum(x * k for x, k in zip(row, keys)) % q for row in a)
         for keys in itertools.product(range(q), repeat=cols)
     )
-    with mock.patch.object(audit, "_SLAB", slab):
-        states, tallies = mask_distribution(from_array(make_field(q), np.array(a, dtype=np.int64)), CAP)
+    states, tallies = mask_distribution(from_array(make_field(q), np.array(a, dtype=np.int64)), CAP)
     assert states == q**cols
     assert tallies.tolist() == [expected[out] for out in sorted(expected)]
+
+
+def test_mask_distribution_counts_past_int64_exactly():
+    # A cap past 2^63 admits 2^70 key states; the tallies stay exact integers.
+    wide = np.array([[1, 0] * 35, [1, 1] * 35], dtype=np.int64)
+    states, tallies = mask_distribution(from_array(GF2, wide), 1 << 80)
+    assert states == 2**70 and tallies.tolist() == [2**68] * 4
+    states, tallies = mask_distribution(zeros(GF2, 1, 70), 1 << 80)
+    assert tallies.tolist() == [2**70]
+
+
+def test_mask_distribution_peak_memory_is_a_few_tallies():
+    # 7x7 over GF(5): the dense tally has 5^7 int64 cells.
+    rng = np.random.default_rng(0)
+    m = from_array(make_field(5), rng.integers(0, 5, size=(7, 7), dtype=np.int64))
+    tally_bytes = 8 * 5**7
+    tracemalloc.start()
+    try:
+        mask_distribution(m, CAP)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * tally_bytes, peak / tally_bytes
 
 
 def test_mask_distribution_refuses_an_output_space_over_the_cap():

@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import time
 from fractions import Fraction
 from math import comb
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hsagg import cli, scheme as scheme_mod
+from hsagg import cli, rates as rates_mod, scheme as scheme_mod
 from hsagg.cli import (
     EXIT_FAILED,
     EXIT_OK,
@@ -50,13 +51,29 @@ def test_rates_example2(capsys):
 
 
 def test_rates_counts_past_64_bits(capsys):
-    # C(1600, 30) is far past 64 bits; the rates are still exact fractions.
-    assert run(["rates", "--U", "40", "--V", "40", "--G", "30"]) == EXIT_OK
-    total = comb(1600, 30)
-    relay = Fraction(40, total - comb(1560, 30))
-    server = Fraction(39, total - 40 * comb(40, 30))
-    r_s = max(relay, server)
-    assert f"r_s: {r_s.numerator}/{r_s.denominator}\n" in capsys.readouterr().out
+    # C(1600, 30) and C(10000, 50) are far past 64 bits; the rates are still exact fractions.
+    for U, G in ((40, 30), (100, 50)):
+        assert run(["rates", "--U", str(U), "--V", str(U), "--G", str(G)]) == EXIT_OK
+        total = comb(U * U, G)
+        relay = Fraction(U, total - comb((U - 1) * U, G))
+        server = Fraction(U - 1, total - U * comb(U, G))
+        out = capsys.readouterr().out
+        for line in (f"relay_bound: {relay}", f"server_bound: {server}", f"r_s: {max(relay, server)}"):
+            assert line + "\n" in out
+
+
+def test_rates_refuses_a_huge_count_before_computing_it(capsys, monkeypatch):
+    def no_comb(*args):
+        raise AssertionError("math.comb called for a refused config")
+
+    for module in (math, rates_mod, cli):
+        monkeypatch.setattr(module, "comb", no_comb)
+    start = time.process_time()
+    assert run(["rates", "--U", "3000", "--V", "3000", "--G", "200000"]) == EXIT_USAGE
+    assert time.process_time() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: C(9000000,200000) ") and captured.err.count("\n") == 1
 
 
 def test_rates_infeasible(capsys):

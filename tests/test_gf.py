@@ -3,10 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from hsagg.gf import (
     MAX_MODULUS,
-    DivisionByZero,
     FieldSpec,
     NotPrime,
-    f_inv,
     f_pow,
     make_field,
 )
@@ -26,14 +24,6 @@ def test_make_field_rejects_nonprimes_and_out_of_range(q):
         make_field(q)
 
 
-def test_f_inv_examples():
-    f5 = make_field(5)
-    assert f_inv(f5, 1) == 1
-    assert f_inv(f5, 2) == 3
-    with pytest.raises(DivisionByZero):
-        f_inv(make_field(11), 0)
-
-
 def test_f_pow_examples():
     f11 = make_field(11)
     assert f_pow(f11, 2, 10) == 1
@@ -42,18 +32,6 @@ def test_f_pow_examples():
     assert f_pow(f11, 0, 0) == 1  # empty-product convention
     with pytest.raises(ValueError):
         f_pow(f11, 2, -1)
-
-
-@settings(max_examples=60, deadline=None)
-@given(q=st.sampled_from(PRIMES), a=st.integers(min_value=1, max_value=1 << 62))
-def test_inverse_properties(q, a):
-    f = make_field(q)
-    a %= q
-    if a == 0:
-        a = 1
-    inv = f_inv(f, a)
-    assert a * inv % q == 1
-    assert f_inv(f, inv) == a
 
 
 @settings(max_examples=60, deadline=None)

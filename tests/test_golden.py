@@ -40,6 +40,8 @@ MAKE = {
 }
 # ex2's oracles are skipped as infeasible, which pins the required_states encoding.
 VERIFY_EXTRA = {"ex1": [], "ex2": ["--oracle"], "rand336": []}
+# verify --oracle --seed 2 of ex1: every oracle runs, so the report pins their tallies.
+EX1_ORACLE_REPORT = "733f9b8f2a534db68111eadae6f12ee9979ad2c05976092bb67174f845ae6a97"
 
 
 def sha256(path) -> str:
@@ -66,6 +68,14 @@ def test_golden_digests(name, scheme_files, tmp_path, capsys):
     assert cli.main(simulate) == cli.EXIT_OK
     capsys.readouterr()
     assert (sha256(scheme_path), sha256(report), sha256(transcripts)) == GOLDEN[name]
+
+
+def test_golden_oracle_report(scheme_files, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    verify = ["verify", str(scheme_files["ex1"]), "--oracle", "--seed", "2", "--out", str(report)]
+    assert cli.main(verify) == cli.EXIT_OK
+    assert "server oracle: pass" in capsys.readouterr().out
+    assert sha256(report) == EX1_ORACLE_REPORT
 
 
 def test_oracles_refuse_61_bit_scheme_without_giant_integers(scheme_files, tmp_path, capsys):
