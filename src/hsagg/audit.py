@@ -19,19 +19,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg, protocol, scheme as scheme_mod
+from .combi import power_exceeds
 from .linalg import Mat
 from .rates import RateTuple, optimal_rates
 from .scheme import PrecodingScheme
 
 # Python's default limit on the digits of an int converted to str.
 _MAX_DECIMAL_DIGITS = 4300
-
-
-def _power_exceeds(q: int, n: int, bound: int) -> bool:
-    """Exactly whether q^n > bound, without building q^n when it is far larger."""
-    if n * (q.bit_length() - 1) > bound.bit_length():
-        return True  # q^n >= 2^(n * (bitlen(q) - 1)) > bound
-    return q**n > bound
 
 
 class StateSpaceTooLarge(RuntimeError):
@@ -52,7 +46,7 @@ class StateSpaceTooLarge(RuntimeError):
     @property
     def printable(self) -> bool:
         """Whether q^n has few enough decimal digits to be written out."""
-        return not _power_exceeds(self.q, self.n, 10**_MAX_DECIMAL_DIGITS - 1)
+        return not power_exceeds(self.q, self.n, 10**_MAX_DECIMAL_DIGITS - 1)
 
     @property
     def required_text(self) -> str:
@@ -60,7 +54,7 @@ class StateSpaceTooLarge(RuntimeError):
 
 
 def _check_states(q: int, n: int, cap: int):
-    if _power_exceeds(q, n, cap):
+    if power_exceeds(q, n, cap):
         raise StateSpaceTooLarge(q, n, cap)
 
 
@@ -179,8 +173,8 @@ def mask_distribution(m: Mat, cap: int) -> tuple[int, np.ndarray]:
         # The new tally at y is the sum over the line through y.
         for t in range(q):
             by_i[t] = _roll(line, [t * x % q for x in step])
-    tally = tally.ravel()
-    return states, tally[tally > 0]
+    tally = tally.ravel()  # a view; copied below only if some output is not attained
+    return states, tally if np.count_nonzero(tally) == tally.size else tally[tally > 0]
 
 
 def _oracle_from_matrix(m: Mat, target: int, cap: int) -> OracleResult:

@@ -1,9 +1,11 @@
 """Command-line front end and the JSON formats for schemes, transcripts, reports.
 
 Serialization is canonical: fields are emitted in a fixed order with a fixed
-layout, so loading a file written by this tool and saving it again is
-byte-identical. Integers of magnitude >= 2^53 are written as decimal strings
-so JSON consumers with double-precision parsers cannot lose digits.
+layout. Integers of magnitude >= 2^53 are written as decimal strings so JSON
+consumers with double-precision parsers cannot lose digits. The writer alone
+defines the scheme format: the loader decodes a scheme object leniently, then
+accepts it only if the writer gives exactly that object for the decoded
+scheme. So a scheme file loads iff re-saving it gives the same bytes.
 """
 
 from __future__ import annotations
@@ -45,76 +47,67 @@ def _enc_int(x: int):
     return str(x) if abs(x) >= _JSON_SAFE else x
 
 
-def _dec_int(x) -> int:
-    """The inverse of _enc_int, so that a file that loads re-saves to the same bytes.
-
-    A bool, a float, or a string that _enc_int would not write is refused.
-    """
-    if isinstance(x, int) and not isinstance(x, bool) and abs(x) < _JSON_SAFE:
-        return x
-    if isinstance(x, str):
-        try:
-            value = int(x)
-        except ValueError as exc:
-            raise SchemeFileError(f"bad integer literal {x[:40]!r}") from exc
-        if abs(value) >= _JSON_SAFE and str(value) == x:
-            return value
-    raise SchemeFileError(f"expected integer, got {x!r:.40}")
-
-
-def _dec_user(x) -> tuple[int, ...]:
-    return tuple(_dec_int(c) for c in x)
+def _residues(a: np.ndarray, q: int) -> list:
+    """A 1-D array of residues mod q as JSON values, each as _enc_int writes it."""
+    return a.tolist() if q <= _JSON_SAFE else [_enc_int(x) for x in a.tolist()]
 
 
 def _dec_provenance(v):
-    """Integers, as numbers or digit strings, go through _dec_int; other values load as they are."""
+    """An int, as a number or a digit string, becomes an int; other values load as they are."""
     is_int = isinstance(v, (int, str)) and not isinstance(v, bool) and str(v).lstrip("-").isdigit()
-    return _dec_int(v) if is_int else v
+    return int(v) if is_int else v
 
 
-def _fields(obj, *names: str) -> list:
-    """The values of a JSON object that must have exactly the named keys, in that order."""
-    if not isinstance(obj, dict) or list(obj) != list(names):
-        raise SchemeFileError(f"expected an object with keys {list(names)}")
-    return [obj[name] for name in names]
+def _compact(x) -> str:
+    return json.dumps(x, separators=(",", ":"))
 
 
-def scheme_to_obj(s: PrecodingScheme) -> dict:
-    blocks = []
-    for g_idx, grp in enumerate(s.groups):
-        for member in grp:
-            data = [_enc_int(x) for x in s.block(g_idx, member).reshape(-1).tolist()]
-            matrix = {"rows": s.dims.L, "cols": s.dims.L_S, "data": data}
-            blocks.append({"group_index": g_idx, "user": list(member), "matrix": matrix})
+def _scheme_header(s: PrecodingScheme) -> dict:
+    """The scheme object without its blocks: "blocks" holds None, in its place in the key order."""
     return {
         "format_version": FORMAT_VERSION,
         "prng_id": linalg.PRNG_ID,
         "cfg": {"U": s.cfg.U, "V": s.cfg.V, "G": s.cfg.G, "q": _enc_int(s.cfg.field.modulus)},
         "dims": {"regime": s.dims.regime.value, "L": s.dims.L, "L_S": s.dims.L_S},
         "group_order": [[list(member) for member in grp] for grp in s.groups],
-        "blocks": blocks,
+        "blocks": None,
         "provenance": {k: _enc_int(v) if isinstance(v, int) else v for k, v in s.provenance.items()},
     }
 
 
-def scheme_from_obj(obj: dict) -> PrecodingScheme:
-    """The scheme a canonical scheme object describes; SchemeFileError for any other object.
+def _scheme_blocks(s: PrecodingScheme):
+    """The block objects of the scheme object, in canonical (group, member) order."""
+    matrix = {"rows": s.dims.L, "cols": s.dims.L_S}
+    for g_idx, grp in enumerate(s.groups):
+        for member in grp:
+            data = _residues(s.block(g_idx, member).reshape(-1), s.cfg.field.modulus)
+            yield {"group_index": g_idx, "user": list(member), "matrix": {**matrix, "data": data}}
 
-    The object must be exactly what scheme_to_obj writes for some scheme (same
-    keys in the same order, blocks in canonical (group, member) order, integers
-    encoded as _enc_int does), so that it re-saves to the same bytes. The
-    member blocks are copied into the encoding matrix as they are: a file that
-    breaks zero-sum loads, and verify reports it.
+
+def scheme_to_obj(s: PrecodingScheme) -> dict:
+    obj = _scheme_header(s)
+    obj["blocks"] = list(_scheme_blocks(s))
+    return obj
+
+
+def scheme_from_obj(obj: dict) -> PrecodingScheme:
+    """The scheme a scheme object describes, if scheme_to_obj writes exactly that object for it.
+
+    The object is decoded leniently and in bulk, then compared with what
+    scheme_to_obj writes for the decoded scheme: the top-level keys, then
+    each header field, then each block, as compact JSON text. So a file loads
+    iff re-saving it gives the same bytes, and a refusal (SchemeFileError)
+    names the first field or block that differs. The member blocks are copied
+    into the encoding matrix as they are: a file that breaks zero-sum loads,
+    and verify reports it.
     """
     try:
-        version, prng_id, cfg_obj, dims_obj, group_order, blocks, provenance = _fields(
-            obj, "format_version", "prng_id", "cfg", "dims", "group_order", "blocks", "provenance"
-        )
-        if _dec_int(version) != FORMAT_VERSION:
-            raise SchemeFileError(f"unsupported format_version {version!r}")
-        if prng_id != linalg.PRNG_ID:
-            raise SchemeFileError(f"unsupported prng_id {prng_id!r}")
-        U, V, G, q = (_dec_int(x) for x in _fields(cfg_obj, "U", "V", "G", "q"))
+        if obj["format_version"] != FORMAT_VERSION:
+            raise SchemeFileError(f"unsupported format_version {obj['format_version']!r}")
+        if obj["prng_id"] != linalg.PRNG_ID:
+            raise SchemeFileError(f"unsupported prng_id {obj['prng_id']!r}")
+        U, V, G, q = (int(obj["cfg"][key]) for key in ("U", "V", "G", "q"))
+        blocks = obj["blocks"]
         # A canonical file has at least UV blocks: UV of them if G = UV, else
         # C(UV,G) >= UV groups of G members. Checked before any binomial, so
         # a huge config in a small file is refused at once.
@@ -122,36 +115,40 @@ def scheme_from_obj(obj: dict) -> PrecodingScheme:
             raise SchemeFileError(f"{len(blocks)} blocks cannot describe U*V = {U * V} users")
         cfg = ProblemConfig(U, V, G, make_field(q))
         dims = classify_regime(cfg)
-        regime, L, L_S = _fields(dims_obj, "regime", "L", "L_S")
-        L, L_S = _dec_int(L), _dec_int(L_S)
-        if (regime, L, L_S) != (dims.regime.value, dims.L, dims.L_S):
-            raise SchemeFileError(f"dims {dims_obj} do not match the config's regime")
+        L, L_S = dims.L, dims.L_S
         # Counted before the groups are enumerated, so the work stays in
         # proportion to the file's size.
         n_groups = comb(U * V, G)
-        if len(group_order) != n_groups or len(blocks) != n_groups * G:
-            raise SchemeFileError("group_order or blocks has the wrong number of entries")
+        if len(blocks) != n_groups * G:
+            raise SchemeFileError(f"{len(blocks)} blocks, expected C(UV,G)*G = {n_groups * G}")
         groups = tuple(enumerate_groups(U, V, G))
-        if [tuple(_dec_user(m) for m in grp) for grp in group_order] != list(groups):
-            raise SchemeFileError("group_order does not match the canonical enumeration")
+        data = np.array([b["matrix"]["data"] for b in blocks], dtype=np.int64)
+        if data.shape != (len(blocks), L * L_S):
+            raise SchemeFileError(f"block data has shape {data.shape}, expected {(len(blocks), L * L_S)}")
+        if ((data < 0) | (data >= q)).any():
+            raise SchemeFileError("matrix entry outside [0, q-1]")
         e = np.zeros((U * V * L, n_groups * L_S), dtype=np.int64)
-        expected = ((g_idx, member) for g_idx, grp in enumerate(groups) for member in grp)
-        for i, (entry, (g_idx, member)) in enumerate(zip(blocks, expected)):
-            group_index, user, matrix = _fields(entry, "group_index", "user", "matrix")
-            if (_dec_int(group_index), _dec_user(user)) != (g_idx, member):
-                raise SchemeFileError(f"block {i} must be group {g_idx} member {list(member)}")
-            rows, cols, data = _fields(matrix, "rows", "cols", "data")
-            if (_dec_int(rows), _dec_int(cols), len(data)) != (L, L_S, L * L_S):
-                raise SchemeFileError(f"block for group {g_idx} user {member} has wrong shape")
-            values = [_dec_int(x) for x in data]
-            if any(not 0 <= x < q for x in values):
-                raise SchemeFileError("matrix entry outside [0, q-1]")
-            e[scheme_mod.block_slices(cfg, dims, g_idx, member)] = np.reshape(values, (L, L_S))
-        if not isinstance(provenance, dict):
-            raise SchemeFileError("provenance must be an object")
-        provenance = {k: _dec_provenance(v) for k, v in provenance.items()}
-        return PrecodingScheme(cfg, dims, groups, e, provenance)
-    except (KeyError, TypeError, ValueError, Infeasible) as exc:
+        members = ((g_idx, member) for g_idx, grp in enumerate(groups) for member in grp)
+        for (g_idx, member), block in zip(members, data.reshape(-1, L, L_S)):
+            e[scheme_mod.block_slices(cfg, dims, g_idx, member)] = block
+        provenance = {k: _dec_provenance(v) for k, v in dict(obj["provenance"]).items()}
+        s = PrecodingScheme(cfg, dims, groups, e, provenance)
+        # The decode above accepts more than the writer writes (True, 5.0,
+        # " 5", "+5" all become 5); the comparison refuses all of that.
+        header = _scheme_header(s)
+        if list(obj) != list(header):
+            raise SchemeFileError(f"expected the keys {list(header)}")
+        for key, value in header.items():
+            if key != "blocks" and _compact(obj[key]) != _compact(value):
+                raise SchemeFileError(f"field {key!r} differs from the writer's output for this scheme")
+        for i, (got, want) in enumerate(zip(blocks, _scheme_blocks(s))):
+            if _compact(got) != _compact(want):
+                raise SchemeFileError(
+                    f"block {i} differs from the writer's output for group {want['group_index']} "
+                    f"member {want['user']}"
+                )
+        return s
+    except (KeyError, TypeError, ValueError, OverflowError, Infeasible) as exc:
         if isinstance(exc, SchemeFileError):
             raise
         raise SchemeFileError(f"malformed scheme file: {exc}") from exc
@@ -187,7 +184,7 @@ def transcript_to_obj(batch: protocol.Rounds, r: int) -> dict:
     s = batch.scheme
 
     def blocks(a: np.ndarray) -> list[list]:
-        return [[_enc_int(x) for x in block] for block in a[:, r].reshape(-1, s.dims.L).tolist()]
+        return [_residues(block, s.cfg.field.modulus) for block in a[:, r].reshape(-1, s.dims.L)]
 
     users = all_users(s.cfg.U, s.cfg.V)
     return {

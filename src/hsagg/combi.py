@@ -29,15 +29,25 @@ def all_users(U: int, V: int) -> list[UserId]:
     return [(u, v) for u in range(1, U + 1) for v in range(1, V + 1)]
 
 
-def huge_count(U: int, V: int, G: int) -> bool:
-    """Whether the bound C(UV, G) < (e UV / k)^k, k = min(G, UV - G), passes 14,000 bits.
+def power_exceeds(x: int, n: int, bound: int) -> bool:
+    """Exactly whether x^n > bound, without building x^n when it is far larger."""
+    if n * (x.bit_length() - 1) > bound.bit_length():
+        return True  # x^n >= 2^(n * (bitlen(x) - 1)) > bound
+    return x**n > bound
 
-    Under it, math.comb takes milliseconds and the count has at most the 4300
-    decimal digits Python prints; over it, math.comb can take seconds. Such a
-    count has over 1000 bits anyway: it is at least (UV / k)^k, and UV / k >= 2.
+
+def huge_count(U: int, V: int, G: int) -> bool:
+    """Whether C(UV, G) may pass 14,000 bits, decided on integers without computing it.
+
+    With k = min(G, UV - G), C(UV, G) <= (e UV / k)^k <= ceil(27183 UV / (10000 k))^k,
+    since 27183 / 10000 > e; the count is flagged when that bound passes
+    2^14000. Under it, math.comb takes milliseconds and the count has at most
+    the 4300 decimal digits Python prints; over it, math.comb can take
+    seconds. Such a count has over 5000 bits anyway: it is at least (UV / k)^k,
+    and UV / k >= 2.
     """
     k = min(G, U * V - G)
-    return k > 0 and k * math.log2(math.e * U * V / k) > 14_000
+    return k > 0 and power_exceeds(-(-27183 * U * V // (10000 * k)), k, 1 << 14_000)
 
 
 def count_groups(U: int, V: int, G: int) -> int:

@@ -21,7 +21,7 @@ from hsagg.audit import (
     verify_server_rank,
 )
 from hsagg.gf import make_field
-from hsagg.linalg import from_array
+from hsagg.linalg import from_array, rank
 from hsagg.rates import ProblemConfig, SchemeDims
 from hsagg.scheme import block_slices, build_random, sample_zero_sum_scheme
 
@@ -159,6 +159,22 @@ def test_mask_distribution_peak_memory_is_a_few_tallies():
     finally:
         tracemalloc.stop()
     assert peak < 3 * tally_bytes, peak / tally_bytes
+
+
+def test_mask_distribution_returns_a_full_tally_without_copying_it():
+    # A full-rank 7x7 matrix over GF(5) attains every output, so the tally is the result.
+    rng = np.random.default_rng(1)
+    m = from_array(make_field(5), rng.integers(0, 5, size=(7, 7), dtype=np.int64))
+    assert rank(m) == 7
+    tally_bytes = 8 * 5**7
+    tracemalloc.start()
+    try:
+        states, tallies = mask_distribution(m, CAP)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert states == 5**7 and tallies.tolist() == [1] * 5**7
+    assert peak < 2 * tally_bytes, peak / tally_bytes
 
 
 def test_mask_distribution_refuses_an_output_space_over_the_cap():

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -207,57 +208,57 @@ def test_load_rejects_inconsistent_files(tmp_path):
 
     bad = json.loads(json.dumps(obj))
     bad["format_version"] = 99
-    with pytest.raises(SchemeFileError):
+    with pytest.raises(SchemeFileError, match="format_version"):
         scheme_from_obj(bad)
 
     bad = json.loads(json.dumps(obj))
     bad["prng_id"] = "other-prng"
-    with pytest.raises(SchemeFileError):
+    with pytest.raises(SchemeFileError, match="prng_id"):
         scheme_from_obj(bad)
 
     bad = json.loads(json.dumps(obj))
     bad["dims"]["L"] = 6
-    with pytest.raises(SchemeFileError):
+    with pytest.raises(SchemeFileError, match="'dims'"):
         scheme_from_obj(bad)
 
     bad = json.loads(json.dumps(obj))
     bad["group_order"][0], bad["group_order"][1] = bad["group_order"][1], bad["group_order"][0]
-    with pytest.raises(SchemeFileError):
+    with pytest.raises(SchemeFileError, match="'group_order'"):
         scheme_from_obj(bad)
 
     bad = json.loads(json.dumps(obj))
     bad["blocks"][0]["user"] = [2, 2]  # not a member of group 0
-    with pytest.raises(SchemeFileError):
+    with pytest.raises(SchemeFileError, match=r"block 0 .* group 0 member \[1, 1\]"):
         scheme_from_obj(bad)
 
     bad = json.loads(json.dumps(obj))
     bad["blocks"][0]["matrix"]["data"][0] = 7  # outside [0, q-1]
-    with pytest.raises(SchemeFileError):
+    with pytest.raises(SchemeFileError, match=r"matrix entry outside \[0, q-1\]"):
         scheme_from_obj(bad)
 
     bad = json.loads(json.dumps(obj))
     del bad["blocks"][0]
-    with pytest.raises(SchemeFileError):
+    with pytest.raises(SchemeFileError, match="11 blocks"):
         scheme_from_obj(bad)
 
     # The blocks must be exactly the canonical (group, member) sequence.
-    for edit in (
-        lambda blocks: blocks.insert(1, blocks[0]),  # listed twice
-        lambda blocks: blocks.append(blocks[-1]),  # extra entry
-        lambda blocks: blocks.insert(0, blocks.pop(1)),  # reordered
+    for edit, message in (
+        (lambda blocks: blocks.insert(1, blocks[0]), "13 blocks"),  # listed twice
+        (lambda blocks: blocks.append(blocks[-1]), "13 blocks"),  # extra entry
+        (lambda blocks: blocks.insert(0, blocks.pop(1)), r"block 0 .* group 0 member \[1, 1\]"),  # reordered
     ):
         bad = json.loads(json.dumps(obj))
         edit(bad["blocks"])
-        with pytest.raises(SchemeFileError):
+        with pytest.raises(SchemeFileError, match=message):
             scheme_from_obj(bad)
 
     # Integers are decoded strictly: no bools, floats or small numbers as strings.
-    for path, value in (
-        (("blocks", 2, "group_index"), True),  # group 1
-        (("blocks", 0, "user"), [True, 1]),  # user (1, 1)
-        (("blocks", 0, "matrix", "rows"), 5.0),
-        (("cfg", "q"), "5"),
-        (("format_version",), True),
+    for path, value, message in (
+        (("blocks", 2, "group_index"), True, r"block 2 .* group 1 member \[1, 1\]"),
+        (("blocks", 0, "user"), [True, 1], r"block 0 .* group 0 member \[1, 1\]"),
+        (("blocks", 0, "matrix", "rows"), 5.0, r"block 0 .* group 0 member \[1, 1\]"),
+        (("cfg", "q"), "5", "'cfg'"),
+        (("format_version",), True, "'format_version'"),
     ):
         bad = json.loads(json.dumps(obj))
         *parents, last = path
@@ -265,8 +266,35 @@ def test_load_rejects_inconsistent_files(tmp_path):
         for key in parents:
             target = target[key]
         target[last] = value
-        with pytest.raises(SchemeFileError):
+        with pytest.raises(SchemeFileError, match=message):
             scheme_from_obj(bad)
+
+
+def test_load_decodes_provenance_integers_as_the_writer_writes_them():
+    obj = scheme_to_obj(build_random(ProblemConfig(2, 2, 2, make_field(5)), seed=3))
+    bad = json.loads(json.dumps(obj))
+    bad["provenance"]["seed"] = "123"  # the writer writes a small int as a number
+    with pytest.raises(SchemeFileError, match="'provenance'"):
+        scheme_from_obj(bad)
+    noted = json.loads(json.dumps(obj))
+    noted["provenance"]["note"] = "x"  # not an integer: loads as it is
+    s = scheme_from_obj(noted)
+    assert s.provenance["seed"] == 3 and s.provenance["note"] == "x"
+    assert canonical_text(scheme_to_obj(s)) == canonical_text(noted)
+
+
+def test_load_peak_memory_is_a_few_encoding_matrices():
+    # Comparing block by block keeps the re-encoded text small next to E.
+    cfg = ProblemConfig(3, 3, 6, make_field((1 << 61) - 1))
+    s = scheme_mod.sample_zero_sum_scheme(cfg, seed=1)
+    obj = json.loads(json.dumps(scheme_to_obj(s)))
+    tracemalloc.start()
+    try:
+        scheme_from_obj(obj)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * s.encoding.nbytes, peak / s.encoding.nbytes
 
 
 def test_build_pipeline(tmp_path, capsys):

@@ -6,14 +6,36 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "hsagg"
 
 
-def test_library_has_no_assert_statements():
-    """`python -O` strips assert, so every check in the library must be an explicit raise."""
+def _nodes():
+    """(file name, node) for every AST node of the library."""
     paths = sorted(SRC.glob("*.py"))
     assert paths, f"no sources found in {SRC}"
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in paths
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Assert)
-    ]
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            yield path.name, node
+
+
+def test_library_has_no_assert_statements():
+    """`python -O` strips assert, so every check in the library must be an explicit raise."""
+    found = [f"{name}:{node.lineno}" for name, node in _nodes() if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in src/hsagg: {found}"
+
+
+def _float_log(module: str | None, name: str) -> bool:
+    if module == "math":
+        return name.startswith("log") or name == "e"
+    return module in ("np", "numpy") and name.startswith("log")
+
+
+def test_library_has_no_float_logs():
+    """Exact decisions stay on integers: no math.log*, math.e or np.log* anywhere in the library."""
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in _nodes()
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and _float_log(node.value.id, node.attr)
+        or isinstance(node, ast.ImportFrom)
+        and any(_float_log(node.module, alias.name) for alias in node.names)
+    ]
+    assert not found, f"float logs in src/hsagg: {found}"
