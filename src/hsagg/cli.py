@@ -48,8 +48,18 @@ def _enc_int(x: int):
 
 
 def _residues(a: np.ndarray, q: int) -> list:
-    """A 1-D array of residues mod q as JSON values, each as _enc_int writes it."""
-    return a.tolist() if q <= _JSON_SAFE else [_enc_int(x) for x in a.tolist()]
+    """A 1-D array of residues mod q as JSON values, each as _enc_int writes it.
+
+    Above q = 2^53 every entry is written as a string first, and the ones
+    below 2^53 are put back as ints.
+    """
+    values = a.tolist()
+    if q <= _JSON_SAFE:
+        return values
+    out = list(map(str, values))
+    for i in np.flatnonzero(a < _JSON_SAFE).tolist():
+        out[i] = values[i]
+    return out
 
 
 def _dec_provenance(v):
@@ -303,6 +313,9 @@ def _save_and_summarize(s: PrecodingScheme, path: str) -> int:
     _, achieved, _ = audit.rate_audit(s)
     retries = s.provenance.get("retries_used", 0)
     print(f"construction: {s.provenance['construction']}  retries_used: {retries}")
+    if s.provenance["construction"] == "random":
+        bound = scheme_mod.attempt_failure_bound(s.cfg, s.dims)
+        print(f"attempt failure bound: {_frac(bound)}{' (vacuous)' if bound >= 1 else ''}")
     print(
         f"achieved rates: r_x={_frac(achieved.r_x)} r_y={_frac(achieved.r_y)} "
         f"r_s={_frac(achieved.r_s)}"

@@ -47,8 +47,8 @@ def keygen(s: PrecodingScheme, seed) -> np.ndarray:
     substream (seed, g), where seed is an int or a tuple of ints; disjoint
     substreams make the keys independent.
     """
-    keys = [linalg.random_mat(s.dims.L_S, 1, s.cfg.field, (seed, g)) for g in range(len(s.groups))]
-    return np.concatenate(keys)
+    groups = np.arange(len(s.groups))[:, None]
+    return linalg.random_mats(s.dims.L_S, 1, s.cfg.field, linalg.seed_rows(seed, groups)).reshape(-1, 1)
 
 
 def run(s: PrecodingScheme, w: np.ndarray, k: np.ndarray) -> Rounds:
@@ -75,18 +75,21 @@ def run(s: PrecodingScheme, w: np.ndarray, k: np.ndarray) -> Rounds:
     )
 
 
+def _columns(s: PrecodingScheme, rows: int, heads: np.ndarray, tails) -> np.ndarray:
+    """Column r stacks the rows x 1 draws of the seeds (heads[r], *tail), in tail order."""
+    draws = linalg.random_mats(rows, 1, s.cfg.field, linalg.seed_rows(heads, tails))
+    return np.ascontiguousarray(draws.reshape(len(heads), len(tails) * rows).T)
+
+
 def run_rounds(s: PrecodingScheme, seed: int, rounds: int) -> Rounds:
     """`rounds` rounds with uniform random inputs and keys, deterministic in the seed.
 
     Round i draws user (u, v)'s input from the substream ((seed, 2i), u, v)
-    and its keys as keygen(s, (seed, 2i + 1)) does.
+    and its keys as keygen(s, (seed, 2i + 1)) does; all inputs are one
+    random_mats call and all keys another.
     """
-    L, field = s.dims.L, s.cfg.field
-    users = all_users(s.cfg.U, s.cfg.V)
-    w = np.empty((len(users) * L, rounds), dtype=np.int64)
-    k = np.empty((s.encoding.shape[1], rounds), dtype=np.int64)
-    for i in range(rounds):
-        draws = [linalg.random_mat(L, 1, field, ((seed, 2 * i), u, v)) for u, v in users]
-        w[:, i : i + 1] = np.concatenate(draws)
-        k[:, i : i + 1] = keygen(s, (seed, 2 * i + 1))
+    even = 2 * np.arange(rounds)[:, None]
+    users = np.array(all_users(s.cfg.U, s.cfg.V)).reshape(-1, 2)
+    w = _columns(s, s.dims.L, linalg.seed_rows(seed, even), users)
+    k = _columns(s, s.dims.L_S, linalg.seed_rows(seed, even + 1), np.arange(len(s.groups))[:, None])
     return run(s, w, k)

@@ -9,7 +9,8 @@ encoding matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from fractions import Fraction
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -19,7 +20,10 @@ from .gf import make_field
 from .linalg import Mat, vandermonde_block
 from .rates import ProblemConfig, SchemeDims, classify_regime
 
-DEFAULT_RANDOM_MODULUS = 2_147_483_647  # Mersenne prime; retries essentially never needed
+# A Mersenne prime. How often one attempt of build_random may fail at it is
+# the bound that `hsagg build` prints (attempt_failure_bound): at most
+# 913/2147483647 at (U,V,G) = (3,3,6).
+DEFAULT_RANDOM_MODULUS = 2_147_483_647
 
 
 class ConstructionFailed(RuntimeError):
@@ -71,23 +75,26 @@ def _zero_sum_scheme(
     cfg: ProblemConfig,
     dims: SchemeDims,
     groups: Sequence[Group],
-    given: Iterable[tuple[int, UserId, np.ndarray]],
+    blocks: np.ndarray,
     provenance: Mapping[str, object],
 ) -> PrecodingScheme:
-    """The scheme with the given (group index, member, block) entries, completed to zero sum.
+    """The scheme whose group g gives its members but the last the blocks blocks[g], completed to zero sum.
 
-    The given entries cover every member of each group but the last; the
-    last member of every group then receives the negated sum of the others,
-    all groups at once: one sum over the users and one scatter.
+    blocks is a C(UV,G) x (G-1) x L x L_S array of residues, members in
+    group order. The last member of every group receives the negated sum of
+    the others. Both are written into the encoding matrix with one scatter
+    each.
     """
     q, L, L_S, n_groups = cfg.field.modulus, dims.L, dims.L_S, len(groups)
+    users = np.array([[_user_index(cfg, m) for m in grp] for grp in groups], dtype=np.int64)
     e = np.zeros((cfg.U * cfg.V * L, n_groups * L_S), dtype=np.int64)
-    for g_idx, member, block in given:
-        e[block_slices(cfg, dims, g_idx, member)] = block
-    total = linalg.sum_mod(e.reshape(-1, L, n_groups * L_S), 0, q)
-    last = [_user_index(cfg, grp[-1]) for grp in groups]
-    completion = ((-total) % q).reshape(L, n_groups, L_S).transpose(1, 0, 2)
-    e.reshape(-1, L, n_groups, L_S)[last, :, np.arange(n_groups), :] = completion
+    per_block = e.reshape(-1, L, n_groups, L_S)
+    g = np.arange(n_groups)
+    per_block[users[:, :-1], :, g[:, None], :] = blocks
+    completion = linalg.sum_mod(blocks, 1, q)
+    np.negative(completion, out=completion)
+    completion %= q
+    per_block[users[:, -1], :, g, :] = completion
     return PrecodingScheme(cfg, dims, tuple(groups), e, provenance)
 
 
@@ -108,8 +115,8 @@ def build_example1() -> PrecodingScheme:
     """The deterministic (U,V,G) = (2,2,2) scheme over GF(5) with L=5, L_S=2."""
     cfg = ProblemConfig(2, 2, 2, make_field(5))
     groups = enumerate_groups(2, 2, 2)
-    given = [(g_idx, grp[0], _EXAMPLE1_MATRICES[grp]) for g_idx, grp in enumerate(groups)]
-    return _zero_sum_scheme(cfg, classify_regime(cfg), groups, given, {"construction": "example1"})
+    blocks = np.array([[_EXAMPLE1_MATRICES[grp]] for grp in groups], dtype=np.int64)
+    return _zero_sum_scheme(cfg, classify_regime(cfg), groups, blocks, {"construction": "example1"})
 
 
 # Per-user starting exponents of the GF(11) Vandermonde construction. User
@@ -137,14 +144,12 @@ def build_example2() -> PrecodingScheme:
     cfg = ProblemConfig(4, 2, 7, field)
     dims = classify_regime(cfg)
     groups = enumerate_groups(4, 2, 7)
-    given = []
+    blocks = []
     for g_idx, grp in enumerate(groups):
         i = g_idx + 1
         bases = [pow(2, e % 10, 11) for e in (i - 1, i + 2, i + 5)]
-        for member in grp[:-1]:
-            block = vandermonde_block(field, bases, _EXAMPLE2_EXPONENTS[member], dims.L)
-            given.append((g_idx, member, block))
-    return _zero_sum_scheme(cfg, dims, groups, given, {"construction": "example2"})
+        blocks.append([vandermonde_block(field, bases, _EXAMPLE2_EXPONENTS[m], dims.L) for m in grp[:-1]])
+    return _zero_sum_scheme(cfg, dims, groups, np.array(blocks), {"construction": "example2"})
 
 
 def sample_zero_sum_scheme(cfg: ProblemConfig, seed: int) -> PrecodingScheme:
@@ -156,18 +161,16 @@ def sample_zero_sum_scheme(cfg: ProblemConfig, seed: int) -> PrecodingScheme:
     """
     dims = classify_regime(cfg)
     groups = enumerate_groups(cfg.U, cfg.V, cfg.G)
-    given = (
-        (g_idx, member, linalg.random_mat(dims.L, dims.L_S, cfg.field, (seed, g_idx, m_idx)))
-        for g_idx, grp in enumerate(groups)
-        for m_idx, member in enumerate(grp[:-1])
-    )
+    index = np.indices((len(groups), cfg.G - 1)).reshape(2, -1).T  # (group, member) of every drawn block
+    blocks = linalg.random_mats(dims.L, dims.L_S, cfg.field, linalg.seed_rows(seed, index))
     provenance = {
         "construction": "random",
         "seed": seed,
         "prng_id": linalg.PRNG_ID,
         "retries_used": 0,
     }
-    return _zero_sum_scheme(cfg, dims, groups, given, provenance)
+    blocks = blocks.reshape(len(groups), cfg.G - 1, dims.L, dims.L_S)
+    return _zero_sum_scheme(cfg, dims, groups, blocks, provenance)
 
 
 def scheme_rank_checks_pass(s: PrecodingScheme) -> bool:
@@ -177,6 +180,19 @@ def scheme_rank_checks_pass(s: PrecodingScheme) -> bool:
         if linalg.rank(assemble_relay_matrix(s, u)) != target_relay:
             return False
     return linalg.rank(assemble_server_matrix(s)) == (s.cfg.U - 1) * s.dims.L
+
+
+def attempt_failure_bound(cfg: ProblemConfig, dims: SchemeDims) -> Fraction:
+    """Schwartz-Zippel bound on the chance that one random attempt fails a rank gate.
+
+    Each of the U relay gates asks a minor of degree at most V*L in the
+    random entries to be nonzero, the server gate one of degree at most
+    (U-1)*L, and the paper's achievability makes each minor a nonzero
+    polynomial. So one attempt fails with probability at most
+    (U*V*L + (U-1)*L) / q (Schwartz 1980; Zippel 1979, and a union bound).
+    At 1 or more the bound says nothing.
+    """
+    return Fraction(cfg.U * cfg.V * dims.L + (cfg.U - 1) * dims.L, cfg.field.modulus)
 
 
 def build_random(cfg: ProblemConfig, seed: int, max_retries: int = 16) -> PrecodingScheme:

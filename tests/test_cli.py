@@ -317,6 +317,25 @@ def test_build_pipeline(tmp_path, capsys):
     assert Path(path).read_bytes() == Path(again).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "q, line",
+    [
+        # (2,2,2): L = 5, so the bound is (4*5 + 1*5)/q.
+        ("2147483647", "attempt failure bound: 25/2147483647\n"),
+        ("5", "attempt failure bound: 5 (vacuous)\n"),
+    ],
+)
+def test_build_prints_the_attempt_failure_bound(q, line, tmp_path, capsys):
+    path = str(tmp_path / "s.json")
+    argv = ["build", "--U", "2", "--V", "2", "--G", "2", "--q", q, "--seed", "7", "--out", path]
+    assert run([*argv, "--max-retries", "500"]) == EXIT_OK
+    assert line in capsys.readouterr().out
+    # The scheme file does not record the bound, and an example build prints none.
+    assert "bound" not in Path(path).read_text()
+    assert run(["example", "--id", "1", "--out", path]) == EXIT_OK
+    assert "bound" not in capsys.readouterr().out
+
+
 def test_build_infeasible_and_bad_modulus(tmp_path, capsys):
     path = str(tmp_path / "s.json")
     assert (

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from hsagg.gf import make_field
 from hsagg import linalg
+from hsagg.rates import ProblemConfig
+from hsagg.scheme import sample_zero_sum_scheme
 from hsagg.linalg import (
     PRNG_ID,
     DimensionMismatch,
@@ -340,3 +343,86 @@ def test_rank_matches_python_int_elimination(inputs):
         assert reference_rank(a[np.ix_(pivot_rows, pivot_cols)].tolist(), q) == expected
         others = np.delete(np.arange(a.shape[0]), pivot_rows)
         assert np.array_equal(matmul_mod(t, a[pivot_rows], q), a[others])
+
+
+# Moduli for the draw kernel: tiny fields, the 31-bit Mersenne prime, the two
+# primes next to 2^31 and 2^32 at which Lemire's rule rejects about half of
+# all 32-bit words (2,147,483,659) or crosses to 64-bit words (4,294,967,311),
+# and the 61-bit Mersenne prime.
+DRAW_MODULI = (2, 3, 5, 7, 11, 2**31 - 1, 2_147_483_659, 4_294_967_291, 4_294_967_311, 2**61 - 1)
+# rows x cols of 0, 1, odd, even and 249 entries.
+DRAW_SHAPES = ((0, 3), (1, 1), (3, 5), (2, 4), (83, 3))
+# A seed part as _flatten_seed sees it: 0, negative (masked to 64 bits, two
+# words), one word, two words.
+SEED_PARTS = st.one_of(
+    st.just(0), st.integers(-(2**63), -1), st.integers(1, 2**32 - 1), st.integers(2**32, 2**64 - 1)
+)
+
+
+def numpy_draw(rows, cols, q, seed) -> np.ndarray:
+    """What numpy's own generator draws for the seed: the stream PRNG_ID names."""
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(linalg._flatten_seed(seed))))
+    return gen.integers(0, q, size=(rows, cols), dtype=np.uint64).astype(np.int64)
+
+
+@st.composite
+def draw_calls(draw):
+    """(q, rows, cols, parts per seed, seeds): up to 5 seeds of the same number of parts, nested or flat."""
+    q = draw(st.sampled_from(DRAW_MODULI))
+    rows, cols = draw(st.sampled_from(DRAW_SHAPES))
+    n_parts = draw(st.integers(1, 7))
+    seeds = []
+    for parts in draw(st.lists(st.lists(SEED_PARTS, min_size=n_parts, max_size=n_parts), max_size=5)):
+        split = draw(st.integers(0, n_parts))  # nest the parts from here on
+        seeds.append(parts[0] if n_parts == 1 and split else (*parts[:split], tuple(parts[split:])))
+    return q, rows, cols, n_parts, seeds
+
+
+@settings(max_examples=300, deadline=None)
+@given(draw_calls())
+def test_random_mats_is_numpy_pcg64_bit_for_bit(call):
+    q, rows, cols, n_parts, seeds = call
+    flat = np.array([linalg._flatten_seed(s) for s in seeds], dtype=np.uint64).reshape(len(seeds), n_parts)
+    got = linalg.random_mats(rows, cols, make_field(q), flat)
+    assert got.shape == (len(seeds), rows, cols) and got.dtype == np.int64
+    for seed, mat in zip(seeds, got):
+        assert np.array_equal(mat, numpy_draw(rows, cols, q, seed))
+
+
+@pytest.mark.parametrize("q", [3, 2_147_483_659, 4_294_967_311])
+def test_random_mats_streams_continue_past_a_pass(q, monkeypatch):
+    # Passes of one or three outputs over one or five streams: every stream
+    # runs short and continues from its own state, as numpy's would.
+    seeds = [(7, -1, i) for i in range(9)]
+    flat = np.array([linalg._flatten_seed(s) for s in seeds], dtype=np.uint64)
+    for max_steps, chunk in ((1, 1), (3, 5)):
+        monkeypatch.setattr(linalg, "_MAX_STEPS", max_steps)
+        monkeypatch.setattr(linalg, "_CHUNK", chunk)
+        got = linalg.random_mats(10, 25, make_field(q), flat)
+        assert all(np.array_equal(m, numpy_draw(10, 25, q, s)) for s, m in zip(seeds, got))
+
+
+def test_random_mats_of_no_streams_and_seed_rows():
+    assert random_mat(2, 3, GF5, (1, (2, 3))).shape == (2, 3)
+    assert linalg.random_mats(3, 2, GF5, np.empty((0, 4), np.uint64)).shape == (0, 3, 2)
+    with pytest.raises(DimensionMismatch):
+        linalg.random_mats(3, 2, GF5, [1, 2])
+    # seed_rows stacks (head, *tail): heads outside, tails inside.
+    rows = linalg.seed_rows((-1, (2,)), [[0, 1], [5, 6]])
+    assert rows.tolist() == [[2**64 - 1, 2, 0, 1], [2**64 - 1, 2, 5, 6]]
+    assert linalg.seed_rows(rows, [[9]]).tolist() == [r + [9] for r in rows.tolist()]
+    assert linalg.seed_rows(3, np.empty((0, 1), np.int64)).shape == (0, 2)
+
+
+def test_sample_zero_sum_scheme_memory_peak():
+    # The draws are chunked, so an attempt's peak stays under two encoding
+    # matrices (one for E, about half of one for the drawn blocks).
+    cfg = ProblemConfig(3, 3, 6, BIG)
+    sample_zero_sum_scheme(cfg, 0)  # warm up: import-time and first-call allocations
+    tracemalloc.start()
+    try:
+        s = sample_zero_sum_scheme(cfg, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * s.encoding.nbytes

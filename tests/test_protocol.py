@@ -141,6 +141,13 @@ def test_run_round_deterministic(ex1):
         assert np.array_equal(r1.user_messages[:, i : i + 1], expected)
 
 
+def test_zero_rounds_are_empty_columns(ex1):
+    rounds = run_rounds(ex1, seed=5, rounds=0)
+    assert rounds.inputs.shape == rounds.user_messages.shape == (20, 0)
+    assert rounds.relay_messages.shape == (10, 0) and rounds.decoded_sum.shape == (5, 0)
+    assert rounds.correct.shape == (0,)
+
+
 def test_hundred_rounds_examples(ex1, ex2):
     for s in (ex1, ex2):
         q, L, n_users = s.cfg.field.modulus, s.dims.L, s.cfg.U * s.cfg.V

@@ -39,3 +39,22 @@ def test_library_has_no_float_logs():
         and any(_float_log(node.module, alias.name) for alias in node.names)
     ]
     assert not found, f"float logs in src/hsagg: {found}"
+
+
+def _numpy_random(node) -> bool:
+    """np.random / numpy.random as an attribute, or an import of numpy.random or of names from it."""
+    if isinstance(node, ast.Attribute):
+        return isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy") and node.attr == "random"
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("numpy.random") for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").startswith("numpy.random") or (
+            node.module == "numpy" and any(alias.name == "random" for alias in node.names)
+        )
+    return False
+
+
+def test_library_draws_without_numpy_generators():
+    """Draws come from linalg.random_mats alone: no np.random / numpy.random anywhere in the library."""
+    found = [f"{name}:{node.lineno}" for name, node in _nodes() if _numpy_random(node)]
+    assert not found, f"numpy.random in src/hsagg: {found}"
