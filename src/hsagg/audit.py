@@ -244,12 +244,13 @@ def full_audit(
     run_oracles: bool = True,
 ) -> AuditReport:
     """Run every check; oversized oracles are recorded as skipped, not failed."""
-    relay_ranks = {u: verify_relay_rank(s, u) for u in range(1, s.cfg.U + 1)}
+    relay_ranks, oracle_relay, target = {}, {}, s.cfg.V * s.dims.L
+    for u in range(1, s.cfg.U + 1):  # each relay matrix once, for its rank and its oracle
+        m = scheme_mod.assemble_relay_matrix(s, u)
+        relay_ranks[u] = RankCheck(target, linalg.rank(m))
+        oracle_relay[u] = _result_or_refusal(_oracle_from_matrix, m, target, oracle_cap) if run_oracles else None
+        del m  # not alive next to the next relay's matrix
     server_rank = verify_server_rank(s)
-    oracle_relay = {
-        u: _result_or_refusal(entropy_oracle_relay, s, u, oracle_cap) if run_oracles else None
-        for u in range(1, s.cfg.U + 1)
-    }
     oracle_server = _result_or_refusal(entropy_oracle_server, s, oracle_cap) if run_oracles else None
     _, achieved, optimal = rate_audit(s)
     return AuditReport(

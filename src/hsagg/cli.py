@@ -265,15 +265,21 @@ def _unwritable(path: str, exc: OSError) -> int:
     return EXIT_USAGE
 
 
-def _count(text: str) -> int:
-    """argparse type of --rounds, --fuzz-rounds, --max-retries and --cap."""
+def _count(text: str, bits: int | None = None) -> int:
+    """argparse type of --rounds, --fuzz-rounds, --max-retries and --cap; of --seed with bits = 63."""
     try:
         value = int(text)
     except ValueError:
         value = None
-    if value is None or value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    if value is None or value < 0 or bits is not None and value >> bits:
+        bound = "" if bits is None else f" below 2^{bits}"
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer{bound}, got {text!r}")
     return value
+
+
+def _seed(text: str) -> int:
+    """argparse type of --seed: below 2^63, so build's seed + k is below 2^64, which linalg would wrap."""
+    return _count(text, 63)
 
 
 def _cfg_from_args(args, q: int) -> ProblemConfig:
@@ -436,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--V", type=int, required=True)
     p.add_argument("--G", type=int, required=True)
     p.add_argument("--q", type=int, default=scheme_mod.DEFAULT_RANDOM_MODULUS)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--max-retries", type=_count, default=16)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build)
@@ -451,14 +457,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true", help="run the exhaustive entropy oracles")
     p.add_argument("--fuzz-rounds", type=_count, default=100)
     p.add_argument("--cap", type=_count, default=1 << 26)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", help="write the audit report as JSON")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="run aggregation rounds and check decoding")
     p.add_argument("scheme")
     p.add_argument("--rounds", type=_count, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", help="write the round transcripts as JSON")
     p.set_defaults(func=cmd_simulate)
     return parser

@@ -29,10 +29,3 @@ def make_field(q: int) -> FieldSpec:
     if q < 2 or q > MAX_MODULUS or not sympy.isprime(q):
         raise NotPrime(f"modulus must be a prime in [2, 2^61-1], got {q}")
     return FieldSpec(q)
-
-
-def f_pow(field: FieldSpec, b: int, e: int) -> int:
-    """b^e mod q for e >= 0, with the empty-product convention 0^0 = 1."""
-    if e < 0:
-        raise ValueError("exponent must be non-negative")
-    return pow(b, e, field.modulus)

@@ -2,13 +2,12 @@
 
 Residues are int64 arrays at every modulus up to 2^61 - 1, and every result
 here is exact. The matrix product matmul_mod and the residue sums sum_mod work
-at every such q. rank is row elimination with plain int64 products while a
-product of two residues fits int64, that is up to q = 3,037,000,499. Above
-that it is the recursive elimination of Jeannerod, Pernet and Storjohann
-(J. Symbolic Comput. 2013): split the columns in half, eliminate the left
-half, update the right half by one matmul_mod product (its Schur complement)
-and recurse on it. Blocks at most _LEAF_COLS columns wide are eliminated row
-by row, with matmul_mod outer products as the updates.
+at every such q. rank is, at every q, the recursive elimination of Jeannerod,
+Pernet and Storjohann (J. Symbolic Comput. 2013): split the columns in half,
+eliminate the left half, update the right half by one matmul_mod product (its
+Schur complement) and recurse on it. Blocks at most _LEAF_COLS columns wide
+are eliminated row by row; their rank-1 updates are exact elementwise
+products, plain int64 ones up to q = 3,037,000,499 and of 31-bit halves above.
 
 Seeded draws come from one kernel, random_mats, that reproduces numpy's
 Generator(PCG64(SeedSequence(seed))).integers(0, q, ...) bit for bit for many
@@ -29,14 +28,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .gf import FieldSpec, f_pow
+from .gf import FieldSpec
 
 # Largest modulus for which (q-1)^2 fits comfortably in int64.
 _INT64_SAFE_MODULUS = 3_037_000_499
 _INT64_MAX = (1 << 63) - 1
 
-# Widest block that rank eliminates row by row above _INT64_SAFE_MODULUS.
-_LEAF_COLS = 8
+# Widest block that rank eliminates row by row; wider ones recurse on column halves.
+_LEAF_COLS = 24
 
 # Identifier of the pseudo-random stream recorded in serialized schemes:
 # numpy's PCG64 seeded by SeedSequence, bounded by Generator.integers.
@@ -181,6 +180,23 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     return acc
 
 
+def _mul_mod(x: np.ndarray, y: np.ndarray | int, q: int) -> np.ndarray:
+    """Elementwise x * y up to a multiple of q, in [0, 2^63 - q], for int64 residues that broadcast.
+
+    So a caller can subtract it from a residue and reduce once. Up to
+    q = 3,037,000,499 it is the plain int64 product. Above, x = x1 2^31 + x0
+    and y likewise, the four half products are below 2^62, and Horner's rule
+    ((x1 y1 mod q) 2^31 + x1 y0 + x0 y1 mod q) 2^31 + x0 y0 folds them in.
+    """
+    if q <= _INT64_SAFE_MODULUS:
+        return x * y
+    x1, x0, y1, y0 = x >> 31, x & 0x7FFFFFFF, y >> 31, y & 0x7FFFFFFF
+    acc = _mul_pow2(x1 * y1 % q, 31, q)
+    acc += x1 * y0 + x0 * y1
+    acc %= q
+    return _mul_pow2(acc, 31, q) + x0 * y0
+
+
 def _eliminate(a: np.ndarray, q: int, need_t: bool):
     """Pivot rows R, pivot columns C and (if need_t) T of a block, by row elimination.
 
@@ -190,8 +206,8 @@ def _eliminate(a: np.ndarray, q: int, need_t: bool):
     A[N] = T A[R] for the other rows N in increasing order:
     T = A[N, C] A[R, C]^-1. T is tracked in extra columns of the working
     array: a new pivot row gets -1 in its own T column, so that eliminating
-    with it leaves each row's multiplier there. Up to _INT64_SAFE_MODULUS the
-    products are plain int64, above it matmul_mod outer products.
+    with it leaves each row's multiplier there. The scaled pivot row and the
+    rank-1 update are _mul_mod products, reduced once each.
     """
     m, n = a.shape
     work = np.zeros((m, 2 * n if need_t else n), dtype=np.int64)
@@ -211,26 +227,19 @@ def _eliminate(a: np.ndarray, q: int, need_t: bool):
         end = n + r + 1 if need_t else n
         if need_t:
             work[r, end - 1] = q - 1
-        inv = pow(int(work[r, c]), -1, q)
-        if rows.size and q <= _INT64_SAFE_MODULUS:
-            update = work[rows, c : c + 1] * (work[r, c:end] * inv % q)
-            work[rows, c:end] = (work[rows, c:end] - update) % q
-        elif rows.size:
-            pivot = np.array([[x * inv % q for x in work[r, c:end].tolist()]], dtype=np.int64)
-            work[rows, c:end] = (work[rows, c:end] - matmul_mod(work[rows, c : c + 1], pivot, q)) % q
+        if rows.size:
+            pivot = _mul_mod(work[r, c:end], pow(int(work[r, c]), -1, q), q) % q
+            work[rows, c:end] = (work[rows, c:end] - _mul_mod(work[rows, c : c + 1], pivot, q)) % q
         pivot_cols.append(c)
         r += 1
         if r == m:
             break
-    t = None
-    if need_t:
-        rest = np.argsort(order[r:])
-        t = work[r:, n : n + r][rest]
+    t = work[r:, n : n + r][np.argsort(order[r:])] if need_t else None
     return order[:r], np.array(pivot_cols, dtype=np.int64), t
 
 
 def _echelon(a: np.ndarray, q: int, need_t: bool):
-    """(R, C, T) of a as _eliminate defines them; recursive on column halves above the int64 bound.
+    """(R, C, T) of a as _eliminate defines them; recursive on column halves wider than _LEAF_COLS.
 
     The left half gives R1, C1, T1. Its rows N1 outside R1, minus T1 times
     R1's rows, are the Schur complement of the right half, which gives R2,
@@ -238,7 +247,7 @@ def _echelon(a: np.ndarray, q: int, need_t: bool):
     T1_N - T2 T1_R2 on R1's: one more matmul_mod, made only when T is needed.
     """
     m, n = a.shape
-    if q <= _INT64_SAFE_MODULUS or n <= _LEAF_COLS or m == 0:
+    if n <= _LEAF_COLS or m == 0:
         return _eliminate(a, q, need_t)
     h = n // 2
     r1, c1, t1 = _echelon(a[:, :h], q, True)
@@ -253,11 +262,7 @@ def _echelon(a: np.ndarray, q: int, need_t: bool):
 
 
 def rank(m: Mat) -> int:
-    """GF(q) rank: the number of pivots that _echelon finds.
-
-    Up to q = 3,037,000,499 that is one row elimination of the whole matrix;
-    the rank does not depend on the pivot order.
-    """
+    """GF(q) rank: the number of pivots that _echelon finds; it does not depend on the pivot order."""
     return len(_echelon(m.array, m.field.modulus, False)[0])
 
 
@@ -265,7 +270,7 @@ def vandermonde_block(field: FieldSpec, bases: Sequence[int], start_exp: int, ro
     """int64 rows x len(bases) residues with entry (r, c) = bases[c]^(start_exp + r)."""
     if rows < 1:
         raise DimensionMismatch("rows must be >= 1")
-    powers = [[f_pow(field, b, start_exp + r) for b in bases] for r in range(rows)]
+    powers = [[pow(b, start_exp + r, field.modulus) for b in bases] for r in range(rows)]
     return np.array(powers, dtype=np.int64)
 
 
@@ -553,12 +558,3 @@ def random_mats(rows: int, cols: int, field: FieldSpec, seeds) -> np.ndarray:
                 chunk = group[i : i + per_pass]
                 _draw(flat, chunk * size, pairs[chunk, index], q, size, steps)
     return flat[:-1].reshape(len(seeds), rows, cols)
-
-
-def random_mat(rows: int, cols: int, field: FieldSpec, seed) -> np.ndarray:
-    """Uniform random rows x cols int64 residues, deterministic in the seed.
-
-    The seed may be an int or a (nested) tuple of ints: the one-seed case of
-    random_mats, so numpy's PCG64 stream seeded by SeedSequence(seed).
-    """
-    return random_mats(rows, cols, field, [_flatten_seed(seed)])[0]

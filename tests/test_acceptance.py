@@ -192,7 +192,8 @@ def _zero_cross_family(s, user):
 
 def _mutate_zero_sum_preserving(s, seed):
     """Change one entry of one non-dependent block in a copy of E, then re-complete the group."""
-    g_pick, m_pick, r_pick, c_pick = linalg.random_mat(1, 4, make_field(2147483647), (seed, 555))[0]
+    picks = linalg.random_mats(1, 4, make_field(2147483647), linalg.seed_rows(seed, [[555]]))
+    g_pick, m_pick, r_pick, c_pick = picks[0, 0]
     g_idx = int(g_pick) % len(s.groups)
     grp = s.groups[g_idx]
     member = grp[int(m_pick) % (len(grp) - 1)]  # never the dependent (last)

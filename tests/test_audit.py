@@ -239,6 +239,16 @@ def test_full_audit_example1(ex1):
     assert report.rates_match
 
 
+def test_full_audit_assembles_each_relay_matrix_once(ex1, monkeypatch):
+    # The relay rank and the relay oracle take the same matrix.
+    calls = []
+    assemble = scheme.assemble_relay_matrix
+    monkeypatch.setattr(scheme, "assemble_relay_matrix", lambda s, u: calls.append(u) or assemble(s, u))
+    report = full_audit(ex1, fuzz_rounds=1, oracle_cap=CAP, run_oracles=True)
+    assert all(isinstance(o, OracleResult) for o in report.oracle_relay.values())
+    assert calls == list(range(1, ex1.cfg.U + 1))
+
+
 def test_full_audit_example2_oracles_skipped(ex2):
     report = full_audit(ex2, fuzz_rounds=100, oracle_cap=CAP, seed=0)
     assert report.passed

@@ -592,6 +592,29 @@ def test_count_flags_reject_negative_values(argv, flag, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", [str(2**64), "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--U", "2", "--V", "2", "--G", "2", "--q", "5", "--out", "{out}"],
+        ["verify", "{scheme}", "--out", "{out}"],
+        ["simulate", "{scheme}", "--out", "{out}"],
+    ],
+    ids=["build", "verify", "simulate"],
+)
+def test_seed_outside_its_range_is_a_usage_error(argv, seed, tmp_path, capsys):
+    # A seed outside [0, 2^63) would be reduced mod 2^64 and alias another one.
+    scheme_path, out = tmp_path / "ex1.json", tmp_path / "out.json"
+    run(["example", "--id", "1", "--out", str(scheme_path)])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run([a.format(scheme=scheme_path, out=out) for a in argv] + ["--seed", seed])
+    assert exc.value.code == EXIT_USAGE
+    message = f"argument --seed: expected a non-negative integer below 2^63, got '{seed}'"
+    assert capsys.readouterr().err == f"hsagg {argv[0]}: error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["build", "example", "verify", "simulate"])
 def test_unwritable_out_is_a_usage_error(command, tmp_path, capsys):
     scheme_path = str(tmp_path / "ex1.json")

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from hsagg.linalg import (
     Mat,
     from_array,
     matmul_mod,
-    random_mat,
     rank,
     sum_mod,
     vandermonde_block,
@@ -26,7 +26,12 @@ GF3 = make_field(3)
 GF5 = make_field(5)
 GF11 = make_field(11)
 BIG = make_field(2147483647)
-HUGE = make_field((1 << 61) - 1)  # rank recurses on column halves at this q
+HUGE = make_field((1 << 61) - 1)  # _mul_mod splits factors into 31-bit halves at this q
+
+
+def one_draw(rows, cols, field, seed) -> np.ndarray:
+    """The rows x cols draw of one seed (an int or a nested tuple of ints)."""
+    return linalg.random_mats(rows, cols, field, linalg.seed_rows(seed, [[]]))[0]
 
 
 def mat(field, rows) -> Mat:
@@ -74,24 +79,24 @@ def test_rank_empty_matrix():
 def test_rank_matches_brute_force():
     for q, f in ((2, GF2), (3, GF3)):
         for i in range(25):
-            gen_shape = random_mat(1, 2, make_field(7), (q, i, 99))
+            gen_shape = one_draw(1, 2, make_field(7), (q, i, 99))
             r = 1 + int(gen_shape[0, 0]) % 6
             c = 1 + int(gen_shape[0, 1]) % 6
-            m = from_array(f, random_mat(r, c, f, (q, i)))
+            m = from_array(f, one_draw(r, c, f, (q, i)))
             assert rank(m) == brute_rank(m)
             assert rank(m) <= min(r, c)
 
 
 def test_rank_block_diagonal_sums():
-    a = random_mat(3, 4, GF3, 10)
-    b = random_mat(2, 3, GF3, 11)
+    a = one_draw(3, 4, GF3, 10)
+    b = one_draw(2, 3, GF3, 11)
     zero = np.zeros((5, 7), dtype=np.int64)
     diagonal = np.block([[a, zero[:3, :3]], [zero[:2, :4], b]])
     assert rank(from_array(GF3, diagonal)) == rank(from_array(GF3, a)) + rank(from_array(GF3, b))
 
 
 def test_rank_invariant_under_row_permutation_and_scaling():
-    m = random_mat(4, 5, GF5, 42)
+    m = one_draw(4, 5, GF5, 42)
     assert rank(from_array(GF5, m[[2, 0, 3, 1]])) == rank(from_array(GF5, m))
     assert rank(from_array(GF5, 3 * m % 5)) == rank(from_array(GF5, m))
 
@@ -115,16 +120,16 @@ def test_mat_vec_dimension_errors():
 
 def test_mat_vec_large_modulus_overflow_path():
     # q*q*cols exceeds int64 headroom here, so the product splits one operand.
-    m = random_mat(4, 3, BIG, 5)
-    v = random_mat(3, 1, BIG, 6)
+    m = one_draw(4, 3, BIG, 5)
+    v = one_draw(3, 1, BIG, 6)
     expected = reference_product(m.tolist(), v.tolist(), 3, 1, BIG.modulus)
     assert matmul_mod(m, v, BIG.modulus).tolist() == expected
 
 
 def test_huge_field_is_int64_and_exact():
     q = HUGE.modulus
-    m = random_mat(3, 3, HUGE, 1)
-    v = random_mat(3, 1, HUGE, 2)
+    m = one_draw(3, 3, HUGE, 1)
+    v = one_draw(3, 1, HUGE, 2)
     assert from_array(HUGE, m).array.dtype == np.int64
     assert matmul_mod(m, v, q).tolist() == reference_product(m.tolist(), v.tolist(), 3, 1, q)
     assert rank(identity(HUGE, 4)) == 4
@@ -132,16 +137,16 @@ def test_huge_field_is_int64_and_exact():
     row = [q - 1, q - 2, 1 << 60, 3]
     a = np.array([row, [(q - 1) * x % q for x in row], [(1 << 60) * x % q for x in row]], dtype=np.int64)
     assert rank(from_array(HUGE, a)) == reference_rank(a.tolist(), q) == 1
-    assert rank(from_array(HUGE, random_mat(20, 20, HUGE, 3))) == 20
+    assert rank(from_array(HUGE, one_draw(20, 20, HUGE, 3))) == 20
     assert not sum_mod(np.stack([m, -m % q]), 0, q).any()
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_mat_vec_distributes_over_addition(seed):
-    m = random_mat(4, 3, GF11, (seed, 0))
-    v1 = random_mat(3, 1, GF11, (seed, 1))
-    v2 = random_mat(3, 1, GF11, (seed, 2))
+    m = one_draw(4, 3, GF11, (seed, 0))
+    v1 = one_draw(3, 1, GF11, (seed, 1))
+    v2 = one_draw(3, 1, GF11, (seed, 2))
     lhs = matmul_mod(m, (v1 + v2) % 11, 11)
     assert np.array_equal(lhs, (matmul_mod(m, v1, 11) + matmul_mod(m, v2, 11)) % 11)
 
@@ -166,27 +171,27 @@ def test_vandermonde_distinct_bases_full_rank():
 
 def test_random_mat_determinism_and_sensitivity():
     assert PRNG_ID == "numpy-pcg64"
-    assert random_mat(4, 4, GF5, 123).dtype == random_mat(4, 4, HUGE, 123).dtype == np.int64
-    assert np.array_equal(random_mat(4, 4, GF5, 123), random_mat(4, 4, GF5, 123))
-    assert np.array_equal(random_mat(4, 4, GF5, (1, 2)), random_mat(4, 4, GF5, (1, 2)))
+    assert one_draw(4, 4, GF5, 123).dtype == one_draw(4, 4, HUGE, 123).dtype == np.int64
+    assert np.array_equal(one_draw(4, 4, GF5, 123), one_draw(4, 4, GF5, 123))
+    assert np.array_equal(one_draw(4, 4, GF5, (1, 2)), one_draw(4, 4, GF5, (1, 2)))
     for s in range(100):
-        assert not np.array_equal(random_mat(8, 8, BIG, s), random_mat(8, 8, BIG, s + 1))
+        assert not np.array_equal(one_draw(8, 8, BIG, s), one_draw(8, 8, BIG, s + 1))
 
 
 def test_random_mat_empty():
-    m = random_mat(0, 3, GF5, 0)
+    m = one_draw(0, 3, GF5, 0)
     assert m.shape == (0, 3)
     assert rank(from_array(GF5, m)) == 0
 
 
 def test_random_mat_entries_in_range():
-    m = random_mat(20, 20, GF3, 7)
+    m = one_draw(20, 20, GF3, 7)
     assert m.min() >= 0 and m.max() < 3
 
 
 def test_mat_sum_and_immutability():
     # A residue array plus its negation sums to zero; a Mat's array is read-only.
-    a = random_mat(3, 3, GF5, 9)
+    a = one_draw(3, 3, GF5, 9)
     assert not sum_mod(np.stack([a, -a % 5]), 0, 5).any()
     m = from_array(GF5, a)
     with pytest.raises(ValueError):
@@ -297,8 +302,41 @@ def reference_rank(rows: list, q: int) -> int:
     return r
 
 
-# Moduli on both sides of the int64 bound 3,037,000,499: below it rank is one
-# row elimination; 2^32 - 5 and 2^61 - 1 take the recursion on column halves.
+# Moduli of the elementwise product in rank's leaves: tiny fields, the 31-bit
+# Mersenne prime, the primes either side of the int64 bound 3,037,000,499
+# (a plain int64 product below it, 31-bit halves above), 2^32 - 5 and the
+# 61-bit Mersenne prime.
+MUL_MODULI = (2, 3, 2**31 - 1, 3_037_000_493, 3_037_000_507, 4_294_967_291, 2**61 - 1)
+
+
+@st.composite
+def mul_operands(draw):
+    """(q, x, y): a column and a row of residues, with the edge values 0, 1, q - 1, 2^31 - 1 and 2^31."""
+    q = draw(st.sampled_from(MUL_MODULI))
+    edges = [v for v in (0, 1, q - 1, 2**31 - 1, 2**31) if v < q]
+    entry = st.one_of(st.sampled_from(edges), st.integers(0, q - 1))
+    column, row = (np.array(draw(st.lists(entry, min_size=1, max_size=6)), dtype=np.int64) for _ in range(2))
+    return q, column[:, None], row[None, :]
+
+
+@settings(max_examples=300, deadline=None)
+@given(mul_operands())
+def test_mul_mod_matches_python_ints(operands):
+    q, x, y = operands
+    expected = [[a * b % q for b in y[0].tolist()] for a in x[:, 0].tolist()]
+    for got in (linalg._mul_mod(x, y, q), linalg._mul_mod(y, x, q)):
+        assert got.dtype == np.int64 and got.shape == (x.shape[0], y.shape[1])
+        # Congruent to x * y, with room to add or subtract one residue before the caller reduces.
+        assert got.min() >= 0 and got.max() <= 2**63 - q
+        assert (got % q).tolist() == expected
+    # A row times a Python int, as a pivot row is scaled.
+    scaled = linalg._mul_mod(y[0], int(x[0, 0]), q) % q
+    assert scaled.tolist() == expected[0]
+
+
+# Moduli on both sides of the int64 bound 3,037,000,499, where _mul_mod
+# changes from the plain int64 product to 31-bit halves; rank recurses on
+# column halves at every q.
 RANK_MODULI = (2, 3, 5, 2**31 - 1, 4_294_967_291, 2**61 - 1)
 LEAF = linalg._LEAF_COLS
 # Column counts at the leaf width and at twice it, one either side, plus the
@@ -308,8 +346,12 @@ RANK_COLS = (0, 1, 2, LEAF - 1, LEAF, LEAF + 1, 2 * LEAF - 1, 2 * LEAF, 2 * LEAF
 
 @st.composite
 def rank_inputs(draw):
-    """(q, matrix): random, tall, zero, rank-deficient (a product of thin factors), 1 x n, n x 1."""
+    """(q, matrix, leaf width): random, tall, zero, rank-deficient (a product of thin factors), 1 x n, n x 1.
+
+    Leaf widths 1 and 2 make the recursion deep and its leaves one or two columns wide.
+    """
     q = draw(st.sampled_from(RANK_MODULI))
+    leaf = draw(st.sampled_from([1, 2, LEAF]))
     kind = draw(st.sampled_from(["random", "tall", "zero", "deficient", "row", "column"]))
     cols = draw(st.sampled_from(RANK_COLS))
     rows = draw(st.integers(0, 3 * LEAF + 2))  # tall, square and wide
@@ -322,23 +364,24 @@ def rank_inputs(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     entries = lambda r, c: rng.integers(0, q, size=(r, c), dtype=np.int64)  # noqa: E731
     if kind == "zero":
-        return q, np.zeros((rows, cols), dtype=np.int64)
+        return q, np.zeros((rows, cols), dtype=np.int64), leaf
     if kind == "deficient":
         inner = draw(st.integers(0, max(0, min(rows, cols) - 1)))
-        return q, matmul_mod(entries(rows, inner), entries(inner, cols), q)
-    return q, entries(rows, cols)
+        return q, matmul_mod(entries(rows, inner), entries(inner, cols), q), leaf
+    return q, entries(rows, cols), leaf
 
 
 @settings(max_examples=500, deadline=None)
 @given(rank_inputs())
 def test_rank_matches_python_int_elimination(inputs):
-    q, a = inputs
+    q, a, leaf = inputs
     expected = reference_rank(a.tolist(), q)
-    assert rank(from_array(make_field(q), a)) == expected
+    with mock.patch.object(linalg, "_LEAF_COLS", leaf):
+        assert rank(from_array(make_field(q), a)) == expected
+        if a.shape[0]:
+            # The pivots and T: A[R, C] is invertible and A[N] = T A[R].
+            pivot_rows, pivot_cols, t = linalg._echelon(a, q, True)
     if a.shape[0]:
-        # The pivots and T, recursive above the int64 bound: A[R, C] is
-        # invertible and A[N] = T A[R].
-        pivot_rows, pivot_cols, t = linalg._echelon(a, q, True)
         assert len(pivot_rows) == len(pivot_cols) == expected
         assert reference_rank(a[np.ix_(pivot_rows, pivot_cols)].tolist(), q) == expected
         others = np.delete(np.arange(a.shape[0]), pivot_rows)
@@ -403,7 +446,7 @@ def test_random_mats_streams_continue_past_a_pass(q, monkeypatch):
 
 
 def test_random_mats_of_no_streams_and_seed_rows():
-    assert random_mat(2, 3, GF5, (1, (2, 3))).shape == (2, 3)
+    assert one_draw(2, 3, GF5, (1, (2, 3))).shape == (2, 3)
     assert linalg.random_mats(3, 2, GF5, np.empty((0, 4), np.uint64)).shape == (0, 3, 2)
     with pytest.raises(DimensionMismatch):
         linalg.random_mats(3, 2, GF5, [1, 2])

@@ -18,7 +18,7 @@ def minimal_scheme(q):
 
 def inputs(s, seed, rounds=1):
     """Uniform random inputs of every user, one column per round."""
-    return linalg.random_mat(s.encoding.shape[0], rounds, s.cfg.field, seed)
+    return linalg.random_mats(s.encoding.shape[0], rounds, s.cfg.field, linalg.seed_rows(seed, [[]]))[0]
 
 
 def zero_keys(s, rounds=1):
@@ -38,7 +38,7 @@ def test_keygen_determinism_and_shape(ex1):
     assert not np.array_equal(keygen(ex1, 43), k1)
     # Group g's key comes from the substream (seed, g).
     for g in range(6):
-        substream = linalg.random_mat(2, 1, ex1.cfg.field, (42, g))
+        substream = linalg.random_mats(2, 1, ex1.cfg.field, linalg.seed_rows(42, [[g]]))[0]
         assert np.array_equal(k1[2 * g : 2 * g + 2], substream)
 
 
@@ -133,9 +133,7 @@ def test_run_round_deterministic(ex1):
     # ((seed, 2i), u, v) and its keys from keygen(s, (seed, 2i + 1)).
     assert np.array_equal(run_rounds(ex1, seed=5, rounds=2).user_messages, r1.user_messages[:, :2])
     for i in range(4):
-        w = np.concatenate(
-            [linalg.random_mat(5, 1, ex1.cfg.field, ((5, 2 * i), u, v)) for u, v in all_users(2, 2)]
-        )
+        w = linalg.random_mats(5, 1, ex1.cfg.field, linalg.seed_rows((5, 2 * i), all_users(2, 2))).reshape(-1, 1)
         assert np.array_equal(r1.inputs[:, i : i + 1], w)
         expected = run(ex1, w, keygen(ex1, (5, 2 * i + 1))).user_messages
         assert np.array_equal(r1.user_messages[:, i : i + 1], expected)
