@@ -2,7 +2,11 @@
 
 Residues are int64 arrays at every modulus up to 2^61 - 1, and every result
 here is exact. The matrix product matmul_mod and the residue sums sum_mod work
-at every such q. rank is, at every q, the recursive elimination of Jeannerod,
+at every such q. matmul_mod runs on float64 BLAS: it splits its operands into
+limbs of 16 bits (q <= 2^32) or 21 bits (above), and sums limb products over
+inner chunks of at most (2^53 - 1) // m^2 terms, m the largest limb, so that
+every partial sum is an integer below 2^53 and the product is exact in any
+summation order. rank is, at every q, the recursive elimination of Jeannerod,
 Pernet and Storjohann (J. Symbolic Comput. 2013): split the columns in half,
 eliminate the left half, update the right half by one matmul_mod product (its
 Schur complement) and recurse on it. Blocks at most _LEAF_COLS columns wide
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,6 +37,12 @@ from .gf import FieldSpec
 # Largest modulus for which (q-1)^2 fits comfortably in int64.
 _INT64_SAFE_MODULUS = 3_037_000_499
 _INT64_MAX = (1 << 63) - 1
+# Every integer up to this is a float64.
+_FLOAT64_EXACT = (1 << 53) - 1
+# Most entries of a row block of matmul_mod's left operand plus its weight
+# sums (2^15 int64 or float64 entries are 256 KB): a block's temporaries, and
+# the panels that BLAS packs from them, stay small whatever the operands' size.
+_BLOCK_ENTRIES = 1 << 15
 
 # Widest block that rank eliminates row by row; wider ones recurse on column halves.
 _LEAF_COLS = 24
@@ -97,27 +107,6 @@ def sum_mod(a: np.ndarray, axis: int, q: int) -> np.ndarray:
     return acc
 
 
-def _dot_mod(pairs: Iterable[tuple[np.ndarray, np.ndarray]], shape, bound: int, q: int) -> np.ndarray:
-    """(sum of x @ y over the pairs) mod q, where every product of two entries is <= bound.
-
-    Products are added unreduced for as long as the running sum provably fits
-    int64, and reduced only then (delayed reduction); a long inner dimension
-    is cut into chunks for the same reason.
-    """
-    budget = (_INT64_MAX - q) // bound  # product terms that fit on top of a reduced sum
-    acc = np.zeros(shape, dtype=np.int64)
-    used = 0
-    for x, y in pairs:
-        for t in range(0, x.shape[1], budget):
-            terms = min(budget, x.shape[1] - t)
-            if used + terms > budget:
-                acc %= q
-                used = 0
-            acc += x[:, t : t + terms] @ y[t : t + terms]
-            used += terms
-    return acc % q
-
-
 def _mul_pow2(x: np.ndarray, bits: int, q: int) -> np.ndarray:
     """x * 2^bits mod q for an int64 array of residues, exactly, for bits <= 31.
 
@@ -144,40 +133,55 @@ def _mul_pow2(x: np.ndarray, bits: int, q: int) -> np.ndarray:
 def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """Exact (a @ b) mod q for int64 arrays of residues, for every prime q <= 2^61 - 1.
 
-    The operands are split into base-2^w digits (limbs), so that a product of
-    limbs fits int64 with room for a long sum: up to q = 3,037,000,499 only
-    `b` is split, into 16-bit halves (a residue times a half is below 2^48);
-    above that both are split into 21-bit limbs (a limb product is below
-    2^42). The limb products of one weight 2^(w*s) are summed with delayed
-    reduction, and the weights are folded in by Horner's rule, as in
-    FFLAS-FFPACK (Dumas, Giorgi, Pernet, ACM TOMS 2008). Limbs of `a` are
-    made one at a time, so `a` may be the large operand. The result is an
-    int64 array of residues.
+    The technique of FFLAS-FFPACK (Dumas, Giorgi, Pernet, ACM TOMS 2008) on
+    float64 BLAS. Both operands are split into n non-negative base-2^w digits
+    (limbs), w = 16 up to q = 2^32 and 21 above, one limb when q - 1 has at
+    most w bits. A limb is at most m = min(q - 1, 2^w - 1), so a float64
+    product of limbs over an inner chunk of at most (2^53 - 1) // m^2 terms
+    sums integers to an integer below 2^53: every partial sum is exact, and
+    so is the result, in any summation order, with FMA and at any BLAS thread
+    count. Each chunk's product is converted to int64, the products of one
+    weight 2^(w s) are summed, and the weights are folded in by Horner's rule
+    from the top.
+
+    `a` is taken in blocks of rows, so that a block's temporaries stay a few
+    hundred KB whatever the operands' size. Limb i of a block is made just
+    before weight i + n - 1 is folded, and its product with limb j of `b` is
+    added to weight i + j; so one limb of `a` exists at a time, and n weight
+    sums are pending. The result is an int64 array of residues.
     """
-    split_a = q > _INT64_SAFE_MODULUS
-    width = 21 if split_a else 16
+    width = 16 if q <= 1 << 32 else 21
     mask = (1 << width) - 1
-    n_b = -(-(q - 1).bit_length() // width)
-    n_a = n_b if split_a else 1
-    b_limbs = [(b >> (width * j)) & mask for j in range(n_b)]
-    bound = (mask if split_a else q - 1) * min(q - 1, mask)
-
-    def a_limb(i: int) -> np.ndarray:
-        if not split_a:
-            return a
-        limb = a >> (width * i)
-        limb &= mask
-        return limb
-
-    def pairs(s: int):
-        for i in range(max(0, s - n_b + 1), min(n_a, s + 1)):
-            yield a_limb(i), b_limbs[s - i]
-
-    acc = None
-    for s in reversed(range(n_a + n_b - 1)):
-        part = _dot_mod(pairs(s), (a.shape[0], b.shape[1]), bound, q)
-        acc = part if acc is None else (_mul_pow2(acc, width, q) + part) % q
-    return acc
+    n = -(-(q - 1).bit_length() // width)
+    chunk = _FLOAT64_EXACT // min(q - 1, mask) ** 2
+    inner, cols = b.shape
+    b_limbs = np.empty((n, inner, cols))
+    for j in range(n):
+        b_limbs[j] = (b >> (width * j)) & mask
+    out = np.empty((a.shape[0], cols), dtype=np.int64)
+    step = max(1, _BLOCK_ENTRIES // (min(inner, chunk) + n * cols + 1))
+    for r in range(0, a.shape[0], step):
+        block = a[r : r + step]
+        weights = np.zeros((n, len(block), cols), dtype=np.int64)  # the sum of weight s in weights[s % n]
+        acc = np.zeros((len(block), cols), dtype=np.int64)
+        for s in reversed(range(2 * n - 1)):
+            if s >= n - 1:  # limb i of the block, whose highest weight is s
+                i = s - n + 1
+                for t in range(0, inner, chunk):
+                    limb = block[:, t : t + chunk] >> (width * i)
+                    limb &= mask
+                    limb = limb.astype(np.float64)
+                    for j in range(n):
+                        weights[(i + j) % n] += (limb @ b_limbs[j, t : t + chunk]).astype(np.int64)
+                    if inner > chunk:
+                        weights %= q
+            if s < 2 * n - 2:
+                acc = _mul_pow2(acc, width, q)
+            acc += weights[s % n]
+            acc %= q
+            weights[s % n] = 0
+        out[r : r + step] = acc
+    return out
 
 
 def _mul_mod(x: np.ndarray, y: np.ndarray | int, q: int) -> np.ndarray:

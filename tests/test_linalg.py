@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hsagg.gf import make_field
 from hsagg import linalg
@@ -240,15 +240,23 @@ def test_matmul_mod_all_entries_q_minus_1(q):
     assert matmul_mod(a, b, q).tolist() == [[17 % q] * 4] * 3
 
 
+# Longest inner chunk of the float64 product for w-bit limbs: a limb is at
+# most 2^w - 1, so that many limb products sum to an integer below 2^53.
+CHUNK = {w: (2**53 - 1) // (2**w - 1) ** 2 for w in (16, 21)}  # 2,097,216 and 2,048
+
+
 @pytest.mark.parametrize(
     "q, inner",
     [
-        # 16-bit split: a product is below (q-1) * 2^16, so about 46,000 terms
-        # fill an int64 chunk at this q.
+        # 16-bit limbs: 50,000 terms are one chunk, whose sums of limb
+        # products stay below 50,000 * (2^16 - 1)^2 < 2^53.
         (3_037_000_493, 50_000),
-        # 21-bit limbs: the middle weight sums 3 * inner products below 2^42,
-        # so 700,001 columns give 2,100,003 terms, past the 2^21 chunk.
+        # 21-bit limbs: 700,001 terms are 342 chunks of at most 2,048, whose
+        # exact sums (each below 2^53) would pass 2^63 if added unreduced.
         (2**61 - 1, 700_001),
+        # One term past a chunk, at each limb width.
+        (4_294_967_291, CHUNK[16] + 1),
+        (4_294_967_311, CHUNK[21] + 1),
     ],
 )
 def test_matmul_mod_inner_dimension_past_chunk_bound(q, inner):
@@ -260,6 +268,72 @@ def test_matmul_mod_inner_dimension_past_chunk_bound(q, inner):
     b = rng.integers(0, q, size=(inner, 1), dtype=np.int64)
     expected = sum(x * y for x, y in zip(a[0].tolist(), b[:, 0].tolist())) % q
     assert matmul_mod(a, b, q).tolist() == [[expected]]
+
+
+# Moduli of the chunk-boundary property: one limb (q = 2, 3), two 16-bit limbs
+# either side of 3,037,000,499 and just below 2^32, two 21-bit limbs just
+# above 2^32, and three at 2^61 - 1.
+BOUNDARY_MODULI = (2, 3, 3_037_000_493, 3_037_000_507, 4_294_967_291, 4_294_967_311, 2**61 - 1)
+
+
+def boundary_operands(q, rows, inner, cols, fill, seed):
+    """a (rows x inner) and b (inner x cols): every entry q - 1, every entry the largest limb, or uniform.
+
+    The largest limb is min(q - 1, 2^w - 1) for the limb width w at q (16 up
+    to 2^32, 21 above): products of it are the largest a chunk may sum.
+    """
+    if fill == "random":
+        rng = np.random.default_rng(seed)
+        return tuple(rng.integers(0, q, size=shape, dtype=np.int64) for shape in ((rows, inner), (inner, cols)))
+    entry = q - 1 if fill == "q-1" else min(q - 1, 2 ** (16 if q <= 2**32 else 21) - 1)
+    return np.full((rows, inner), entry, dtype=np.int64), np.full((inner, cols), entry, dtype=np.int64)
+
+
+@st.composite
+def chunk_boundaries(draw):
+    """Arguments of boundary_operands, with the inner dimension one below, at or one above a chunk.
+
+    The chunk is that of q's limb width; q = 2 and 3 have one small limb and
+    take both widths' chunks as long inner dimensions. Inner dimensions near
+    the 16-bit chunk, about 2^21, are 1 x k by k x 1 products.
+    """
+    q = draw(st.sampled_from(BOUNDARY_MODULI))
+    width = draw(st.sampled_from(sorted(CHUNK))) if q <= 3 else 16 if q <= 2**32 else 21
+    inner = CHUNK[width] + draw(st.sampled_from([-1, 0, 1]))
+    rows, cols = (1, 1) if width == 16 else (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    fill = draw(st.sampled_from(["q-1", "largest limb", "random"]))
+    return q, rows, inner, cols, fill, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(chunk_boundaries())
+# One term past a chunk of the largest limb products: their exact sum passes 2^53.
+@example((2**61 - 1, 2, CHUNK[21] + 1, 3, "largest limb", 0))
+@example((4_294_967_291, 1, CHUNK[16] + 1, 1, "largest limb", 0))
+def test_matmul_mod_is_exact_at_the_chunk_boundaries(args):
+    q, a, b = args[0], *boundary_operands(*args)
+    expected = (a.astype(object) @ b.astype(object)) % q  # Python ints
+    got = matmul_mod(a, b, q)
+    assert got.dtype == np.int64
+    assert got.tolist() == expected.tolist()
+
+
+def test_matmul_mod_makes_one_limb_of_a_at_a_time():
+    # A tall a at 2^61 - 1 has three 21-bit limbs. Made one at a time, even
+    # for all of a, the product peaks at two copies of a (a limb's int64
+    # digits and its float64 cast); three float64 limbs at once are three.
+    q = 2**61 - 1
+    rng = np.random.default_rng(0)
+    a = rng.integers(0, q, size=(20_000, 64), dtype=np.int64)
+    b = rng.integers(0, q, size=(64, 4), dtype=np.int64)
+    matmul_mod(a[:10], b, q)  # warm up: first-call allocations
+    tracemalloc.start()
+    try:
+        matmul_mod(a, b, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * a.nbytes
 
 
 @pytest.mark.parametrize("q", KERNEL_MODULI)

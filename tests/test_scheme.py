@@ -1,4 +1,5 @@
 from dataclasses import replace
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -242,6 +243,46 @@ def test_intra_relay_column_blocks_are_zero(ex1):
         if len({m[0] for m in grp}) == 1:
             sub = full.array[:, g_idx * L_S : (g_idx + 1) * L_S]
             assert not sub.any()
+
+
+@pytest.mark.parametrize(
+    "U, V, G",
+    # The four benchmark cycle configs ((4,2,4) is server-dominant), small
+    # relay-dominant ones, and more server-dominant ones with V = 1.
+    [(3, 2, 3), (3, 3, 3), (4, 2, 4), (3, 3, 6), (2, 2, 2), (2, 3, 3), (3, 2, 5), (2, 2, 3), (3, 1, 2), (5, 1, 3)],
+)
+def test_converse_as_a_dimension_count(U, V, G):
+    # Full row rank needs at least as many columns as rows: T_u * L_S >= V * L
+    # for each relay u and X * L_S >= (U - 1) * L for the cross-relay matrix.
+    # These are the paper's two key-rate bounds; T_u and X are counted from
+    # the scheme's groups, not from the binomials in rates.
+    s = sample_zero_sum_scheme(ProblemConfig(U, V, G, make_field(Q31)), seed=0)
+    L, L_S = s.dims.L, s.dims.L_S
+    touching = [sum(any(m[0] == u for m in grp) for grp in s.groups) for u in range(1, U + 1)]
+    spanning = sum(len({m[0] for m in grp}) > 1 for grp in s.groups)
+    for u, t_u in enumerate(touching, start=1):
+        assert assemble_relay_matrix(s, u).cols == t_u * L_S
+    assert cross_relay_server_matrix(s).cols == spanning * L_S
+    # classify_regime's L_S / L is the least ratio that meets both bounds,
+    # with equality in the dominant one.
+    least = max([Fraction(V, t_u) for t_u in touching] + [Fraction(U - 1, spanning)])
+    assert Fraction(L_S, L) == least
+    if s.dims.regime is Regime.RELAY_DOMINANT:
+        assert all(t_u * L_S == V * L for t_u in touching)
+    else:
+        assert spanning * L_S == (U - 1) * L
+
+
+@pytest.mark.parametrize("q", [31, 101, 251])
+def test_failed_attempts_stay_under_the_attempt_failure_bound(q):
+    # Failed rank gates of sample_zero_sum_scheme over seeds 0-999 at (2,2,2):
+    # 63, 23 and 9 at q = 31, 101 and 251, against bounds of 806, 248 and 100.
+    cfg = ProblemConfig(2, 2, 2, make_field(q))
+    seeds = range(1000)
+    failed = sum(not scheme.scheme_rank_checks_pass(sample_zero_sum_scheme(cfg, seed)) for seed in seeds)
+    bound = scheme.attempt_failure_bound(cfg, classify_regime(cfg))
+    assert bound < 1
+    assert failed <= bound * len(seeds)
 
 
 def test_groups_match_canonical_enumeration(ex1, ex2):
