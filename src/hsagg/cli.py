@@ -21,7 +21,7 @@ import numpy as np
 from . import audit, linalg, protocol, scheme as scheme_mod
 from .combi import CountOverflow, all_users, count_groups, enumerate_groups, huge_count
 from .gf import NotPrime, make_field
-from .rates import Infeasible, ProblemConfig, classify_regime, optimal_rates, security_fractions
+from .rates import Infeasible, ProblemConfig, check_feasible, classify_regime, optimal_rates, security_fractions
 from .scheme import ConstructionFailed, PrecodingScheme
 
 FORMAT_VERSION = 1
@@ -38,6 +38,10 @@ MAX_ENCODING_ENTRIES = 1 << 27
 
 class SchemeFileError(ValueError):
     """Raised when a scheme file is malformed or inconsistent."""
+
+
+class UsageError(Exception):
+    """Raised by a subcommand for an input it refuses: main prints `error: <message>`, exits 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -165,15 +169,18 @@ def scheme_from_obj(obj: dict) -> PrecodingScheme:
 
 
 def _write_json(path: str, obj):
-    """Write obj as canonical JSON: two-space indent, then a newline.
+    """Write obj as canonical JSON: two-space indent, then a newline; UsageError if path is unwritable.
 
     json.dump hands the encoder's chunks to the file one by one, so the whole
     text (6.5 MB for 100 rounds at (U,V,G) = (3,3,6), q = 2^61 - 1) is never
     held in memory at once.
     """
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+    try:
+        with open(path, "w") as fh:
+            json.dump(obj, fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def save_scheme(s: PrecodingScheme, path: str):
@@ -260,11 +267,6 @@ def report_to_obj(r: audit.AuditReport) -> dict:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _unwritable(path: str, exc: OSError) -> int:
-    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def _count(text: str, bits: int | None = None) -> int:
     """argparse type of --rounds, --fuzz-rounds, --max-retries and --cap; of --seed with bits = 63."""
     try:
@@ -284,22 +286,17 @@ def _seed(text: str) -> int:
 
 def _cfg_from_args(args, q: int) -> ProblemConfig:
     try:
-        field = make_field(q)
-        return ProblemConfig(args.U, args.V, args.G, field)
+        return ProblemConfig(args.U, args.V, args.G, make_field(q))
     except (NotPrime, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise UsageError(str(exc)) from exc
 
 
 def cmd_rates(args) -> int:
     cfg = _cfg_from_args(args, q=2)  # rates do not depend on the field
-    if cfg.G == 1:
-        print("infeasible: G=1", file=sys.stderr)
-        return EXIT_FAILED
-    if huge_count(cfg.U, cfg.V, cfg.G):
-        n = cfg.U * cfg.V
-        print(f"error: C({n},{cfg.G}) may exceed 14000 bits, too large for exact rates", file=sys.stderr)
-        return EXIT_USAGE
+    # Refused before any binomial is computed; G = 1 is left to optimal_rates,
+    # which refuses it as infeasible whatever its count.
+    if check_feasible(cfg) and huge_count(cfg.U, cfg.V, cfg.G):
+        raise UsageError(f"C({cfg.U * cfg.V},{cfg.G}) may exceed 14000 bits, too large for exact rates")
     rates = optimal_rates(cfg)
     dims = classify_regime(cfg)
     relay_frac, server_frac = security_fractions(cfg)
@@ -312,10 +309,7 @@ def cmd_rates(args) -> int:
 
 
 def _save_and_summarize(s: PrecodingScheme, path: str) -> int:
-    try:
-        save_scheme(s, path)
-    except OSError as exc:
-        return _unwritable(path, exc)
+    save_scheme(s, path)
     _, achieved, _ = audit.rate_audit(s)
     retries = s.provenance.get("retries_used", 0)
     print(f"construction: {s.provenance['construction']}  retries_used: {retries}")
@@ -332,29 +326,16 @@ def _save_and_summarize(s: PrecodingScheme, path: str) -> int:
 
 def cmd_build(args) -> int:
     cfg = _cfg_from_args(args, q=args.q)
-    try:
-        # E has UV*L x C(UV,G)*L_S entries. The group count comes first: once
-        # it fits 64 bits, the regime's binomials are cheap.
-        n_groups = count_groups(cfg.U, cfg.V, cfg.G)
-        dims = classify_regime(cfg)
-        entries = cfg.U * cfg.V * dims.L * n_groups * dims.L_S
-        if entries > MAX_ENCODING_ENTRIES:
-            print(
-                f"error: the encoding matrix would have {entries} entries, "
-                f"more than the limit of {MAX_ENCODING_ENTRIES}",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        s = scheme_mod.build_random(cfg, seed=args.seed, max_retries=args.max_retries)
-    except Infeasible:
-        print("infeasible: G=1", file=sys.stderr)
-        return EXIT_FAILED
-    except ConstructionFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-    except CountOverflow as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # E has UV*L x C(UV,G)*L_S entries. The group count comes first: once it
+    # fits 64 bits, the regime's binomials are cheap.
+    n_groups = count_groups(cfg.U, cfg.V, cfg.G)
+    dims = classify_regime(cfg)
+    entries = cfg.U * cfg.V * dims.L * n_groups * dims.L_S
+    if entries > MAX_ENCODING_ENTRIES:
+        raise UsageError(
+            f"the encoding matrix would have {entries} entries, more than the limit of {MAX_ENCODING_ENTRIES}"
+        )
+    s = scheme_mod.build_random(cfg, seed=args.seed, max_retries=args.max_retries)
     return _save_and_summarize(s, args.out)
 
 
@@ -365,13 +346,8 @@ def cmd_example(args) -> int:
 
 def cmd_verify(args) -> int:
     s = load_scheme(args.scheme)
-    report = audit.full_audit(
-        s,
-        fuzz_rounds=args.fuzz_rounds,
-        oracle_cap=args.cap,
-        seed=args.seed,
-        run_oracles=args.oracle,
-    )
+    oracle_cap = args.cap if args.oracle else None
+    report = audit.full_audit(s, fuzz_rounds=args.fuzz_rounds, oracle_cap=oracle_cap, seed=args.seed)
     obj = report_to_obj(report)
     print(f"zero-sum: {'pass' if report.zero_sum else 'FAIL'}")
     for u, c in report.relay_ranks.items():
@@ -385,10 +361,7 @@ def cmd_verify(args) -> int:
     print(f"rates: {'pass' if report.rates_match else 'FAIL'}")
     print(f"overall: {'pass' if report.passed else 'FAIL'}")
     if args.out:
-        try:
-            _write_json(args.out, obj)
-        except OSError as exc:
-            return _unwritable(args.out, exc)
+        _write_json(args.out, obj)
     return EXIT_OK if report.passed else EXIT_FAILED
 
 
@@ -408,10 +381,7 @@ def cmd_simulate(args) -> int:
             "seed": _enc_int(args.seed),
             "rounds": rounds,
         }
-        try:
-            _write_json(args.out, obj)
-        except OSError as exc:
-            return _unwritable(args.out, exc)
+        _write_json(args.out, obj)
         print(f"transcripts written to {args.out}")
     return EXIT_OK if correct == args.rounds else EXIT_FAILED
 
@@ -473,14 +443,30 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand; its exit code is 0 ok, 1 verification failed, 2 anything else.
 
-    A scheme file that does not load exits 2. So does an exception that no
-    subcommand handles, MemoryError included: it is a resource or program
-    error, not a verdict.
+    Subcommands return 0 or 1 for their verdict and raise for everything
+    else; this is the one place that maps an exception to its exit code and
+    its one stderr line:
+
+    exception                                    exit  stderr line
+    Infeasible                                   1     infeasible: G=1
+    ConstructionFailed                           1     error: <message>
+    UsageError, SchemeFileError, CountOverflow   2     error: <message>
+    any other Exception, MemoryError included    2     error: <type>: <message>
+
+    An unexpected exception is a resource or program error, not a verdict,
+    so it never exits 1. Argument-parser errors exit 2 by SystemExit, with the
+    line `hsagg <command>: error: <message>`.
     """
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SchemeFileError as exc:
+    except Infeasible:
+        print("infeasible: G=1", file=sys.stderr)
+        return EXIT_FAILED
+    except ConstructionFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILED
+    except (UsageError, SchemeFileError, CountOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

@@ -58,7 +58,11 @@ class SchemeDims:
 
 
 def security_fractions(cfg: ProblemConfig) -> tuple[Fraction, Fraction]:
-    """(relay-side, server-side) lower-bound fractions on the key rate."""
+    """(relay-side, server-side) lower-bound fractions on the key rate; Infeasible at G = 1.
+
+    At G = 1 the server-side denominator C(UV,1) - U*C(V,1) is 0.
+    """
+    _require_feasible(cfg)
     total = comb(cfg.U * cfg.V, cfg.G)
     relay_denom = total - comb((cfg.U - 1) * cfg.V, cfg.G)
     server_denom = total - cfg.U * comb(cfg.V, cfg.G)
@@ -76,8 +80,7 @@ def _require_feasible(cfg: ProblemConfig):
 
 
 def optimal_rates(cfg: ProblemConfig) -> RateTuple:
-    """The corner point of the optimal region: R_X = R_Y = 1, minimal R_S."""
-    _require_feasible(cfg)
+    """The corner point of the optimal region: R_X = R_Y = 1, minimal R_S; Infeasible at G = 1."""
     relay_frac, server_frac = security_fractions(cfg)
     return RateTuple(Fraction(1), Fraction(1), max(relay_frac, server_frac))
 
@@ -87,9 +90,8 @@ def classify_regime(cfg: ProblemConfig) -> SchemeDims:
 
     Relay-dominant (ties included): L = C(UV,G) - C((U-1)V,G), L_S = V.
     Server-dominant: L = C(UV,G) - U*C(V,G), L_S = U - 1.
-    In both cases L_S / L equals the optimal key rate exactly.
+    In both cases L_S / L equals the optimal key rate exactly. Infeasible at G = 1.
     """
-    _require_feasible(cfg)
     relay_frac, server_frac = security_fractions(cfg)
     total = comb(cfg.U * cfg.V, cfg.G)
     if relay_frac >= server_frac:

@@ -244,7 +244,7 @@ def test_full_audit_assembles_each_relay_matrix_once(ex1, monkeypatch):
     calls = []
     assemble = scheme.assemble_relay_matrix
     monkeypatch.setattr(scheme, "assemble_relay_matrix", lambda s, u: calls.append(u) or assemble(s, u))
-    report = full_audit(ex1, fuzz_rounds=1, oracle_cap=CAP, run_oracles=True)
+    report = full_audit(ex1, fuzz_rounds=1, oracle_cap=CAP)
     assert all(isinstance(o, OracleResult) for o in report.oracle_relay.values())
     assert calls == list(range(1, ex1.cfg.U + 1))
 
@@ -257,7 +257,7 @@ def test_full_audit_example2_oracles_skipped(ex2):
 
 
 def test_full_audit_oracles_not_run(ex1):
-    report = full_audit(ex1, fuzz_rounds=10, run_oracles=False)
+    report = full_audit(ex1, fuzz_rounds=10, oracle_cap=None)
     assert report.passed
     assert all(o is None for o in report.oracle_relay.values())
     assert report.oracle_server is None
@@ -268,7 +268,7 @@ def test_full_audit_catches_sign_flip(ex1):
     rows, cols = block_slices(ex1.cfg, ex1.dims, 0, (1, 1))
     e[rows, cols] = -e[rows, cols] % 5
     corrupted = replace(ex1, encoding=e)
-    report = full_audit(corrupted, fuzz_rounds=20, run_oracles=False)
+    report = full_audit(corrupted, fuzz_rounds=20, oracle_cap=None)
     assert not report.zero_sum
     assert report.fuzz_failures > 0
     assert not report.passed

@@ -79,7 +79,7 @@ def test_rates_refuses_a_huge_count_before_computing_it(capsys, monkeypatch):
 
 def test_rates_infeasible(capsys):
     assert run(["rates", "--U", "2", "--V", "2", "--G", "1"]) == EXIT_FAILED
-    assert "infeasible: G=1" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", "infeasible: G=1\n")
 
 
 @pytest.mark.parametrize(
@@ -105,10 +105,9 @@ def test_usage_errors_are_one_line(argv, capsys):
 
 
 def test_rates_usage_errors(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["rates", "--U", "1", "--V", "2", "--G", "2"])  # U < 2
-    assert exc.value.code == EXIT_USAGE
-    capsys.readouterr()
+    # A config the parser accepts but ProblemConfig refuses is returned, not raised.
+    assert run(["rates", "--U", "1", "--V", "2", "--G", "2"]) == EXIT_USAGE  # U < 2
+    assert capsys.readouterr() == ("", "error: need U >= 2 relays, got 1\n")
     with pytest.raises(SystemExit) as exc:
         run(["rates", "--U", "2"])  # missing required flags
     assert exc.value.code == EXIT_USAGE
@@ -337,15 +336,22 @@ def test_build_prints_the_attempt_failure_bound(q, line, tmp_path, capsys):
 
 
 def test_build_infeasible_and_bad_modulus(tmp_path, capsys):
-    path = str(tmp_path / "s.json")
-    assert (
-        run(["build", "--U", "2", "--V", "2", "--G", "1", "--out", path]) == EXIT_FAILED
-    )
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        run(["build", "--U", "2", "--V", "2", "--G", "2", "--q", "4", "--out", path])
-    assert exc.value.code == EXIT_USAGE
-    capsys.readouterr()
+    path = tmp_path / "s.json"
+    argv = ["build", "--U", "2", "--V", "2", "--out", str(path)]
+    assert run(argv + ["--G", "1"]) == EXIT_FAILED
+    assert capsys.readouterr() == ("", "infeasible: G=1\n")
+    assert run(argv + ["--G", "2", "--q", "4"]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: modulus must be a prime in [2, 2^61-1], got 4\n")
+    assert not path.exists()
+
+
+def test_build_with_its_retries_used_up_exits_1(tmp_path, capsys):
+    # At q = 2 the one attempt that --max-retries 0 allows fails a rank gate.
+    out = tmp_path / "s.json"
+    argv = ["build", "--U", "2", "--V", "2", "--G", "2", "--q", "2", "--max-retries", "0", "--seed", "0"]
+    assert run(argv + ["--out", str(out)]) == EXIT_FAILED
+    assert capsys.readouterr() == ("", "error: no scheme passed the rank checks after 1 attempts\n")
+    assert not out.exists()
 
 
 def test_simulate(tmp_path, capsys):

@@ -62,6 +62,14 @@ def test_classify_regime_examples():
         classify_regime(cfg(2, 2, 1))
 
 
+@pytest.mark.parametrize("U, V", [(2, 1), (2, 2), (3, 2), (5, 4)])
+def test_security_fractions_refuse_g1_as_infeasible(U, V):
+    # At G = 1 the server-side denominator C(UV,1) - U*C(V,1) is 0: refused
+    # before it is divided by, as optimal_rates and classify_regime refuse it.
+    with pytest.raises(Infeasible):
+        security_fractions(cfg(U, V, 1))
+
+
 def _sat(n, k):
     return math.comb(n, k) if 0 <= k <= n else 0
 

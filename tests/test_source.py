@@ -58,3 +58,25 @@ def test_library_draws_without_numpy_generators():
     """Draws come from linalg.random_mats alone: no np.random / numpy.random anywhere in the library."""
     found = [f"{name}:{node.lineno}" for name, node in _nodes() if _numpy_random(node)]
     assert not found, f"numpy.random in src/hsagg: {found}"
+
+
+def _stderr_prints(tree) -> set[int]:
+    """Line numbers of the print(..., file=sys.stderr) calls under an AST node."""
+    return {
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "print"
+        and any(kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr" for kw in node.keywords)
+    }
+
+
+def test_cli_prints_to_stderr_only_in_main():
+    """Subcommands raise; cli.main alone maps an exception to its exit code and stderr line."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    in_main = _stderr_prints(main)
+    assert in_main, "cli.main prints no error line"
+    outside = sorted(_stderr_prints(tree) - in_main)
+    assert not outside, f"print(..., file=sys.stderr) outside cli.main, at cli.py lines {outside}"
