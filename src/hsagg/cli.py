@@ -1,11 +1,12 @@
 """Command-line front end and the JSON formats for schemes, transcripts, reports.
 
-Serialization is canonical: fields are emitted in a fixed order with a fixed
-layout. Integers of magnitude >= 2^53 are written as decimal strings so JSON
-consumers with double-precision parsers cannot lose digits. The writer alone
-defines the scheme format: the loader decodes a scheme object leniently, then
-accepts it only if the writer gives exactly that object for the decoded
-scheme. So a scheme file loads iff re-saving it gives the same bytes.
+Every file is json.dumps(obj, indent=2) and a newline, fields in a fixed
+order, written piece by piece by one writer that renders int64 residue arrays
+directly. Integers of magnitude >= 2^53 are decimal strings so JSON consumers
+with double-precision parsers cannot lose digits. The writer alone defines
+the scheme format: the loader decodes a scheme object leniently, then accepts
+it only if the writer gives exactly that object for the decoded scheme. So a
+scheme file loads iff re-saving it gives the same bytes.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import comb
 
 import numpy as np
@@ -26,6 +29,7 @@ from .scheme import ConstructionFailed, PrecodingScheme
 
 FORMAT_VERSION = 1
 _JSON_SAFE = 1 << 53
+_SCALARS = (str, int, float, type(None))
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -51,19 +55,42 @@ def _enc_int(x: int):
     return str(x) if abs(x) >= _JSON_SAFE else x
 
 
-def _residues(a: np.ndarray, q: int) -> list:
-    """A 1-D array of residues mod q as JSON values, each as _enc_int writes it.
-
-    Above q = 2^53 every entry is written as a string first, and the ones
-    below 2^53 are put back as ints.
-    """
+def _residues(a: np.ndarray, texts: bool = False) -> list:
+    """The entries of a 1-D array of residues as _enc_int writes them; with texts, as their JSON texts."""
     values = a.tolist()
-    if q <= _JSON_SAFE:
-        return values
-    out = list(map(str, values))
+    if not values or max(values) < _JSON_SAFE:
+        return list(map(str, values)) if texts else values
+    out = list(map('"{}"'.format if texts else str, values))
     for i in np.flatnonzero(a < _JSON_SAFE).tolist():
-        out[i] = values[i]
+        out[i] = str(values[i]) if texts else values[i]
     return out
+
+
+def _scalar_text(x) -> str:
+    return encode_basestring_ascii(x) if isinstance(x, str) else str(x) if type(x) is int else json.dumps(x)
+
+
+def _write_text(obj, write, pad: str = ""):
+    """Pass the text of json.dumps(obj, indent=2), at indentation pad, to write in pieces.
+
+    A list may also be an iterator, drawn as it is written, or a 1-D int64
+    array of residues. A list of scalars is one piece, made by one join.
+    """
+    inner = pad + "  "
+    if isinstance(obj, np.ndarray) or isinstance(obj, list) and all(isinstance(x, _SCALARS) for x in obj):
+        texts = _residues(obj, texts=True) if isinstance(obj, np.ndarray) else list(map(_scalar_text, obj))
+        write("[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]" if texts else "[]")
+    elif isinstance(obj, (dict, list, tuple, Iterator)):
+        is_dict = isinstance(obj, dict)
+        opener, closer = "{}" if is_dict else "[]"
+        head = opener + "\n" + inner
+        for item in obj.items() if is_dict else obj:
+            write(head + encode_basestring_ascii(item[0]) + ": " if is_dict else head)
+            _write_text(item[1] if is_dict else item, write, inner)
+            head = ",\n" + inner
+        write("\n" + pad + closer if head[0] == "," else opener + closer)
+    else:
+        write(_scalar_text(obj))
 
 
 def _dec_provenance(v):
@@ -89,19 +116,18 @@ def _scheme_header(s: PrecodingScheme) -> dict:
     }
 
 
-def _scheme_blocks(s: PrecodingScheme):
-    """The block objects of the scheme object, in canonical (group, member) order."""
+def _scheme_blocks(s: PrecodingScheme, arrays: bool = False):
+    """The block objects of the scheme object in canonical (group, member) order; data int64 with arrays."""
     matrix = {"rows": s.dims.L, "cols": s.dims.L_S}
     for g_idx, grp in enumerate(s.groups):
         for member in grp:
-            data = _residues(s.block(g_idx, member).reshape(-1), s.cfg.field.modulus)
+            data = s.block(g_idx, member).reshape(-1)
+            data = data if arrays else _residues(data)
             yield {"group_index": g_idx, "user": list(member), "matrix": {**matrix, "data": data}}
 
 
 def scheme_to_obj(s: PrecodingScheme) -> dict:
-    obj = _scheme_header(s)
-    obj["blocks"] = list(_scheme_blocks(s))
-    return obj
+    return {**_scheme_header(s), "blocks": list(_scheme_blocks(s))}
 
 
 def scheme_from_obj(obj: dict) -> PrecodingScheme:
@@ -169,22 +195,17 @@ def scheme_from_obj(obj: dict) -> PrecodingScheme:
 
 
 def _write_json(path: str, obj):
-    """Write obj as canonical JSON: two-space indent, then a newline; UsageError if path is unwritable.
-
-    json.dump hands the encoder's chunks to the file one by one, so the whole
-    text (6.5 MB for 100 rounds at (U,V,G) = (3,3,6), q = 2^61 - 1) is never
-    held in memory at once.
-    """
+    """Write json.dumps(obj, indent=2) and a newline, piece by piece; UsageError if path is unwritable."""
     try:
         with open(path, "w") as fh:
-            json.dump(obj, fh, indent=2)
+            _write_text(obj, fh.write)
             fh.write("\n")
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def save_scheme(s: PrecodingScheme, path: str):
-    _write_json(path, scheme_to_obj(s))
+    _write_json(path, {**_scheme_header(s), "blocks": _scheme_blocks(s, arrays=True)})
 
 
 def load_scheme(path: str) -> PrecodingScheme:
@@ -197,22 +218,15 @@ def load_scheme(path: str) -> PrecodingScheme:
 
 
 def transcript_to_obj(batch: protocol.Rounds, r: int) -> dict:
-    """Round r of the batch: each user's input and message in canonical order, then each relay's."""
-    s = batch.scheme
-
-    def blocks(a: np.ndarray) -> list[list]:
-        return [_residues(block, s.cfg.field.modulus) for block in a[:, r].reshape(-1, s.dims.L)]
-
-    users = all_users(s.cfg.U, s.cfg.V)
+    """Round r for the writer: users' inputs and messages in canonical order, then relays', as row blocks."""
+    users = all_users(batch.scheme.cfg.U, batch.scheme.cfg.V)
+    arrays = (batch.inputs, batch.user_messages, batch.relay_messages, batch.decoded_sum)
+    inputs, messages, relays, decoded = (a[:, r].reshape(-1, batch.scheme.dims.L) for a in arrays)
     return {
-        "inputs": [{"user": list(u), "data": w} for u, w in zip(users, blocks(batch.inputs))],
-        "user_messages": [
-            {"user": list(u), "data": x} for u, x in zip(users, blocks(batch.user_messages))
-        ],
-        "relay_messages": [
-            {"relay": u, "data": y} for u, y in enumerate(blocks(batch.relay_messages), 1)
-        ],
-        "decoded_sum": blocks(batch.decoded_sum)[0],
+        "inputs": [{"user": list(u), "data": w} for u, w in zip(users, inputs)],
+        "user_messages": [{"user": list(u), "data": x} for u, x in zip(users, messages)],
+        "relay_messages": [{"relay": u, "data": y} for u, y in enumerate(relays, 1)],
+        "decoded_sum": decoded[0],
     }
 
 
@@ -243,19 +257,16 @@ def _oracle_to_obj(result) -> dict:
     }
 
 
+def _rank_to_obj(c: audit.RankCheck) -> dict:
+    return {"expected": c.expected, "computed": c.computed, "passed": c.passed}
+
+
 def report_to_obj(r: audit.AuditReport) -> dict:
     return {
         "passed": r.passed,
         "zero_sum": r.zero_sum,
-        "relay_ranks": {
-            str(u): {"expected": c.expected, "computed": c.computed, "passed": c.passed}
-            for u, c in r.relay_ranks.items()
-        },
-        "server_rank": {
-            "expected": r.server_rank.expected,
-            "computed": r.server_rank.computed,
-            "passed": r.server_rank.passed,
-        },
+        "relay_ranks": {str(u): _rank_to_obj(c) for u, c in r.relay_ranks.items()},
+        "server_rank": _rank_to_obj(r.server_rank),
         "fuzz": {"rounds": r.fuzz_rounds, "failures": r.fuzz_failures},
         "oracle_relay": {str(u): _oracle_to_obj(o) for u, o in r.oracle_relay.items()},
         "oracle_server": _oracle_to_obj(r.oracle_server),
@@ -326,6 +337,8 @@ def _save_and_summarize(s: PrecodingScheme, path: str) -> int:
 
 def cmd_build(args) -> int:
     cfg = _cfg_from_args(args, q=args.q)
+    if not check_feasible(cfg):  # before any count, as in rates: G = 1 is infeasible whatever UV is
+        raise Infeasible("G = 1: groupwise keys are private, no scheme exists")
     # E has UV*L x C(UV,G)*L_S entries. The group count comes first: once it
     # fits 64 bits, the regime's binomials are cheap.
     n_groups = count_groups(cfg.U, cfg.V, cfg.G)
@@ -348,7 +361,6 @@ def cmd_verify(args) -> int:
     s = load_scheme(args.scheme)
     oracle_cap = args.cap if args.oracle else None
     report = audit.full_audit(s, fuzz_rounds=args.fuzz_rounds, oracle_cap=oracle_cap, seed=args.seed)
-    obj = report_to_obj(report)
     print(f"zero-sum: {'pass' if report.zero_sum else 'FAIL'}")
     for u, c in report.relay_ranks.items():
         print(f"relay {u} rank: {c.computed}/{c.expected} {'pass' if c.passed else 'FAIL'}")
@@ -361,7 +373,7 @@ def cmd_verify(args) -> int:
     print(f"rates: {'pass' if report.rates_match else 'FAIL'}")
     print(f"overall: {'pass' if report.passed else 'FAIL'}")
     if args.out:
-        _write_json(args.out, obj)
+        _write_json(args.out, report_to_obj(report))
     return EXIT_OK if report.passed else EXIT_FAILED
 
 
@@ -371,17 +383,11 @@ def cmd_simulate(args) -> int:
     correct = int(np.count_nonzero(batch.correct))
     print(f"correct rounds: {correct}/{args.rounds}")
     if args.out:
-        rounds = [transcript_to_obj(batch, i) for i in range(args.rounds)]
-        # Free the round arrays and the encoding matrix before the JSON is
-        # written, the peak of this command's memory.
-        del s, batch
-        obj = {
-            "format_version": FORMAT_VERSION,
-            "prng_id": linalg.PRNG_ID,
-            "seed": _enc_int(args.seed),
-            "rounds": rounds,
-        }
-        _write_json(args.out, obj)
+        # Each round is rendered from the batch's arrays and written before
+        # the next is made: neither the whole text nor a list of rounds is held.
+        rounds = (transcript_to_obj(batch, r) for r in range(args.rounds))
+        header = {"format_version": FORMAT_VERSION, "prng_id": linalg.PRNG_ID, "seed": _enc_int(args.seed)}
+        _write_json(args.out, {**header, "rounds": rounds})
         print(f"transcripts written to {args.out}")
     return EXIT_OK if correct == args.rounds else EXIT_FAILED
 

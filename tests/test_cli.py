@@ -635,3 +635,139 @@ def test_unwritable_out_is_a_usage_error(command, tmp_path, capsys):
     }[command]
     assert run(argv + ["--out", out]) == EXIT_USAGE
     assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("U", ["2", "1" + "0" * 4214], ids=["small-UV", "huge-UV"])
+def test_build_at_g1_is_infeasible_before_any_count(U, tmp_path, capsys):
+    # G = 1 is the paper's impossibility result, whatever UV is; C(10^4214, 1) is never counted.
+    out = tmp_path / "s.json"
+    for command, extra in (("rates", []), ("build", ["--out", str(out)])):
+        assert run([command, "--U", U, "--V", "1", "--G", "1", *extra]) == EXIT_FAILED
+        assert capsys.readouterr() == ("", "infeasible: G=1\n")
+    assert not out.exists()
+
+
+def written_text(obj) -> str:
+    """The text the writer gives for obj."""
+    pieces = []
+    cli._write_text(obj, pieces.append)
+    return "".join(pieces) + "\n"
+
+
+JSON_SAFE = 1 << 53
+edge_ints = st.sampled_from([0, -1, JSON_SAFE - 1, JSON_SAFE, JSON_SAFE + 1, -JSON_SAFE + 1, -JSON_SAFE, -JSON_SAFE - 1])
+json_scalars = st.none() | st.booleans() | st.floats() | st.integers() | edge_ints | st.text()
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(json_values)
+def test_writer_text_is_json_dumps_indent_2(value):
+    # Empty and nested-empty containers, non-ASCII text, floats (nan and inf too), bools, None, big ints.
+    assert written_text(value) == canonical_text(value)
+    if isinstance(value, list):  # a list may also be an iterator, drawn as it is written
+        assert written_text({"k": iter(value)}) == canonical_text({"k": value})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, (1 << 63) - 1) | st.integers(JSON_SAFE - 2, JSON_SAFE + 1)))
+def test_writer_renders_residue_arrays_as_enc_int_does(entries):
+    # An int64 array is written entry by entry as _enc_int gives it: a decimal string from 2^53 on.
+    array = np.array(entries, dtype=np.int64)
+    assert written_text({"data": array}) == canonical_text({"data": [cli._enc_int(x) for x in entries]})
+
+
+def reference_transcripts(s, seed: int, rounds: int) -> dict:
+    """The transcript object of simulate, built entry by entry from the protocol's arrays."""
+    batch = cli.protocol.run_rounds(s, seed, rounds)
+    L, users = s.dims.L, [[u, v] for u in range(1, s.cfg.U + 1) for v in range(1, s.cfg.V + 1)]
+
+    def blocks(a, r):
+        return [[cli._enc_int(int(x)) for x in a[i * L : (i + 1) * L, r]] for i in range(len(a) // L)]
+
+    return {
+        "format_version": cli.FORMAT_VERSION,
+        "prng_id": cli.linalg.PRNG_ID,
+        "seed": seed,
+        "rounds": [
+            {
+                "inputs": [{"user": u, "data": d} for u, d in zip(users, blocks(batch.inputs, r))],
+                "user_messages": [{"user": u, "data": d} for u, d in zip(users, blocks(batch.user_messages, r))],
+                "relay_messages": [{"relay": i, "data": d} for i, d in enumerate(blocks(batch.relay_messages, r), 1)],
+                "decoded_sum": blocks(batch.decoded_sum, r)[0],
+            }
+            for r in range(rounds)
+        ],
+    }
+
+
+@pytest.mark.parametrize("q", [5, (1 << 31) - 1, (1 << 61) - 1])
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 1 << 20), rounds=st.integers(0, 3))
+def test_written_files_are_json_dumps_indent_2(q, seed, rounds, tmp_path_factory):
+    d = tmp_path_factory.mktemp("files")
+    scheme_path, report_path, transcript_path = (str(d / f"{kind}.json") for kind in ("s", "r", "t"))
+    s = build_random(ProblemConfig(2, 2, 2, make_field(q)), seed=seed, max_retries=200)
+    save_scheme(s, scheme_path)
+    text = Path(scheme_path).read_text()
+    assert text == canonical_text(scheme_to_obj(s))
+    if q > JSON_SAFE:  # the largest entry is >= 2^53, so it is written as a string
+        assert f'"{s.encoding.max()}"' in text and s.encoding.max() >= JSON_SAFE
+
+    verify = ["verify", scheme_path, "--fuzz-rounds", "3", "--seed", str(seed), "--out", report_path]
+    assert cli.main(verify) == EXIT_OK
+    report = cli.audit.full_audit(s, fuzz_rounds=3, oracle_cap=None, seed=seed)
+    assert Path(report_path).read_text() == canonical_text(cli.report_to_obj(report))
+
+    simulate = ["simulate", scheme_path, "--rounds", str(rounds), "--seed", str(seed), "--out", transcript_path]
+    assert cli.main(simulate) == EXIT_OK
+    assert Path(transcript_path).read_text() == canonical_text(reference_transcripts(s, seed, rounds))
+
+
+def test_oracle_report_is_json_dumps_indent_2(tmp_path, capsys, monkeypatch):
+    # Every oracle of example 1 runs, so the report holds their tallies and float entropies.
+    reports, full_audit = [], cli.audit.full_audit
+    monkeypatch.setattr(cli.audit, "full_audit", lambda *args, **kw: reports.append(full_audit(*args, **kw)) or reports[0])
+    path, out = str(tmp_path / "ex1.json"), tmp_path / "r.json"
+    assert run(["example", "--id", "1", "--out", path]) == EXIT_OK
+    assert run(["verify", path, "--oracle", "--fuzz-rounds", "3", "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    obj = cli.report_to_obj(reports[0])
+    assert isinstance(obj["oracle_server"]["entropy_qary"], float)
+    assert out.read_text() == canonical_text(obj)
+
+
+@pytest.mark.parametrize("rounds", [0, 1])
+def test_simulate_writes_zero_and_one_rounds(rounds, tmp_path, capsys):
+    # "rounds": [] is the streaming writer's edge case.
+    path, out = str(tmp_path / "ex1.json"), tmp_path / "t.json"
+    assert run(["example", "--id", "1", "--out", path]) == EXIT_OK
+    assert run(["simulate", path, "--rounds", str(rounds), "--seed", "7", "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    expected = reference_transcripts(build_example1(), 7, rounds)
+    assert out.read_text() == canonical_text(expected)
+    assert ('"rounds": []' in out.read_text()) == (rounds == 0)
+
+
+def test_simulate_writes_round_by_round(tmp_path, capsys, monkeypatch):
+    # 100 rounds at (3,3,6)@2^61-1 are 6.5 MB of text; the writer holds about one round's worth.
+    cfg = ProblemConfig(3, 3, 6, make_field((1 << 61) - 1))
+    s = scheme_mod.sample_zero_sum_scheme(cfg, seed=1)
+    batch = cli.protocol.run_rounds(s, 0, 100)
+    monkeypatch.setattr(cli, "load_scheme", lambda path: s)
+    monkeypatch.setattr(cli.protocol, "run_rounds", lambda *args: batch)
+    out = tmp_path / "t.json"
+    tracemalloc.start()
+    try:
+        assert run(["simulate", "s.json", "--rounds", "100", "--out", str(out)]) == EXIT_OK
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    round_text = out.stat().st_size / 100
+    assert out.stat().st_size > 6_000_000
+    assert peak < 4 * round_text, peak / round_text

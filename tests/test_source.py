@@ -80,3 +80,18 @@ def test_cli_prints_to_stderr_only_in_main():
     assert in_main, "cli.main prints no error line"
     outside = sorted(_stderr_prints(tree) - in_main)
     assert not outside, f"print(..., file=sys.stderr) outside cli.main, at cli.py lines {outside}"
+
+
+def _indented_json_dump(node) -> bool:
+    """A json.dump / json.dumps call (or a bare dump / dumps) with an indent= keyword."""
+    if not isinstance(node, ast.Call) or not any(kw.arg == "indent" for kw in node.keywords):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else func.id if isinstance(func, ast.Name) else None
+    return name in ("dump", "dumps")
+
+
+def test_library_writes_json_without_the_indenting_encoder():
+    """json.dump(s) with indent= always runs CPython's pure-Python encoder; files go through cli's writer."""
+    found = [f"{name}:{node.lineno}" for name, node in _nodes() if _indented_json_dump(node)]
+    assert not found, f"json.dump(s) with indent= in src/hsagg: {found}"
