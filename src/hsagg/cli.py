@@ -30,6 +30,9 @@ from .scheme import ConstructionFailed, PrecodingScheme
 FORMAT_VERSION = 1
 _JSON_SAFE = 1 << 53
 _SCALARS = (str, int, float, type(None))
+# Types of list entries that _same compares one by one: == alone takes -0.0
+# for 0.0, dicts in any key order, and lists whatever their entries' types.
+_NESTED = frozenset((list, dict, float))
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -99,8 +102,25 @@ def _dec_provenance(v):
     return int(v) if is_int else v
 
 
-def _compact(x) -> str:
-    return json.dumps(x, separators=(",", ":"))
+def _same(got, want) -> bool:
+    """Whether two decoded JSON values are the same: equal, with the same types and dict key order at every level.
+
+    That is, whether json.dumps gives them the same text (it tells true from
+    1, 5.0 from 5 and "5" from 5, and keeps key order), without encoding
+    either. A list is compared in one step, and entered only if it holds
+    lists, dicts or floats.
+    """
+    kind = type(want)
+    if type(got) is not kind:
+        return False
+    if kind is list:
+        types = list(map(type, want))
+        if got != want or list(map(type, got)) != types:
+            return False
+        return _NESTED.isdisjoint(types) or all(map(_same, got, want))
+    if kind is dict:
+        return list(got) == list(want) and all(_same(got[k], v) for k, v in want.items())
+    return repr(got) == repr(want) if kind is float else got == want
 
 
 def _scheme_header(s: PrecodingScheme) -> dict:
@@ -134,12 +154,12 @@ def scheme_from_obj(obj: dict) -> PrecodingScheme:
     """The scheme a scheme object describes, if scheme_to_obj writes exactly that object for it.
 
     The object is decoded leniently and in bulk, then compared with what
-    scheme_to_obj writes for the decoded scheme: the top-level keys, then
-    each header field, then each block, as compact JSON text. So a file loads
-    iff re-saving it gives the same bytes, and a refusal (SchemeFileError)
-    names the first field or block that differs. The member blocks are copied
-    into the encoding matrix as they are: a file that breaks zero-sum loads,
-    and verify reports it.
+    scheme_to_obj writes for the decoded scheme by _same (the same values,
+    types and key order): the top-level keys, then each header field, then
+    each block. So a file loads iff re-saving it gives the same bytes, and a
+    refusal (SchemeFileError) names the first field or block that differs.
+    The member blocks are copied into the encoding matrix as they are: a file
+    that breaks zero-sum loads, and verify reports it.
     """
     try:
         if obj["format_version"] != FORMAT_VERSION:
@@ -179,10 +199,10 @@ def scheme_from_obj(obj: dict) -> PrecodingScheme:
         if list(obj) != list(header):
             raise SchemeFileError(f"expected the keys {list(header)}")
         for key, value in header.items():
-            if key != "blocks" and _compact(obj[key]) != _compact(value):
+            if key != "blocks" and not _same(obj[key], value):
                 raise SchemeFileError(f"field {key!r} differs from the writer's output for this scheme")
         for i, (got, want) in enumerate(zip(blocks, _scheme_blocks(s))):
-            if _compact(got) != _compact(want):
+            if not _same(got, want):
                 raise SchemeFileError(
                     f"block {i} differs from the writer's output for group {want['group_index']} "
                     f"member {want['user']}"

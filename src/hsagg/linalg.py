@@ -10,8 +10,10 @@ summation order. rank is, at every q, the recursive elimination of Jeannerod,
 Pernet and Storjohann (J. Symbolic Comput. 2013): split the columns in half,
 eliminate the left half, update the right half by one matmul_mod product (its
 Schur complement) and recurse on it. Blocks at most _LEAF_COLS columns wide
-are eliminated row by row; their rank-1 updates are exact elementwise
-products, plain int64 ones up to q = 3,037,000,499 and of 31-bit halves above.
+are eliminated row by row, one exact rank-1 update per pivot: plain int64
+arithmetic up to q = 3,037,000,499; above it the column is split into 31-bit
+halves and the quotient by q is estimated in float64, then corrected exactly
+by one reduction.
 
 Seeded draws come from one kernel, random_mats, that reproduces numpy's
 Generator(PCG64(SeedSequence(seed))).integers(0, q, ...) bit for bit for many
@@ -184,21 +186,35 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
-def _mul_mod(x: np.ndarray, y: np.ndarray | int, q: int) -> np.ndarray:
-    """Elementwise x * y up to a multiple of q, in [0, 2^63 - q], for int64 residues that broadcast.
+def _sub_outer(a: np.ndarray, x: np.ndarray, row: np.ndarray, inv: int, q: int) -> np.ndarray:
+    """(a - x (inv row)) mod q, exactly: the rank-1 update of a k x w block of int64 residues.
 
-    So a caller can subtract it from a residue and reduce once. Up to
-    q = 3,037,000,499 it is the plain int64 product. Above, x = x1 2^31 + x0
-    and y likewise, the four half products are below 2^62, and Horner's rule
-    ((x1 y1 mod q) 2^31 + x1 y0 + x0 y1 mod q) 2^31 + x0 y0 folds them in.
+    x is a column of k residues, row a row of w residues and inv a residue.
+    Up to q = 3,037,000,499 this is plain int64 arithmetic. Above it,
+    y = inv row mod q and c = 2^31 y mod q are made as Python ints (a leaf's
+    pivot row has at most 2 _LEAF_COLS entries), and x = x1 2^31 + x0 is
+    split into halves x1 < 2^30 and x0 < 2^31. Then x y is congruent to
+    P = x1 c + x0 y, whose quotient k = floor(P / q) is estimated in float64
+    as x1 (c/q) + x0 (y/q), the float quotient estimate of FFLAS-FFPACK
+    (Dumas, Giorgi, Pernet, ACM TOMS 2008). Both terms are below 2^31, so
+    the rounding errors add up to less than 2^-19, and the estimate's
+    integer part k' is k - 1, k or k + 1. So a - P + k' q lies in (-2q, 2q),
+    inside int64 for q < 2^61: computed in wrapping int64 arithmetic it is
+    exact, and one reduction mod q ends the update.
     """
     if q <= _INT64_SAFE_MODULUS:
-        return x * y
-    x1, x0, y1, y0 = x >> 31, x & 0x7FFFFFFF, y >> 31, y & 0x7FFFFFFF
-    acc = _mul_pow2(x1 * y1 % q, 31, q)
-    acc += x1 * y0 + x0 * y1
-    acc %= q
-    return _mul_pow2(acc, 31, q) + x0 * y0
+        return (a - x[:, None] * (row * inv % q)) % q
+    y = [v * inv % q for v in row.tolist()]
+    cy = np.array([[(v << 31) % q for v in y], y], dtype=np.int64)
+    halves = np.empty((len(x), 2), dtype=np.int64)
+    np.right_shift(x, 31, out=halves[:, 0])
+    np.bitwise_and(x, 0x7FFFFFFF, out=halves[:, 1])
+    out = (halves.astype(np.float64) @ (cy * (1.0 / q))).astype(np.int64)
+    out *= q
+    out -= halves @ cy
+    out += a
+    out %= q
+    return out
 
 
 def _eliminate(a: np.ndarray, q: int, need_t: bool):
@@ -210,8 +226,8 @@ def _eliminate(a: np.ndarray, q: int, need_t: bool):
     A[N] = T A[R] for the other rows N in increasing order:
     T = A[N, C] A[R, C]^-1. T is tracked in extra columns of the working
     array: a new pivot row gets -1 in its own T column, so that eliminating
-    with it leaves each row's multiplier there. The scaled pivot row and the
-    rank-1 update are _mul_mod products, reduced once each.
+    with it leaves each row's multiplier there. Each pivot's rank-1 update,
+    by its row scaled by the pivot's inverse, is one _sub_outer call.
     """
     m, n = a.shape
     work = np.zeros((m, 2 * n if need_t else n), dtype=np.int64)
@@ -232,8 +248,8 @@ def _eliminate(a: np.ndarray, q: int, need_t: bool):
         if need_t:
             work[r, end - 1] = q - 1
         if rows.size:
-            pivot = _mul_mod(work[r, c:end], pow(int(work[r, c]), -1, q), q) % q
-            work[rows, c:end] = (work[rows, c:end] - _mul_mod(work[rows, c : c + 1], pivot, q)) % q
+            inv = pow(int(work[r, c]), -1, q)
+            work[rows, c:end] = _sub_outer(work[rows, c:end], work[rows, c], work[r, c:end], inv, q)
         pivot_cols.append(c)
         r += 1
         if r == m:

@@ -282,6 +282,25 @@ def test_load_decodes_provenance_integers_as_the_writer_writes_them():
     assert canonical_text(scheme_to_obj(s)) == canonical_text(noted)
 
 
+def test_load_tells_numbers_from_digit_strings_at_2_pow_53():
+    # At q = 2^61 - 1 an entry below 2^53 is a JSON number and one of at
+    # least 2^53 a digit string; the other spelling of either is refused.
+    obj = _fuzz_golden("p61")
+    for value, loads in (
+        (2**53 - 1, True),
+        (str(2**53 - 1), False),
+        (str(2**53), True),
+        (2**53, False),
+    ):
+        edited = json.loads(json.dumps(obj))
+        edited["blocks"][3]["matrix"]["data"][5] = value
+        if loads:
+            assert canonical_text(scheme_to_obj(scheme_from_obj(edited))) == canonical_text(edited)
+        else:
+            with pytest.raises(SchemeFileError, match=r"block 3 differs .* group 1 member \[2, 1\]"):
+                scheme_from_obj(edited)
+
+
 def test_load_peak_memory_is_a_few_encoding_matrices():
     # Comparing block by block keeps the re-encoded text small next to E.
     cfg = ProblemConfig(3, 3, 6, make_field((1 << 61) - 1))

@@ -26,7 +26,7 @@ GF3 = make_field(3)
 GF5 = make_field(5)
 GF11 = make_field(11)
 BIG = make_field(2147483647)
-HUGE = make_field((1 << 61) - 1)  # _mul_mod splits factors into 31-bit halves at this q
+HUGE = make_field((1 << 61) - 1)  # rank's leaves estimate quotients in float64 at this q
 
 
 def one_draw(rows, cols, field, seed) -> np.ndarray:
@@ -376,42 +376,57 @@ def reference_rank(rows: list, q: int) -> int:
     return r
 
 
-# Moduli of the elementwise product in rank's leaves: tiny fields, the 31-bit
+# Moduli of the rank-1 update in rank's leaves: tiny fields, the 31-bit
 # Mersenne prime, the primes either side of the int64 bound 3,037,000,499
-# (a plain int64 product below it, 31-bit halves above), 2^32 - 5 and the
-# 61-bit Mersenne prime.
-MUL_MODULI = (2, 3, 2**31 - 1, 3_037_000_493, 3_037_000_507, 4_294_967_291, 2**61 - 1)
+# (plain int64 arithmetic below it, a float64 quotient estimate above), 2^32 - 5
+# and the two largest primes below 2^61, 2^61 - 31 and 2^61 - 1.
+MUL_MODULI = (2, 3, 2**31 - 1, 3_037_000_493, 3_037_000_507, 4_294_967_291, 2**61 - 31, 2**61 - 1)
+# Widest pivot row of a leaf: _LEAF_COLS columns and as many T columns.
+WIDEST_ROW = 2 * linalg._LEAF_COLS
 
 
 @st.composite
-def mul_operands(draw):
-    """(q, x, y): a column and a row of residues, with the edge values 0, 1, q - 1, 2^31 - 1 and 2^31."""
+def outer_operands(draw):
+    """(q, a, x, row, inv) for _sub_outer, with the edge entries 0, 1, q - 1, 2^31 - 1 and 2^31.
+
+    Rows of one entry and of a leaf's widest pivot row, and a block a of
+    zeros, so that subtracting the largest products wraps.
+    """
     q = draw(st.sampled_from(MUL_MODULI))
     edges = [v for v in (0, 1, q - 1, 2**31 - 1, 2**31) if v < q]
     entry = st.one_of(st.sampled_from(edges), st.integers(0, q - 1))
-    column, row = (np.array(draw(st.lists(entry, min_size=1, max_size=6)), dtype=np.int64) for _ in range(2))
-    return q, column[:, None], row[None, :]
+    k = draw(st.integers(1, 6))
+    w = draw(st.one_of(st.sampled_from([1, WIDEST_ROW]), st.integers(1, WIDEST_ROW)))
+    entries = lambda n: np.array(draw(st.lists(entry, min_size=n, max_size=n)), dtype=np.int64)  # noqa: E731
+    a = np.zeros((k, w), dtype=np.int64) if draw(st.booleans()) else entries(k * w).reshape(k, w)
+    return q, a, entries(k), entries(w), draw(entry)
+
+
+def largest_products(q):
+    """a = 0 against x y = (q - 1)^2 and the other edge products, for every entry."""
+    x = np.array([q - 1, 2**31 - 1, 2**31, q - 2, 1, 0], dtype=np.int64)
+    return q, np.zeros((len(x), WIDEST_ROW), dtype=np.int64), x, np.full(WIDEST_ROW, q - 1, dtype=np.int64), 1
 
 
 @settings(max_examples=300, deadline=None)
-@given(mul_operands())
-def test_mul_mod_matches_python_ints(operands):
-    q, x, y = operands
-    expected = [[a * b % q for b in y[0].tolist()] for a in x[:, 0].tolist()]
-    for got in (linalg._mul_mod(x, y, q), linalg._mul_mod(y, x, q)):
-        assert got.dtype == np.int64 and got.shape == (x.shape[0], y.shape[1])
-        # Congruent to x * y, with room to add or subtract one residue before the caller reduces.
-        assert got.min() >= 0 and got.max() <= 2**63 - q
-        assert (got % q).tolist() == expected
-    # A row times a Python int, as a pivot row is scaled.
-    scaled = linalg._mul_mod(y[0], int(x[0, 0]), q) % q
-    assert scaled.tolist() == expected[0]
+@given(outer_operands())
+@example(largest_products(2**61 - 1))
+@example(largest_products(2**61 - 31))
+@example(largest_products(3_037_000_507))
+def test_sub_outer_matches_python_ints(operands):
+    q, a, x, row, inv = operands
+    y = [v * inv % q for v in row.tolist()]
+    expected = [[(aij - xi * yj) % q for aij, yj in zip(ai, y)] for ai, xi in zip(a.tolist(), x.tolist())]
+    got = linalg._sub_outer(a, x, row, inv, q)
+    assert got.dtype == np.int64 and got.shape == a.shape
+    assert got.tolist() == expected
 
 
-# Moduli on both sides of the int64 bound 3,037,000,499, where _mul_mod
-# changes from the plain int64 product to 31-bit halves; rank recurses on
+# Moduli on both sides of the int64 bound 3,037,000,499, where the leaves'
+# update changes from plain int64 arithmetic to a float64 quotient estimate
+# (3,037,000,507 is the first prime above it, where x1 <= 1); rank recurses on
 # column halves at every q.
-RANK_MODULI = (2, 3, 5, 2**31 - 1, 4_294_967_291, 2**61 - 1)
+RANK_MODULI = (2, 3, 5, 2**31 - 1, 3_037_000_507, 4_294_967_291, 2**61 - 1)
 LEAF = linalg._LEAF_COLS
 # Column counts at the leaf width and at twice it, one either side, plus the
 # small and degenerate ones.
