@@ -144,14 +144,19 @@ def mask_distribution(m: Mat, cap: int) -> tuple[int, np.ndarray]:
     tally is convolved in place with the uniform distribution on each line
     {s * c_j}. q^cols and then q^rows must be within the cap; the relay and
     server matrices have rows <= cols, since L_S / L is the optimal key rate.
+    The tally's cells, and the returned multiplicities, are the narrowest
+    unsigned type that holds q^cols (object past 2^64 - 1): at most uint32
+    under the default cap of 2^26.
     """
     q = m.field.modulus
     rows, cols = m.rows, m.cols
     _check_states(q, cols, cap)
     _check_states(q, rows, cap)
     states = q**cols
-    # Tallies sum to q^cols: int64 is exact unless a cap past 2^63 admits more.
-    tally = np.zeros((q,) * rows, dtype=np.int64 if states <= np.iinfo(np.int64).max else object)
+    # After j columns the tally's mass is q^j, and no update gives a cell more
+    # than the mass, so the narrowest unsigned type that holds q^cols is exact
+    # (np.min_scalar_type gives object past 2^64 - 1).
+    tally = np.zeros((q,) * rows, dtype=np.min_scalar_type(states))
     tally[(0,) * rows] = 1
     for c in m.array.T.tolist():
         nonzero = [a for a, x in enumerate(c) if x]

@@ -452,7 +452,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scheme")
     p.add_argument("--oracle", action="store_true", help="run the exhaustive entropy oracles")
     p.add_argument("--fuzz-rounds", type=_count, default=100)
-    p.add_argument("--cap", type=_count, default=1 << 26)
+    p.add_argument(
+        "--cap",
+        type=_count,
+        default=1 << 26,
+        help="most q^cols key states and q^rows tally cells an oracle may take (default 2^26)",
+    )
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", help="write the audit report as JSON")
     p.set_defaults(func=cmd_verify)

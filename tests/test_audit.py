@@ -35,6 +35,12 @@ def zeros(field, rows, cols):
     return from_array(field, np.zeros((rows, cols), dtype=np.int64))
 
 
+def narrowest(n):
+    """The narrowest unsigned integer dtype that holds n, or object past 2^64 - 1."""
+    fits = [t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if n <= np.iinfo(t).max]
+    return np.dtype(fits[0] if fits else object)
+
+
 def zero_group_recompleted(s, g_idx, member):
     """Zero one member's block in a copy of E and re-complete the group's last member."""
     e = s.encoding.copy()
@@ -121,7 +127,9 @@ def test_state_space_guard_is_exact():
 def test_mask_distribution_matches_brute_force(data):
     """The tallies equal a Counter of the outputs over all key vectors."""
     q = data.draw(st.sampled_from([2, 3, 5, 7]), label="q")
-    rows, cols = data.draw(st.integers(1, 4), label="rows"), data.draw(st.integers(1, 4), label="cols")
+    # Up to 6 columns for q <= 3, so the cells cross from uint8 to uint16 (3^6 = 729).
+    rows = data.draw(st.integers(1, 4), label="rows")
+    cols = data.draw(st.integers(1, 6 if q <= 3 else 4), label="cols")
     # A product through an inner dimension r: r = 0 gives the zero matrix,
     # r < min(rows, cols) a rank-deficient one.
     r = data.draw(st.integers(0, min(rows, cols)), label="r")
@@ -134,12 +142,29 @@ def test_mask_distribution_matches_brute_force(data):
         for keys in itertools.product(range(q), repeat=cols)
     )
     states, tallies = mask_distribution(from_array(make_field(q), np.array(a, dtype=np.int64)), CAP)
-    assert states == q**cols
+    assert states == q**cols and tallies.dtype == narrowest(q**cols)
     assert tallies.tolist() == [expected[out] for out in sorted(expected)]
 
 
+@pytest.mark.parametrize(
+    "q, cols",
+    [(2, c) for c in (7, 8, 15, 16, 17, 31, 32, 33, 63, 64, 65)] + [(3, 5), (3, 6), (3, 40), (3, 41), (251, 1)],
+)
+def test_mask_distribution_cells_are_the_narrowest_exact_type(q, cols):
+    """Each cell type boundary, on both single-row paths: a zero column multiplies the
+    tally by q, and a nonzero one sets every cell to the tally's sum."""
+    field = make_field(q)
+    states, tallies = mask_distribution(zeros(field, 1, cols), q**cols)
+    assert states == q**cols and tallies.dtype == narrowest(q**cols)
+    assert tallies.tolist() == [q**cols]
+    ones = from_array(field, np.ones((1, cols), dtype=np.int64))
+    states, tallies = mask_distribution(ones, q**cols)
+    assert states == q**cols and tallies.dtype == narrowest(q**cols)
+    assert tallies.tolist() == [q ** (cols - 1)] * q
+
+
 def test_mask_distribution_counts_past_int64_exactly():
-    # A cap past 2^63 admits 2^70 key states; the tallies stay exact integers.
+    # A cap past 2^64 admits 2^70 key states; the tallies stay exact Python integers.
     wide = np.array([[1, 0] * 35, [1, 1] * 35], dtype=np.int64)
     states, tallies = mask_distribution(from_array(GF2, wide), 1 << 80)
     assert states == 2**70 and tallies.tolist() == [2**68] * 4
@@ -148,16 +173,17 @@ def test_mask_distribution_counts_past_int64_exactly():
 
 
 def test_mask_distribution_peak_memory_is_a_few_tallies():
-    # 7x7 over GF(5): the dense tally has 5^7 int64 cells.
+    # 7x7 over GF(5): the dense tally has 5^7 cells, uint32 since 2^16 < 5^7 < 2^32.
     rng = np.random.default_rng(0)
     m = from_array(make_field(5), rng.integers(0, 5, size=(7, 7), dtype=np.int64))
-    tally_bytes = 8 * 5**7
     tracemalloc.start()
     try:
-        mask_distribution(m, CAP)
+        _, tallies = mask_distribution(m, CAP)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert tallies.dtype == np.uint32
+    tally_bytes = tallies.itemsize * 5**7
     assert peak < 3 * tally_bytes, peak / tally_bytes
 
 
@@ -166,14 +192,14 @@ def test_mask_distribution_returns_a_full_tally_without_copying_it():
     rng = np.random.default_rng(1)
     m = from_array(make_field(5), rng.integers(0, 5, size=(7, 7), dtype=np.int64))
     assert rank(m) == 7
-    tally_bytes = 8 * 5**7
     tracemalloc.start()
     try:
         states, tallies = mask_distribution(m, CAP)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert states == 5**7 and tallies.tolist() == [1] * 5**7
+    assert states == 5**7 and tallies.tolist() == [1] * 5**7 and tallies.dtype == np.uint32
+    tally_bytes = tallies.itemsize * 5**7
     assert peak < 2 * tally_bytes, peak / tally_bytes
 
 
