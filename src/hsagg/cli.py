@@ -299,7 +299,7 @@ def report_to_obj(r: audit.AuditReport) -> dict:
 # subcommands
 
 def _count(text: str, bits: int | None = None) -> int:
-    """argparse type of --rounds, --fuzz-rounds, --max-retries and --cap; of --seed with bits = 63."""
+    """argparse type of --rounds, --fuzz-rounds and --cap; of --seed and --max-retries with bits = 63."""
     try:
         value = int(text)
     except ValueError:
@@ -310,8 +310,11 @@ def _count(text: str, bits: int | None = None) -> int:
     return value
 
 
-def _seed(text: str) -> int:
-    """argparse type of --seed: below 2^63, so build's seed + k is below 2^64, which linalg would wrap."""
+def _below_2_63(text: str) -> int:
+    """argparse type of --seed and --max-retries: below 2^63, so build's attempt seeds seed + k stay below 2^64.
+
+    linalg reduces a seed mod 2^64, so a larger attempt seed would alias a smaller one.
+    """
     return _count(text, 63)
 
 
@@ -438,8 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--V", type=int, required=True)
     p.add_argument("--G", type=int, required=True)
     p.add_argument("--q", type=int, default=scheme_mod.DEFAULT_RANDOM_MODULUS)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--max-retries", type=_count, default=16)
+    p.add_argument("--seed", type=_below_2_63, default=0)
+    p.add_argument("--max-retries", type=_below_2_63, default=16)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build)
 
@@ -458,14 +461,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=1 << 26,
         help="most q^cols key states and q^rows tally cells an oracle may take (default 2^26)",
     )
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_below_2_63, default=0)
     p.add_argument("--out", help="write the audit report as JSON")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="run aggregation rounds and check decoding")
     p.add_argument("scheme")
     p.add_argument("--rounds", type=_count, default=100)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_below_2_63, default=0)
     p.add_argument("--out", help="write the round transcripts as JSON")
     p.set_defaults(func=cmd_simulate)
     return parser

@@ -8,7 +8,7 @@ encoding matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -152,25 +152,48 @@ def build_example2() -> PrecodingScheme:
     return _zero_sum_scheme(cfg, dims, groups, np.array(blocks), {"construction": "example2"})
 
 
+# Most block entries one batch of build_random's attempts draws at once (2^15
+# int64 entries are 256 KB), so its memory does not grow with max_retries. An
+# attempt with more entries is drawn alone.
+_BATCH_ENTRIES = 1 << 15
+
+
+def _draws(cfg: ProblemConfig, seed: int, attempts: int):
+    """The unchecked draws of attempts 0, 1, ..., attempts - 1, in order; attempt k uses seed + k.
+
+    The attempts are drawn in batches of 1, 2, 4, ... attempts, each by one
+    random_mats call, and no batch of more than one attempt passes
+    _BATCH_ENTRIES block entries. An attempt's scheme is made only when the
+    caller asks for it, and attempt k's seed, like any seed part, is reduced
+    mod 2^64.
+    """
+    dims = classify_regime(cfg)
+    groups = tuple(enumerate_groups(cfg.U, cfg.V, cfg.G))  # shared by every attempt's scheme
+    index = np.indices((len(groups), cfg.G - 1)).reshape(2, -1).T  # (group, member) of every drawn block
+    shape = (len(groups), cfg.G - 1, dims.L, dims.L_S)
+    most = max(1, _BATCH_ENTRIES // (len(index) * dims.L * dims.L_S))
+    first = np.array(seed % (1 << 64), np.uint64)
+    k, size = 0, 1
+    while k < attempts:
+        n = min(size, most, attempts - k)
+        heads = first + np.arange(k, k + n, dtype=np.uint64)[:, None]  # uint64 sums wrap mod 2^64
+        blocks = linalg.random_mats(dims.L, dims.L_S, cfg.field, linalg.seed_rows(heads, index))
+        for i, attempt in enumerate(blocks.reshape(n, *shape)):
+            provenance = {"construction": "random", "seed": seed, "prng_id": linalg.PRNG_ID, "retries_used": k + i}
+            yield _zero_sum_scheme(cfg, dims, groups, attempt, provenance)
+        del blocks, attempt  # the next batch is drawn without this one
+        k, size = k + n, 2 * size
+
+
 def sample_zero_sum_scheme(cfg: ProblemConfig, seed: int) -> PrecodingScheme:
     """One unchecked draw: i.i.d. uniform blocks with zero-sum completion.
 
     For each group, all members except the lexicographically last get
     independent uniform L x L_S blocks; the last is the negated sum. No rank
-    gate is applied, so the result may be insecure (useful for audits).
+    gate is applied, so the result may be insecure (useful for audits). It
+    is attempt 0 of build_random with the same seed.
     """
-    dims = classify_regime(cfg)
-    groups = enumerate_groups(cfg.U, cfg.V, cfg.G)
-    index = np.indices((len(groups), cfg.G - 1)).reshape(2, -1).T  # (group, member) of every drawn block
-    blocks = linalg.random_mats(dims.L, dims.L_S, cfg.field, linalg.seed_rows(seed, index))
-    provenance = {
-        "construction": "random",
-        "seed": seed,
-        "prng_id": linalg.PRNG_ID,
-        "retries_used": 0,
-    }
-    blocks = blocks.reshape(len(groups), cfg.G - 1, dims.L, dims.L_S)
-    return _zero_sum_scheme(cfg, dims, groups, blocks, provenance)
+    return next(_draws(cfg, seed, 1))
 
 
 def scheme_rank_checks_pass(s: PrecodingScheme) -> bool:
@@ -201,14 +224,13 @@ def build_random(cfg: ProblemConfig, seed: int, max_retries: int = 16) -> Precod
     Attempt k uses seed + k; the first scheme passing both rank conditions is
     returned with the retry count recorded. Failure of every attempt signals
     that q is too small for the generic construction to succeed reliably.
+    The attempts are drawn in batches that double in size, at most
+    _BATCH_ENTRIES block entries each (see _draws), and gated one at a time
+    in order, so the result is the one that drawing them one by one gives.
     """
-    for attempt in range(max_retries + 1):
-        s = sample_zero_sum_scheme(cfg, seed + attempt)
+    for s in _draws(cfg, seed, max_retries + 1):
         if scheme_rank_checks_pass(s):
-            provenance = dict(s.provenance)
-            provenance["seed"] = seed
-            provenance["retries_used"] = attempt
-            return replace(s, provenance=provenance)
+            return s
     raise ConstructionFailed(max_retries + 1)
 
 

@@ -596,24 +596,40 @@ def test_scheme_loader_fuzz(data):
 
 
 @pytest.mark.parametrize(
-    "argv, flag",
+    "argv, flag, bound",
     [
-        (["simulate", "{scheme}"], "--rounds"),
-        (["verify", "{scheme}"], "--fuzz-rounds"),
-        (["verify", "{scheme}"], "--cap"),
-        (["build", "--U", "2", "--V", "2", "--G", "2", "--out", "{out}"], "--max-retries"),
+        (["simulate", "{scheme}"], "--rounds", ""),
+        (["verify", "{scheme}"], "--fuzz-rounds", ""),
+        (["verify", "{scheme}"], "--cap", ""),
+        (["build", "--U", "2", "--V", "2", "--G", "2", "--out", "{out}"], "--max-retries", " below 2^63"),
     ],
     ids=["rounds", "fuzz-rounds", "cap", "max-retries"],
 )
-def test_count_flags_reject_negative_values(argv, flag, tmp_path, capsys):
+def test_count_flags_reject_negative_values(argv, flag, bound, tmp_path, capsys):
     scheme_path, out = tmp_path / "ex1.json", tmp_path / "out.json"
     run(["example", "--id", "1", "--out", str(scheme_path)])
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         run([a.format(scheme=scheme_path, out=out) for a in argv] + [flag, "-1"])
     assert exc.value.code == EXIT_USAGE
-    message = f"argument {flag}: expected a non-negative integer, got '-1'"
+    message = f"argument {flag}: expected a non-negative integer{bound}, got '-1'"
     assert capsys.readouterr().err == f"hsagg {argv[0]}: error: {message}\n"
+    assert not out.exists()
+
+
+def test_max_retries_below_2_63(tmp_path, capsys):
+    # With --seed and --max-retries both below 2^63, every attempt seed seed + k
+    # is below 2^64, so no two attempts share a stream.
+    out = tmp_path / "s.json"
+    argv = ["build", "--U", "2", "--V", "2", "--G", "2", "--q", str(2**31 - 1), "--seed", str(2**63 - 1)]
+    assert run([*argv, "--max-retries", str(2**63 - 1), "--out", str(out)]) == EXIT_OK
+    assert "retries_used: 0" in capsys.readouterr().out
+    out.unlink()
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--max-retries", str(2**63), "--out", str(out)])
+    assert exc.value.code == EXIT_USAGE
+    message = f"argument --max-retries: expected a non-negative integer below 2^63, got '{2**63}'"
+    assert capsys.readouterr().err == f"hsagg build: error: {message}\n"
     assert not out.exists()
 
 

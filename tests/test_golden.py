@@ -32,14 +32,22 @@ GOLDEN = {
         "cdd90ea40f8508439b962e70b047930f26a4e400b9ec93b7532e1400629c654d",
         "a4886882862ddfa63d3ec48b5bcbc1af83e5985516266989b7514703c948c041",
     ),
+    "retry235": (
+        "105f57bdc5baad8f70bc09770ff4c849913c27868a2509be1d3d69f869142d6e",
+        "eb9433e9f231768ac45856634314d8b04300fd3a14b6359c8c183aa30d55d7e0",
+        "8d392378a07a340c1c980784599c5b547918fb9432462f80373bb9da1b346bdd",
+    ),
 }
 MAKE = {
     "ex1": ["example", "--id", "1"],
     "ex2": ["example", "--id", "2"],
     "rand336": ["build", "--U", "3", "--V", "3", "--G", "6", "--q", str(Q61), "--seed", "5"],
+    # Passes on attempt 22 (retries_used 21), so build_random's retries are pinned too.
+    "retry235": ["build", "--U", "2", "--V", "3", "--G", "5", "--q", "2", "--seed", "4", "--max-retries", "500"],
 }
 # ex2's oracles are skipped as infeasible, which pins the required_states encoding.
-VERIFY_EXTRA = {"ex1": [], "ex2": ["--oracle"], "rand336": []}
+# retry235's oracles all run.
+VERIFY_EXTRA = {"ex1": [], "ex2": ["--oracle"], "rand336": [], "retry235": ["--oracle"]}
 # verify --oracle --seed 2 of ex1: every oracle runs, so the report pins their tallies.
 EX1_ORACLE_REPORT = "733f9b8f2a534db68111eadae6f12ee9979ad2c05976092bb67174f845ae6a97"
 

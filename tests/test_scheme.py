@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from math import comb
@@ -142,6 +143,126 @@ def test_build_random_reproducible():
     b = build_random(cfg, seed=7)
     assert np.array_equal(a.encoding, b.encoding)
     assert a.provenance == b.provenance
+
+
+# Seeds -1 and 2^64 - 3 have attempt seeds that wrap past 2^64 to 0, 1, ...
+# At (3,2,3)@2 the first of seeds 0, 1, ... that passes is 135.
+EQUIVALENCE_SEEDS = [0, 1, 4, 9, 120, 135, -1, 2**64 - 3]
+
+
+def _sequential_build(cfg, seed, max_retries):
+    """build_random as one draw per attempt, gated in order: (encoding bytes, provenance) or the attempt count."""
+    for attempt in range(max_retries + 1):
+        s = sample_zero_sum_scheme(cfg, seed + attempt)
+        if scheme.scheme_rank_checks_pass(s):
+            provenance = {**s.provenance, "seed": seed, "retries_used": attempt}
+            return s.encoding.tobytes(), list(provenance.items())
+    return max_retries + 1
+
+
+def _batched_build(cfg, seed, max_retries):
+    try:
+        s = build_random(cfg, seed, max_retries)
+    except ConstructionFailed as exc:
+        return exc.attempts
+    return s.encoding.tobytes(), list(s.provenance.items())
+
+
+@pytest.mark.parametrize("U, V, G, q", [(2, 2, 2, 2), (2, 2, 2, 3), (2, 2, 2, 5), (3, 2, 3, 2), (2, 3, 5, 2)])
+def test_build_random_matches_one_draw_per_attempt(U, V, G, q):
+    cfg = ProblemConfig(U, V, G, make_field(q))
+    outcomes = set()
+    for seed in EQUIVALENCE_SEEDS:
+        for max_retries in (0, 1, 2, 3, 7, 40):
+            expected = _sequential_build(cfg, seed, max_retries)
+            assert _batched_build(cfg, seed, max_retries) == expected, (seed, max_retries)
+            outcomes.add(isinstance(expected, int))
+    assert outcomes == {False, True}  # both built schemes and used-up retries were compared
+
+
+@pytest.mark.parametrize("seed", [0, 5, -1, 2**64 - 3, 2**64, 2**64 + 5])
+def test_draw_seeds_reduce_mod_2_64_as_seed_rows_does(seed):
+    cfg = ProblemConfig(2, 3, 5, make_field(7))
+    s = sample_zero_sum_scheme(cfg, seed)
+    index = [(g, m) for g in range(len(s.groups)) for m in range(cfg.G - 1)]
+    drawn = linalg.random_mats(s.dims.L, s.dims.L_S, cfg.field, linalg.seed_rows(seed, index))
+    for (g, m), block in zip(index, drawn):
+        assert np.array_equal(s.block(g, s.groups[g][m]), block)
+
+
+def _count_batches(monkeypatch, blocks_per_attempt):
+    """Record the attempts that each random_mats call draws."""
+    batches, draw = [], linalg.random_mats
+
+    def counting(rows, cols, field, seeds):
+        batches.append(len(seeds) // blocks_per_attempt)
+        return draw(rows, cols, field, seeds)
+
+    monkeypatch.setattr(linalg, "random_mats", counting)
+    return batches
+
+
+@pytest.mark.parametrize("max_retries", [0, 1, 2, 3, 7, 40, 500])
+def test_build_random_draws_attempts_in_doubling_batches(max_retries, monkeypatch):
+    cfg = ProblemConfig(2, 3, 5, GF2)  # 24 blocks and 432 entries an attempt
+    batches = _count_batches(monkeypatch, 24)
+    for seed in range(8):
+        batches.clear()
+        try:
+            attempts = build_random(cfg, seed, max_retries).provenance["retries_used"] + 1
+            most = min(max_retries + 1, 2 * attempts)
+        except ConstructionFailed:
+            attempts = most = max_retries + 1
+        assert batches[0] == 1
+        assert batches[:-1] == [2**i for i in range(len(batches) - 1)]
+        assert attempts <= sum(batches) <= most
+
+
+@pytest.mark.parametrize(
+    "U, V, G, max_retries, widest",
+    # 1280 entries an attempt, so 25 attempts a batch; 104,580, past the
+    # budget, so each attempt is drawn alone.
+    [(3, 2, 3, 200, 25), (3, 3, 6, 3, 1)],
+)
+def test_build_random_batches_stay_within_the_entry_budget(U, V, G, max_retries, widest, monkeypatch):
+    monkeypatch.setattr(scheme, "scheme_rank_checks_pass", lambda s: False)
+    cfg = ProblemConfig(U, V, G, GF2)
+    dims, blocks = classify_regime(cfg), comb(U * V, G) * (G - 1)
+    batches = _count_batches(monkeypatch, blocks)
+    with pytest.raises(ConstructionFailed):
+        build_random(cfg, 0, max_retries)
+    most = max(1, scheme._BATCH_ENTRIES // (blocks * dims.L * dims.L_S))
+    expected, size = [], 1
+    while sum(expected) < max_retries + 1:
+        expected.append(min(size, most, max_retries + 1 - sum(expected)))
+        size *= 2
+    assert batches == expected
+    assert max(batches) == widest
+
+
+def test_build_random_memory_does_not_grow_with_max_retries(monkeypatch):
+    # Every attempt fails, so all 401 attempts of (3,2,3)@2 are drawn: 1280
+    # entries each, 4 MB of int64 in all. A batch holds at most
+    # _BATCH_ENTRIES of them, so the build peaks at what drawing one full
+    # batch takes, plus a few encodings.
+    cfg = ProblemConfig(3, 2, 3, GF2)
+    monkeypatch.setattr(scheme, "scheme_rank_checks_pass", lambda s: False)
+    s = sample_zero_sum_scheme(cfg, 0)  # warm up: first-call allocations
+    most = scheme._BATCH_ENTRIES // 1280
+    index = np.indices((len(s.groups), cfg.G - 1)).reshape(2, -1).T
+    tracemalloc.start()
+    try:
+        seeds = linalg.seed_rows(np.arange(most, dtype=np.uint64)[:, None], index)
+        linalg.random_mats(s.dims.L, s.dims.L_S, cfg.field, seeds)
+        del seeds
+        batch = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with pytest.raises(ConstructionFailed):
+            build_random(cfg, 0, max_retries=400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < batch + 4 * s.encoding.nbytes
 
 
 def test_sample_zero_sum_always_zero_sum():
