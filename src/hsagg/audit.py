@@ -26,6 +26,8 @@ from .scheme import PrecodingScheme
 
 # Python's default limit on the digits of an int converted to str.
 _MAX_DECIMAL_DIGITS = 4300
+# Default of full_audit and `verify --cap`: most q^cols key states and q^rows tally cells an oracle may take.
+DEFAULT_ORACLE_CAP = 1 << 26
 
 
 class StateSpaceTooLarge(RuntimeError):
@@ -103,15 +105,12 @@ class AuditReport:
 
     @property
     def passed(self) -> bool:
-        oracle_ok = all(
-            r.passed for r in self.oracle_relay.values() if isinstance(r, OracleResult)
-        ) and (not isinstance(self.oracle_server, OracleResult) or self.oracle_server.passed)
+        oracles = [*self.oracle_relay.values(), self.oracle_server]
         return (
             self.zero_sum
-            and all(c.passed for c in self.relay_ranks.values())
-            and self.server_rank.passed
+            and all(c.passed for c in [*self.relay_ranks.values(), self.server_rank])
             and self.fuzz_failures == 0
-            and oracle_ok
+            and all(r.passed for r in oracles if isinstance(r, OracleResult))
             and self.rates_match
         )
 
@@ -247,7 +246,7 @@ def _oracle_result(oracle, *args, cap: int | None) -> OracleResult | StateSpaceT
 def full_audit(
     s: PrecodingScheme,
     fuzz_rounds: int = 100,
-    oracle_cap: int | None = 1 << 26,
+    oracle_cap: int | None = DEFAULT_ORACLE_CAP,
     seed: int = 0,
 ) -> AuditReport:
     """Run every check; oversized oracles are recorded as skipped, not failed.

@@ -24,7 +24,7 @@ import numpy as np
 from . import audit, linalg, protocol, scheme as scheme_mod
 from .combi import CountOverflow, all_users, count_groups, enumerate_groups, huge_count
 from .gf import NotPrime, make_field
-from .rates import Infeasible, ProblemConfig, check_feasible, classify_regime, optimal_rates, security_fractions
+from .rates import Infeasible, ProblemConfig, classify_regime, optimal_rates, require_feasible, security_fractions
 from .scheme import ConstructionFailed, PrecodingScheme
 
 FORMAT_VERSION = 1
@@ -38,8 +38,9 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
 
-# Most entries of an encoding matrix that build makes: 2^27 int64 entries are
-# 1 GiB, and the relay and server matrices are copies of parts of it.
+# Most entries of an encoding matrix that build makes (2^27 int64 entries are
+# 1 GiB; the relay and server matrices copy parts of it), and of R rounds of
+# simulate or verify, whose inputs, keys and messages are R * (rows + cols of E).
 MAX_ENCODING_ENTRIES = 1 << 27
 
 
@@ -311,10 +312,7 @@ def _count(text: str, bits: int | None = None) -> int:
 
 
 def _below_2_63(text: str) -> int:
-    """argparse type of --seed and --max-retries: below 2^63, so build's attempt seeds seed + k stay below 2^64.
-
-    linalg reduces a seed mod 2^64, so a larger attempt seed would alias a smaller one.
-    """
+    """argparse type of --seed and --max-retries: below 2^63, so build's attempt seeds seed + k are distinct mod 2^64."""
     return _count(text, 63)
 
 
@@ -327,9 +325,10 @@ def _cfg_from_args(args, q: int) -> ProblemConfig:
 
 def cmd_rates(args) -> int:
     cfg = _cfg_from_args(args, q=2)  # rates do not depend on the field
-    # Refused before any binomial is computed; G = 1 is left to optimal_rates,
-    # which refuses it as infeasible whatever its count.
-    if check_feasible(cfg) and huge_count(cfg.U, cfg.V, cfg.G):
+    # Both refused before any binomial is computed: G = 1 as infeasible
+    # whatever UV is, then a count too large for exact rates.
+    require_feasible(cfg)
+    if huge_count(cfg.U, cfg.V, cfg.G):
         raise UsageError(f"C({cfg.U * cfg.V},{cfg.G}) may exceed 14000 bits, too large for exact rates")
     rates = optimal_rates(cfg)
     dims = classify_regime(cfg)
@@ -340,6 +339,12 @@ def cmd_rates(args) -> int:
     print(f"r_x: {_frac(rates.r_x)}  r_y: {_frac(rates.r_y)}  r_s: {_frac(rates.r_s)}")
     print(f"regime: {dims.regime.value}  L: {dims.L}  L_S: {dims.L_S}")
     return EXIT_OK
+
+
+def _check_entries(entries: int, what: str):
+    """Refuse, before anything is drawn, what would hold more than MAX_ENCODING_ENTRIES int64 entries."""
+    if entries > MAX_ENCODING_ENTRIES:
+        raise UsageError(f"{what} would have {entries} entries, more than the limit of {MAX_ENCODING_ENTRIES}")
 
 
 def _save_and_summarize(s: PrecodingScheme, path: str) -> int:
@@ -360,17 +365,12 @@ def _save_and_summarize(s: PrecodingScheme, path: str) -> int:
 
 def cmd_build(args) -> int:
     cfg = _cfg_from_args(args, q=args.q)
-    if not check_feasible(cfg):  # before any count, as in rates: G = 1 is infeasible whatever UV is
-        raise Infeasible("G = 1: groupwise keys are private, no scheme exists")
+    require_feasible(cfg)  # before any count, as in rates
     # E has UV*L x C(UV,G)*L_S entries. The group count comes first: once it
     # fits 64 bits, the regime's binomials are cheap.
     n_groups = count_groups(cfg.U, cfg.V, cfg.G)
     dims = classify_regime(cfg)
-    entries = cfg.U * cfg.V * dims.L * n_groups * dims.L_S
-    if entries > MAX_ENCODING_ENTRIES:
-        raise UsageError(
-            f"the encoding matrix would have {entries} entries, more than the limit of {MAX_ENCODING_ENTRIES}"
-        )
+    _check_entries(cfg.U * cfg.V * dims.L * n_groups * dims.L_S, "the encoding matrix")
     s = scheme_mod.build_random(cfg, seed=args.seed, max_retries=args.max_retries)
     return _save_and_summarize(s, args.out)
 
@@ -382,6 +382,7 @@ def cmd_example(args) -> int:
 
 def cmd_verify(args) -> int:
     s = load_scheme(args.scheme)
+    _check_entries(args.fuzz_rounds * sum(s.encoding.shape), f"--fuzz-rounds {args.fuzz_rounds}")
     oracle_cap = args.cap if args.oracle else None
     report = audit.full_audit(s, fuzz_rounds=args.fuzz_rounds, oracle_cap=oracle_cap, seed=args.seed)
     print(f"zero-sum: {'pass' if report.zero_sum else 'FAIL'}")
@@ -402,6 +403,7 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     s = load_scheme(args.scheme)
+    _check_entries(args.rounds * sum(s.encoding.shape), f"--rounds {args.rounds}")
     batch = protocol.run_rounds(s, args.seed, args.rounds)
     correct = int(np.count_nonzero(batch.correct))
     print(f"correct rounds: {correct}/{args.rounds}")
@@ -442,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--G", type=int, required=True)
     p.add_argument("--q", type=int, default=scheme_mod.DEFAULT_RANDOM_MODULUS)
     p.add_argument("--seed", type=_below_2_63, default=0)
-    p.add_argument("--max-retries", type=_below_2_63, default=16)
+    p.add_argument("--max-retries", type=_below_2_63, default=scheme_mod.DEFAULT_MAX_RETRIES)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build)
 
@@ -458,8 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cap",
         type=_count,
-        default=1 << 26,
-        help="most q^cols key states and q^rows tally cells an oracle may take (default 2^26)",
+        default=audit.DEFAULT_ORACLE_CAP,
+        help="most q^cols key states and q^rows tally cells an oracle may take "
+        f"(default 2^{audit.DEFAULT_ORACLE_CAP.bit_length() - 1})",
     )
     p.add_argument("--seed", type=_below_2_63, default=0)
     p.add_argument("--out", help="write the audit report as JSON")

@@ -3,17 +3,17 @@
 Residues are int64 arrays at every modulus up to 2^61 - 1, and every result
 here is exact. The matrix product matmul_mod and the residue sums sum_mod work
 at every such q. matmul_mod runs on float64 BLAS: it splits its operands into
-limbs of 16 bits (q <= 2^32) or 21 bits (above), and sums limb products over
-inner chunks of at most (2^53 - 1) // m^2 terms, m the largest limb, so that
-every partial sum is an integer below 2^53 and the product is exact in any
-summation order. rank is, at every q, the recursive elimination of Jeannerod,
-Pernet and Storjohann (J. Symbolic Comput. 2013): split the columns in half,
-eliminate the left half, update the right half by one matmul_mod product (its
-Schur complement) and recurse on it. Blocks at most _LEAF_COLS columns wide
-are eliminated row by row, one exact rank-1 update per pivot: plain int64
-arithmetic up to q = 3,037,000,499; above it the column is split into 31-bit
-halves and the quotient by q is estimated in float64, then corrected exactly
-by one reduction.
+21-bit limbs at every q, and sums limb products over inner chunks of at most
+(2^53 - 1) // m^2 terms, m the largest limb, so that every partial sum is an
+integer below 2^53 and the product is exact in any summation order. rank is,
+at every q, the recursive elimination of Jeannerod, Pernet and Storjohann
+(J. Symbolic Comput. 2013): split the columns in half, eliminate the left
+half, update the right half by one matmul_mod product (its Schur complement)
+and recurse on it. Blocks at most _LEAF_COLS columns wide are eliminated row
+by row, one exact rank-1 update per pivot: plain int64 arithmetic up to
+q = 3,037,000,499; above it the column is split into 31-bit halves and the
+quotient by q is estimated in float64, then corrected exactly by one
+reduction.
 
 Seeded draws come from one kernel, random_mats, that reproduces numpy's
 Generator(PCG64(SeedSequence(seed))).integers(0, q, ...) bit for bit for many
@@ -136,23 +136,20 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """Exact (a @ b) mod q for int64 arrays of residues, for every prime q <= 2^61 - 1.
 
     The technique of FFLAS-FFPACK (Dumas, Giorgi, Pernet, ACM TOMS 2008) on
-    float64 BLAS. Both operands are split into n non-negative base-2^w digits
-    (limbs), w = 16 up to q = 2^32 and 21 above, one limb when q - 1 has at
-    most w bits. A limb is at most m = min(q - 1, 2^w - 1), so a float64
-    product of limbs over an inner chunk of at most (2^53 - 1) // m^2 terms
-    sums integers to an integer below 2^53: every partial sum is exact, and
-    so is the result, in any summation order, with FMA and at any BLAS thread
-    count. Each chunk's product is converted to int64, the products of one
-    weight 2^(w s) are summed, and the weights are folded in by Horner's rule
-    from the top.
+    float64 BLAS. Both operands are split into n non-negative 21-bit digits
+    (limbs): one up to q = 2^21, two up to 2^42, three above. A limb is at
+    most m = min(q - 1, 2^21 - 1), so a float64 product of limbs over an
+    inner chunk of at most (2^53 - 1) // m^2 terms is an exact integer below
+    2^53, in any summation order, with FMA and at any BLAS thread count.
 
     `a` is taken in blocks of rows, so that a block's temporaries stay a few
-    hundred KB whatever the operands' size. Limb i of a block is made just
-    before weight i + n - 1 is folded, and its product with limb j of `b` is
-    added to weight i + j; so one limb of `a` exists at a time, and n weight
-    sums are pending. The result is an int64 array of residues.
+    hundred KB, and each block runs in two phases. For each inner chunk, limb
+    i of the block (one limb of `a` at a time) times limb j of `b` is added
+    to the int64 sum of weight 2^(21 (i + j)); the 2n - 1 sums are reduced
+    mod q after each chunk if there are several. Then Horner's rule folds the
+    sums in from the top. The result is an int64 array of residues.
     """
-    width = 16 if q <= 1 << 32 else 21
+    width = 21
     mask = (1 << width) - 1
     n = -(-(q - 1).bit_length() // width)
     chunk = _FLOAT64_EXACT // min(q - 1, mask) ** 2
@@ -164,24 +161,19 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     step = max(1, _BLOCK_ENTRIES // (min(inner, chunk) + n * cols + 1))
     for r in range(0, a.shape[0], step):
         block = a[r : r + step]
-        weights = np.zeros((n, len(block), cols), dtype=np.int64)  # the sum of weight s in weights[s % n]
-        acc = np.zeros((len(block), cols), dtype=np.int64)
-        for s in reversed(range(2 * n - 1)):
-            if s >= n - 1:  # limb i of the block, whose highest weight is s
-                i = s - n + 1
-                for t in range(0, inner, chunk):
-                    limb = block[:, t : t + chunk] >> (width * i)
-                    limb &= mask
-                    limb = limb.astype(np.float64)
-                    for j in range(n):
-                        weights[(i + j) % n] += (limb @ b_limbs[j, t : t + chunk]).astype(np.int64)
-                    if inner > chunk:
-                        weights %= q
-            if s < 2 * n - 2:
-                acc = _mul_pow2(acc, width, q)
-            acc += weights[s % n]
-            acc %= q
-            weights[s % n] = 0
+        weights = np.zeros((2 * n - 1, len(block), cols), dtype=np.int64)
+        for t in range(0, inner, chunk):
+            for i in range(n):
+                limb = block[:, t : t + chunk] >> (width * i)
+                limb &= mask
+                limb = limb.astype(np.float64)
+                for j in range(n):
+                    weights[i + j] += (limb @ b_limbs[j, t : t + chunk]).astype(np.int64)
+            if inner > chunk:
+                weights %= q
+        acc = weights[-1] % q
+        for s in reversed(range(2 * n - 2)):
+            acc = (_mul_pow2(acc, width, q) + weights[s]) % q
         out[r : r + step] = acc
     return out
 

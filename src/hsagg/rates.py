@@ -62,7 +62,7 @@ def security_fractions(cfg: ProblemConfig) -> tuple[Fraction, Fraction]:
 
     At G = 1 the server-side denominator C(UV,1) - U*C(V,1) is 0.
     """
-    _require_feasible(cfg)
+    require_feasible(cfg)
     total = comb(cfg.U * cfg.V, cfg.G)
     relay_denom = total - comb((cfg.U - 1) * cfg.V, cfg.G)
     server_denom = total - cfg.U * comb(cfg.V, cfg.G)
@@ -74,7 +74,7 @@ def check_feasible(cfg: ProblemConfig) -> bool:
     return cfg.G != 1
 
 
-def _require_feasible(cfg: ProblemConfig):
+def require_feasible(cfg: ProblemConfig):
     if not check_feasible(cfg):
         raise Infeasible("G = 1: groupwise keys are private, no scheme exists")
 

@@ -24,6 +24,7 @@ from .rates import ProblemConfig, SchemeDims, classify_regime
 # the bound that `hsagg build` prints (attempt_failure_bound): at most
 # 913/2147483647 at (U,V,G) = (3,3,6).
 DEFAULT_RANDOM_MODULUS = 2_147_483_647
+DEFAULT_MAX_RETRIES = 16  # of build_random and `build --max-retries`
 
 
 class ConstructionFailed(RuntimeError):
@@ -218,7 +219,7 @@ def attempt_failure_bound(cfg: ProblemConfig, dims: SchemeDims) -> Fraction:
     return Fraction(cfg.U * cfg.V * dims.L + (cfg.U - 1) * dims.L, cfg.field.modulus)
 
 
-def build_random(cfg: ProblemConfig, seed: int, max_retries: int = 16) -> PrecodingScheme:
+def build_random(cfg: ProblemConfig, seed: int, max_retries: int = DEFAULT_MAX_RETRIES) -> PrecodingScheme:
     """Seeded random construction with rank-check-and-retry.
 
     Attempt k uses seed + k; the first scheme passing both rank conditions is

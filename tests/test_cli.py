@@ -1,4 +1,5 @@
 import functools
+import inspect
 import json
 import math
 import time
@@ -503,6 +504,54 @@ def test_simulate_zero_rounds(tmp_path, capsys):
     capsys.readouterr()
     assert run(["simulate", path, "--rounds", "0"]) == EXIT_OK
     assert "correct rounds: 0/0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, flag", [("simulate", "--rounds"), ("verify", "--fuzz-rounds")])
+def test_round_count_past_the_entry_limit_is_refused_before_any_draw(command, flag, tmp_path, capsys, monkeypatch):
+    # Example 1's E is 20 x 12: R rounds hold R * 32 input, message and key entries.
+    path = str(tmp_path / "ex1.json")
+    assert run(["example", "--id", "1", "--out", path]) == EXIT_OK
+    capsys.readouterr()
+    rounds = cli.MAX_ENCODING_ENTRIES // 32 + 1
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew rounds past the limit")
+
+    monkeypatch.setattr(cli.linalg, "random_mats", no_draw)
+    monkeypatch.setattr(cli.audit, "full_audit", no_draw)
+    tracemalloc.start()
+    try:
+        assert run([command, path, flag, str(rounds)]) == EXIT_USAGE
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    message = f"{flag} {rounds} would have {rounds * 32} entries, more than the limit of {1 << 27}"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_round_count_limit_is_rounds_times_rows_plus_cols_of_e(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "ex1.json")
+    assert run(["example", "--id", "1", "--out", path]) == EXIT_OK
+    monkeypatch.setattr(cli, "MAX_ENCODING_ENTRIES", 5 * 32)
+    for command, flag in (("simulate", "--rounds"), ("verify", "--fuzz-rounds")):
+        assert run([command, path, flag, "5"]) == EXIT_OK
+        assert run([command, path, flag, "6"]) == EXIT_USAGE
+        assert "192 entries" in capsys.readouterr().err
+
+
+def test_defaults_are_defined_once(capsys, monkeypatch):
+    # The command line and the library take each default from one constant.
+    assert cli.audit.DEFAULT_ORACLE_CAP == 1 << 26 and scheme_mod.DEFAULT_MAX_RETRIES == 16
+    verify = cli.build_parser().parse_args(["verify", "x.json"])
+    build = cli.build_parser().parse_args(["build", "--U", "2", "--V", "2", "--G", "2", "--out", "x.json"])
+    assert verify.cap is cli.audit.DEFAULT_ORACLE_CAP and build.max_retries is scheme_mod.DEFAULT_MAX_RETRIES
+    assert inspect.signature(cli.audit.full_audit).parameters["oracle_cap"].default is cli.audit.DEFAULT_ORACLE_CAP
+    assert inspect.signature(build_random).parameters["max_retries"].default is scheme_mod.DEFAULT_MAX_RETRIES
+    monkeypatch.setenv("COLUMNS", "200")  # the help text on one line
+    with pytest.raises(SystemExit):
+        run(["verify", "--help"])
+    assert "tally cells an oracle may take (default 2^26)\n" in capsys.readouterr().out
 
 
 def test_large_modulus_serialized_as_strings(tmp_path):
