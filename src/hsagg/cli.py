@@ -1,10 +1,13 @@
 """Command-line front end and the JSON formats for schemes, transcripts, reports.
 
 Every file is json.dumps(obj, indent=2) and a newline, fields in a fixed
-order, written piece by piece by one writer that renders int64 residue arrays
-directly. Integers of magnitude >= 2^53 are decimal strings so JSON consumers
-with double-precision parsers cannot lose digits. The writer alone defines
-the scheme format: the loader decodes a scheme object leniently, then accepts
+order, written piece by piece by one writer. Records that recur in a file, the
+sections of each transcript round and the blocks of a scheme, are filled from
+a template that the writer renders once from a prototype record, one % fill
+per record: %d slots take ints when q <= 2^53, %s slots take texts above.
+Integers of magnitude >= 2^53 are decimal strings so JSON consumers with
+double-precision parsers cannot lose digits. The writer alone defines the
+scheme format: the loader decodes a scheme object leniently, then accepts
 it only if the writer gives exactly that object for the decoded scheme. So a
 scheme file loads iff re-saving it gives the same bytes.
 """
@@ -16,6 +19,7 @@ import json
 import sys
 from collections.abc import Iterator
 from fractions import Fraction
+from functools import partial
 from json.encoder import encode_basestring_ascii
 from math import comb
 
@@ -64,7 +68,7 @@ def _residues(a: np.ndarray, texts: bool = False) -> list:
     values = a.tolist()
     if not values or max(values) < _JSON_SAFE:
         return list(map(str, values)) if texts else values
-    out = list(map('"{}"'.format if texts else str, values))
+    out = [f'"{x}"' for x in values] if texts else list(map(str, values))
     for i in np.flatnonzero(a < _JSON_SAFE).tolist():
         out[i] = str(values[i]) if texts else values[i]
     return out
@@ -77,13 +81,16 @@ def _scalar_text(x) -> str:
 def _write_text(obj, write, pad: str = ""):
     """Pass the text of json.dumps(obj, indent=2), at indentation pad, to write in pieces.
 
-    A list may also be an iterator, drawn as it is written, or a 1-D int64
-    array of residues. A list of scalars is one piece, made by one join.
+    A list may also be an iterator, drawn as it is written, and any value a
+    function of the indentation that gives its text (a _Template record). A
+    list of scalars is one piece, made by one join.
     """
     inner = pad + "  "
-    if isinstance(obj, np.ndarray) or isinstance(obj, list) and all(isinstance(x, _SCALARS) for x in obj):
-        texts = _residues(obj, texts=True) if isinstance(obj, np.ndarray) else list(map(_scalar_text, obj))
+    if isinstance(obj, list) and all(isinstance(x, _SCALARS) for x in obj):
+        texts = list(map(_scalar_text, obj))
         write("[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]" if texts else "[]")
+    elif callable(obj):
+        write(obj(pad))
     elif isinstance(obj, (dict, list, tuple, Iterator)):
         is_dict = isinstance(obj, dict)
         opener, closer = "{}" if is_dict else "[]"
@@ -95,6 +102,39 @@ def _write_text(obj, write, pad: str = ""):
         write("\n" + pad + closer if head[0] == "," else opener + closer)
     else:
         write(_scalar_text(obj))
+
+
+# Marks a slot in a template's prototype: no record holds this string, and
+# the writer renders it as the text _SLOT_TEXT.
+_SLOT = "\0"
+_SLOT_TEXT = encode_basestring_ascii(_SLOT)
+
+
+class _Template:
+    """A record layout that recurs in a file: the writer renders it once, and each record is one % fill.
+
+    The prototype is the record's object with _SLOT wherever records differ.
+    Its text, rendered by _write_text at the records' indentation, has a %d
+    in each slot when q <= 2^53, so every residue is a bare int and the fill
+    takes tolist() ints, and a %s when q > 2^53, where the fill takes the
+    _residues texts, quoted from 2^53 on.
+    """
+
+    def __init__(self, prototype, q: int):
+        self.prototype, self.texts = prototype, q > _JSON_SAFE
+        self.pad = self.text = None
+
+    def record(self, residues: np.ndarray, head: tuple = ()):
+        """The record whose slots hold the ints of head, then the entries of a 1-D residue array."""
+        return partial(self._fill, head=head, residues=residues)
+
+    def _fill(self, pad: str, head: tuple, residues: np.ndarray) -> str:
+        if pad != self.pad:
+            pieces = []
+            _write_text(self.prototype, pieces.append, pad)
+            spec = "%s" if self.texts else "%d"
+            self.pad, self.text = pad, "".join(pieces).replace("%", "%%").replace(_SLOT_TEXT, spec)
+        return self.text % (*head, *(_residues(residues, texts=True) if self.texts else residues.tolist()))
 
 
 def _dec_provenance(v):
@@ -137,14 +177,17 @@ def _scheme_header(s: PrecodingScheme) -> dict:
     }
 
 
-def _scheme_blocks(s: PrecodingScheme, arrays: bool = False):
-    """The block objects of the scheme object in canonical (group, member) order; data int64 with arrays."""
-    matrix = {"rows": s.dims.L, "cols": s.dims.L_S}
+def _scheme_block(s: PrecodingScheme, g_idx, member, data) -> dict:
+    """The block object of a group member whose L x L_S matrix has the row-major entries data."""
+    matrix = {"rows": s.dims.L, "cols": s.dims.L_S, "data": data}
+    return {"group_index": g_idx, "user": list(member), "matrix": matrix}
+
+
+def _scheme_blocks(s: PrecodingScheme) -> Iterator[dict]:
+    """The block objects of the scheme object, in canonical (group, member) order."""
     for g_idx, grp in enumerate(s.groups):
         for member in grp:
-            data = s.block(g_idx, member).reshape(-1)
-            data = data if arrays else _residues(data)
-            yield {"group_index": g_idx, "user": list(member), "matrix": {**matrix, "data": data}}
+            yield _scheme_block(s, g_idx, member, _residues(s.block(g_idx, member).reshape(-1)))
 
 
 def scheme_to_obj(s: PrecodingScheme) -> dict:
@@ -226,7 +269,14 @@ def _write_json(path: str, obj):
 
 
 def save_scheme(s: PrecodingScheme, path: str):
-    _write_json(path, {**_scheme_header(s), "blocks": _scheme_blocks(s, arrays=True)})
+    """Write the scheme file: the header through the writer, then each block as one fill of a block template."""
+    block = _Template(_scheme_block(s, _SLOT, (_SLOT, _SLOT), [_SLOT] * s.dims.L * s.dims.L_S), s.cfg.field.modulus)
+    records = (
+        block.record(s.block(g_idx, member).reshape(-1), (g_idx, *member))
+        for g_idx, grp in enumerate(s.groups)
+        for member in grp
+    )
+    _write_json(path, {**_scheme_header(s), "blocks": records})
 
 
 def load_scheme(path: str) -> PrecodingScheme:
@@ -238,16 +288,22 @@ def load_scheme(path: str) -> PrecodingScheme:
     return scheme_from_obj(obj)
 
 
-def transcript_to_obj(batch: protocol.Rounds, r: int) -> dict:
-    """Round r for the writer: users' inputs and messages in canonical order, then relays', as row blocks."""
-    users = all_users(batch.scheme.cfg.U, batch.scheme.cfg.V)
-    arrays = (batch.inputs, batch.user_messages, batch.relay_messages, batch.decoded_sum)
-    inputs, messages, relays, decoded = (a[:, r].reshape(-1, batch.scheme.dims.L) for a in arrays)
+def _round_templates(batch: protocol.Rounds) -> tuple:
+    """The templates of a round's sections: users' row blocks in canonical order, relays' row blocks, the sum."""
+    cfg, L = batch.scheme.cfg, batch.scheme.dims.L
+    users = [{"user": list(u), "data": [_SLOT] * L} for u in all_users(cfg.U, cfg.V)]
+    relays = [{"relay": u, "data": [_SLOT] * L} for u in range(1, cfg.U + 1)]
+    return tuple(_Template(section, cfg.field.modulus) for section in (users, relays, [_SLOT] * L))
+
+
+def transcript_to_obj(batch: protocol.Rounds, r: int, templates: tuple) -> dict:
+    """Round r for the writer, each section one record of its _round_templates template."""
+    users, relays, decoded = templates
     return {
-        "inputs": [{"user": list(u), "data": w} for u, w in zip(users, inputs)],
-        "user_messages": [{"user": list(u), "data": x} for u, x in zip(users, messages)],
-        "relay_messages": [{"relay": u, "data": y} for u, y in enumerate(relays, 1)],
-        "decoded_sum": decoded[0],
+        "inputs": users.record(batch.inputs[:, r]),
+        "user_messages": users.record(batch.user_messages[:, r]),
+        "relay_messages": relays.record(batch.relay_messages[:, r]),
+        "decoded_sum": decoded.record(batch.decoded_sum[:, r]),
     }
 
 
@@ -408,9 +464,10 @@ def cmd_simulate(args) -> int:
     correct = int(np.count_nonzero(batch.correct))
     print(f"correct rounds: {correct}/{args.rounds}")
     if args.out:
-        # Each round is rendered from the batch's arrays and written before
-        # the next is made: neither the whole text nor a list of rounds is held.
-        rounds = (transcript_to_obj(batch, r) for r in range(args.rounds))
+        # Each round section is filled from the batch's arrays and written
+        # before the next: neither the whole text nor a list of rounds is held.
+        templates = _round_templates(batch)
+        rounds = (transcript_to_obj(batch, r, templates) for r in range(args.rounds))
         header = {"format_version": FORMAT_VERSION, "prng_id": linalg.PRNG_ID, "seed": _enc_int(args.seed)}
         _write_json(args.out, {**header, "rounds": rounds})
         print(f"transcripts written to {args.out}")

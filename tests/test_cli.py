@@ -316,6 +316,20 @@ def test_load_peak_memory_is_a_few_encoding_matrices():
     assert peak < 3 * s.encoding.nbytes, peak / s.encoding.nbytes
 
 
+def test_save_peak_memory_is_a_small_part_of_the_encoding_matrix(tmp_path):
+    # Each block is filled and written before the next, so neither the 4.2 MB of text nor
+    # the blocks' texts are held at once.
+    cfg = ProblemConfig(3, 3, 6, make_field((1 << 61) - 1))
+    s = scheme_mod.sample_zero_sum_scheme(cfg, seed=1)
+    tracemalloc.start()
+    try:
+        save_scheme(s, str(tmp_path / "s.json"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < s.encoding.nbytes / 4, peak / s.encoding.nbytes
+
+
 def test_build_pipeline(tmp_path, capsys):
     path = str(tmp_path / "s.json")
     assert (
@@ -760,9 +774,12 @@ def test_writer_text_is_json_dumps_indent_2(value):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, (1 << 63) - 1) | st.integers(JSON_SAFE - 2, JSON_SAFE + 1)))
 def test_writer_renders_residue_arrays_as_enc_int_does(entries):
-    # An int64 array is written entry by entry as _enc_int gives it: a decimal string from 2^53 on.
+    # A template record's residues are written entry by entry as _enc_int gives them: a decimal
+    # string from 2^53 on. q = max + 1 fills %d slots up to q = 2^53 and %s slots above.
     array = np.array(entries, dtype=np.int64)
-    assert written_text({"data": array}) == canonical_text({"data": [cli._enc_int(x) for x in entries]})
+    template = cli._Template({"data": [cli._SLOT] * len(entries)}, max(entries, default=0) + 1)
+    expected = canonical_text({"k": {"data": [cli._enc_int(x) for x in entries]}})
+    assert written_text({"k": template.record(array)}) == expected
 
 
 def reference_transcripts(s, seed: int, rounds: int) -> dict:
@@ -789,7 +806,10 @@ def reference_transcripts(s, seed: int, rounds: int) -> dict:
     }
 
 
-@pytest.mark.parametrize("q", [5, (1 << 31) - 1, (1 << 61) - 1])
+# 9,007,199,254,740,881 is the largest prime below 2^53, the top of the %d fill; below
+# 18,014,398,509,481,951, the largest prime below 2^54, about half the entries are >= 2^53,
+# so each round and block mixes quoted and bare entries.
+@pytest.mark.parametrize("q", [5, (1 << 31) - 1, 9_007_199_254_740_881, 18_014_398_509_481_951, (1 << 61) - 1])
 @settings(max_examples=6, deadline=None)
 @given(seed=st.integers(0, 1 << 20), rounds=st.integers(0, 3))
 def test_written_files_are_json_dumps_indent_2(q, seed, rounds, tmp_path_factory):
