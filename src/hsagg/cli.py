@@ -4,7 +4,7 @@ Every file is json.dumps(obj, indent=2) and a newline, fields in a fixed
 order, written piece by piece by one writer. Records that recur in a file, the
 sections of each transcript round and the blocks of a scheme, are filled from
 a template that the writer renders once from a prototype record, one % fill
-per record: %d slots take ints when q <= 2^53, %s slots take texts above.
+per record whose slots take their entries' JSON texts.
 Integers of magnitude >= 2^53 are decimal strings so JSON consumers with
 double-precision parsers cannot lose digits. The writer alone defines the
 scheme format: the loader decodes a scheme object leniently, then accepts
@@ -63,14 +63,14 @@ def _enc_int(x: int):
     return str(x) if abs(x) >= _JSON_SAFE else x
 
 
-def _residues(a: np.ndarray, texts: bool = False) -> list:
-    """The entries of a 1-D array of residues as _enc_int writes them; with texts, as their JSON texts."""
+def _residues(a: np.ndarray, quoted: bool = False) -> list:
+    """The entries of a 1-D array of residues as _enc_int writes them; with quoted, as JSON texts from 2^53 on."""
     values = a.tolist()
-    if not values or max(values) < _JSON_SAFE:
-        return list(map(str, values)) if texts else values
-    out = [f'"{x}"' for x in values] if texts else list(map(str, values))
+    if not values or a.max() < _JSON_SAFE:
+        return values
+    out = [f'"{x}"' for x in values] if quoted else list(map(str, values))
     for i in np.flatnonzero(a < _JSON_SAFE).tolist():
-        out[i] = str(values[i]) if texts else values[i]
+        out[i] = values[i]
     return out
 
 
@@ -114,14 +114,13 @@ class _Template:
     """A record layout that recurs in a file: the writer renders it once, and each record is one % fill.
 
     The prototype is the record's object with _SLOT wherever records differ.
-    Its text, rendered by _write_text at the records' indentation, has a %d
-    in each slot when q <= 2^53, so every residue is a bare int and the fill
-    takes tolist() ints, and a %s when q > 2^53, where the fill takes the
-    _residues texts, quoted from 2^53 on.
+    Its text, rendered by _write_text at the records' indentation, has a %s
+    in each slot, which the fill gives ints below 2^53 and quoted decimal
+    texts from 2^53 on, so each slot holds its entry's JSON text.
     """
 
-    def __init__(self, prototype, q: int):
-        self.prototype, self.texts = prototype, q > _JSON_SAFE
+    def __init__(self, prototype):
+        self.prototype = prototype
         self.pad = self.text = None
 
     def record(self, residues: np.ndarray, head: tuple = ()):
@@ -132,9 +131,8 @@ class _Template:
         if pad != self.pad:
             pieces = []
             _write_text(self.prototype, pieces.append, pad)
-            spec = "%s" if self.texts else "%d"
-            self.pad, self.text = pad, "".join(pieces).replace("%", "%%").replace(_SLOT_TEXT, spec)
-        return self.text % (*head, *(_residues(residues, texts=True) if self.texts else residues.tolist()))
+            self.pad, self.text = pad, "".join(pieces).replace("%", "%%").replace(_SLOT_TEXT, "%s")
+        return self.text % (*head, *_residues(residues, quoted=True))
 
 
 def _dec_provenance(v):
@@ -270,7 +268,7 @@ def _write_json(path: str, obj):
 
 def save_scheme(s: PrecodingScheme, path: str):
     """Write the scheme file: the header through the writer, then each block as one fill of a block template."""
-    block = _Template(_scheme_block(s, _SLOT, (_SLOT, _SLOT), [_SLOT] * s.dims.L * s.dims.L_S), s.cfg.field.modulus)
+    block = _Template(_scheme_block(s, _SLOT, (_SLOT, _SLOT), [_SLOT] * s.dims.L * s.dims.L_S))
     records = (
         block.record(s.block(g_idx, member).reshape(-1), (g_idx, *member))
         for g_idx, grp in enumerate(s.groups)
@@ -293,7 +291,7 @@ def _round_templates(batch: protocol.Rounds) -> tuple:
     cfg, L = batch.scheme.cfg, batch.scheme.dims.L
     users = [{"user": list(u), "data": [_SLOT] * L} for u in all_users(cfg.U, cfg.V)]
     relays = [{"relay": u, "data": [_SLOT] * L} for u in range(1, cfg.U + 1)]
-    return tuple(_Template(section, cfg.field.modulus) for section in (users, relays, [_SLOT] * L))
+    return tuple(_Template(section) for section in (users, relays, [_SLOT] * L))
 
 
 def transcript_to_obj(batch: protocol.Rounds, r: int, templates: tuple) -> dict:

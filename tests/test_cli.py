@@ -775,9 +775,9 @@ def test_writer_text_is_json_dumps_indent_2(value):
 @given(st.lists(st.integers(0, (1 << 63) - 1) | st.integers(JSON_SAFE - 2, JSON_SAFE + 1)))
 def test_writer_renders_residue_arrays_as_enc_int_does(entries):
     # A template record's residues are written entry by entry as _enc_int gives them: a decimal
-    # string from 2^53 on. q = max + 1 fills %d slots up to q = 2^53 and %s slots above.
+    # string from 2^53 on.
     array = np.array(entries, dtype=np.int64)
-    template = cli._Template({"data": [cli._SLOT] * len(entries)}, max(entries, default=0) + 1)
+    template = cli._Template({"data": [cli._SLOT] * len(entries)})
     expected = canonical_text({"k": {"data": [cli._enc_int(x) for x in entries]}})
     assert written_text({"k": template.record(array)}) == expected
 
@@ -806,7 +806,7 @@ def reference_transcripts(s, seed: int, rounds: int) -> dict:
     }
 
 
-# 9,007,199,254,740,881 is the largest prime below 2^53, the top of the %d fill; below
+# 9,007,199,254,740,881 is the largest prime below 2^53, where every entry is bare; below
 # 18,014,398,509,481,951, the largest prime below 2^54, about half the entries are >= 2^53,
 # so each round and block mixes quoted and bare entries.
 @pytest.mark.parametrize("q", [5, (1 << 31) - 1, 9_007_199_254_740_881, 18_014_398_509_481_951, (1 << 61) - 1])
