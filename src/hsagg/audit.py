@@ -5,7 +5,11 @@ Two independent routes check the same security claims:
     server: rank (U-1)L), and
   * exact oracles: the distribution of the relay/server mask over all key
     assignments, tallied exactly by convolving the mask's column terms, and
-    tested for uniformity. They do not use rank.
+    tested for uniformity. They do not use rank. The tally is a product of
+    factor tallies over disjoint row sets, so a column is convolved only on
+    the rows it reaches; factors merge when a column couples them, and the
+    last merge writes the q^rows tally once. An oracle's peak memory is
+    under three q^rows tallies, and under two when every output is attained.
 
 Pass/fail is always decided on exact integer tallies, never on floating-point
 entropy values; the float entropy in the results is for reporting only.
@@ -126,7 +130,12 @@ def verify_server_rank(s: PrecodingScheme) -> RankCheck:
 
 
 def _roll(a: np.ndarray, shift: list[int]) -> np.ndarray:
-    """a rolled by shift[j] along axis j, 8 axes per np.roll: it copies 2^k slices for k axes."""
+    """a rolled by shift[j] along axis j, every axis of length q.
+
+    At q = 2 a roll by 1 reverses its axis, so the result is a view and no copy.
+    """
+    if a.shape[0] == 2:
+        return a[tuple(slice(None, None, -x or None) for x in shift)]
     axes = [j for j, x in enumerate(shift) if x]
     for k in range(0, len(axes), 8):
         chunk = axes[k : k + 8]
@@ -134,49 +143,94 @@ def _roll(a: np.ndarray, shift: list[int]) -> np.ndarray:
     return a
 
 
+def _convolve_line(tally: np.ndarray, c: list[int], q: int):
+    """Convolve tally in place with the uniform distribution on the line {s * c}; c is nonzero."""
+    # c scaled to c[i] = 1 spans the same line; each line parallel to it meets
+    # the hyperplane y_i = 0 once, and its point in slice y_i = t gets there by -t * c.
+    i = next(a for a, x in enumerate(c) if x)
+    inv = pow(c[i], -1, q)
+    step = [x * inv % q for a, x in enumerate(c) if a != i]
+    if not step:  # one axis: the line is the whole tally
+        tally[...] = tally.sum()
+        return
+    by_i = np.moveaxis(tally, i, 0)  # a view: by_i[t] is the slice y_i = t
+    line = by_i[0]  # summed in place: line[z] = sum of the tally on z + {s * c}
+    for t in range(1, q):
+        line += _roll(by_i[t], [-t * x % q for x in step])
+    # The new tally at y is the sum over the line through y.
+    for t in range(1, q):
+        by_i[t] = _roll(line, [t * x % q for x in step])
+
+
+def _product(factors: list, rows: tuple, q: int, dtype) -> np.ndarray:
+    """The tally over the sorted rows that is the product of the factors' tallies
+    (disjoint sorted row sets, each inside rows) and a point mass at 0 on the other rows.
+
+    It is allocated once, and each factor is multiplied into it as a broadcast view.
+    """
+    out = np.zeros((q,) * len(rows), dtype)
+    held = [r for r in rows if any(r in f for f, _ in factors)]
+    target = out[tuple(slice(None) if r in held else 0 for r in rows) + (...,)]  # a view over the held rows
+    views = [t.reshape([q if r in f else 1 for r in held]) for f, t in factors]
+    views = [np.ones((), dtype)] * (2 - len(views)) + views  # at least two: the first product is one pass
+    np.multiply(views[0], views[1], out=target)
+    for v in views[2:]:
+        target *= v
+    return out
+
+
 def mask_distribution(m: Mat, cap: int) -> tuple[int, np.ndarray]:
     """Exact distribution of m @ s over all q^cols inputs s.
 
     Returns (q^cols, the positive multiplicities of the attained outputs in
     base-q code order, row 0 the most significant digit). m @ s sums the
-    independent terms s_j * c_j over the columns c_j, so one dense (q,)*rows
-    tally is convolved in place with the uniform distribution on each line
-    {s * c_j}. q^cols and then q^rows must be within the cap; the relay and
-    server matrices have rows <= cols, since L_S / L is the optimal key rate.
-    The tally's cells, and the returned multiplicities, are the narrowest
-    unsigned type that holds q^cols (object past 2^64 - 1): at most uint32
-    under the default cap of 2^26.
+    independent terms s_j * c_j over the columns c_j, so the tally is the
+    convolution of the uniform distributions on the lines {s * c_j}. It is
+    kept as a product of factor tallies over disjoint row sets: the columns
+    are taken in increasing order of nonzero count, a column inside one
+    factor is convolved in place on that factor's q^k cells alone, and a
+    column that reaches rows of several factors, or rows no factor holds,
+    first merges them into one factor. The last merge writes the (q,)*rows
+    tally in row order once, and the z zero columns scale it by q^z.
+    q^cols and then q^rows must be within the cap; the relay and server
+    matrices have rows <= cols, since L_S / L is the optimal key rate. The
+    cells, and the returned multiplicities, are the narrowest unsigned type
+    that holds q^cols (object past 2^64 - 1): at most uint32 under the
+    default cap of 2^26. The peak memory is under three (q,)*rows tallies,
+    and under two when every output is attained, since the tally itself is
+    then returned.
     """
     q = m.field.modulus
     rows, cols = m.rows, m.cols
     _check_states(q, cols, cap)
     _check_states(q, rows, cap)
     states = q**cols
-    # After j columns the tally's mass is q^j, and no update gives a cell more
-    # than the mass, so the narrowest unsigned type that holds q^cols is exact
-    # (np.min_scalar_type gives object past 2^64 - 1).
-    tally = np.zeros((q,) * rows, dtype=np.min_scalar_type(states))
-    tally[(0,) * rows] = 1
-    for c in m.array.T.tolist():
-        nonzero = [a for a, x in enumerate(c) if x]
-        if not nonzero:
-            tally *= q  # s * 0 = 0 for all q keys s
+    # A factor of mass q^a never has a cell above q^a, nor a product of factors
+    # of masses q^a and q^b one above q^(a+b) <= q^cols, so the narrowest unsigned
+    # type that holds q^cols is exact (np.min_scalar_type gives object past 2^64 - 1).
+    dtype = np.min_scalar_type(states)
+    factors = {}  # sorted rows -> tally with one axis per row; the row sets are disjoint
+    zero_cols = 0
+    for c in sorted(m.array.T.tolist(), key=lambda c: len(c) - c.count(0)):
+        support = [a for a, x in enumerate(c) if x]
+        if not support:
+            zero_cols += 1  # s * 0 = 0 for all q keys s
             continue
-        # c scaled to c[i] = 1 spans the same line; each line parallel to it meets
-        # the hyperplane y_i = 0 once, and its point in slice y_i = t gets there by -t * c.
-        i = nonzero[0]
-        inv = pow(c[i], -1, q)
-        step = [c[a] * inv % q for a in range(rows) if a != i]
-        if not step:  # one row: the line is the whole tally
-            tally[...] = tally.sum()
-            continue
-        by_i = np.moveaxis(tally, i, 0)  # a view: by_i[t] is the slice y_i = t
-        line = by_i[0].copy()  # line[z] = sum of the tally on z + {s * c}
-        for t in range(1, q):
-            line += _roll(by_i[t], [-t * x % q for x in step])
-        # The new tally at y is the sum over the line through y.
-        for t in range(q):
-            by_i[t] = _roll(line, [t * x % q for x in step])
+        reached = [f for f in factors if any(a in f for a in support)]
+        if len(reached) == 1 and all(a in reached[0] for a in support):
+            f_rows = reached[0]
+        else:
+            f_rows = tuple(sorted({*support, *(a for f in reached for a in f)}))
+            factors[f_rows] = _product([(f, factors.pop(f)) for f in reached], f_rows, q, dtype)
+        _convolve_line(factors[f_rows], [c[a] for a in f_rows], q)
+    all_rows = tuple(range(rows))
+    if list(factors) == [all_rows]:
+        tally = factors.pop(all_rows)
+    else:
+        tally = _product(list(factors.items()), all_rows, q, dtype)
+    del factors  # not alive next to the compacted copy below
+    if zero_cols:  # the last factor, over no rows, of mass q^zero_cols
+        tally *= q**zero_cols
     tally = tally.ravel()  # a view; copied below only if some output is not attained
     return states, tally if np.count_nonzero(tally) == tally.size else tally[tally > 0]
 

@@ -41,6 +41,38 @@ def narrowest(n):
     return np.dtype(fits[0] if fits else object)
 
 
+def brute_force(a, q):
+    """The positive multiplicities of a @ s over all key vectors s, in base-q code order."""
+    outputs = Counter(
+        tuple(sum(x * k for x, k in zip(row, keys)) % q for row in a)
+        for keys in itertools.product(range(q), repeat=len(a[0]))
+    )
+    return [outputs[out] for out in sorted(outputs)]
+
+
+@st.composite
+def sparse_matrices(draw, max_cols):
+    """(q, rows x cols array) with a random zero mask: all-zero rows and columns,
+    single-entry columns and columns that couple two row sets late. max_cols maps q."""
+    q = draw(st.sampled_from(sorted(max_cols)), label="q")
+    rows = draw(st.integers(1, 6), label="rows")
+    cols = draw(st.integers(1, max_cols[q]), label="cols")
+    entries = draw(st.lists(st.integers(0, q - 1), min_size=rows * cols, max_size=rows * cols))
+    keep = draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))
+    return q, (np.array(entries, dtype=np.int64) * np.array(keep)).reshape(rows, cols)
+
+
+def traced_mask_distribution(m):
+    """(states, tallies, tracemalloc peak in bytes) of one mask_distribution call."""
+    tracemalloc.start()
+    try:
+        states, tallies = mask_distribution(m, CAP)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return states, tallies, peak
+
+
 def zero_group_recompleted(s, g_idx, member):
     """Zero one member's block in a copy of E and re-complete the group's last member."""
     e = s.encoding.copy()
@@ -137,13 +169,31 @@ def test_mask_distribution_matches_brute_force(data):
     left = data.draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=rows, max_size=rows))
     right = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=r, max_size=r))
     a = [[sum(left[i][k] * right[k][j] for k in range(r)) % q for j in range(cols)] for i in range(rows)]
-    expected = Counter(
-        tuple(sum(x * k for x, k in zip(row, keys)) % q for row in a)
-        for keys in itertools.product(range(q), repeat=cols)
-    )
     states, tallies = mask_distribution(from_array(make_field(q), np.array(a, dtype=np.int64)), CAP)
     assert states == q**cols and tallies.dtype == narrowest(q**cols)
-    assert tallies.tolist() == [expected[out] for out in sorted(expected)]
+    assert tallies.tolist() == brute_force(a, q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(qa=sparse_matrices({2: 8, 3: 8}))
+def test_mask_distribution_matches_brute_force_on_sparse_matrices(qa):
+    """Sparse matrices split the tally into several factors; q^cols <= 3^8 keeps the Counter cheap."""
+    q, a = qa
+    states, tallies = mask_distribution(from_array(make_field(q), a), CAP)
+    assert states == q ** a.shape[1] and tallies.dtype == narrowest(states)
+    assert tallies.tolist() == brute_force(a.tolist(), q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(qa=sparse_matrices({2: 12, 3: 9, 5: 6}), data=st.data())
+def test_mask_distribution_ignores_column_order(qa, data):
+    """Permuting the columns changes the order of the factors and merges, not a count."""
+    q, a = qa
+    order = data.draw(st.permutations(range(a.shape[1])), label="order")
+    states, tallies = mask_distribution(from_array(make_field(q), a), CAP)
+    permuted_states, permuted = mask_distribution(from_array(make_field(q), a[:, order]), CAP)
+    assert permuted_states == states and permuted.dtype == tallies.dtype
+    assert permuted.tolist() == tallies.tolist()
 
 
 @pytest.mark.parametrize(
@@ -172,16 +222,20 @@ def test_mask_distribution_counts_past_int64_exactly():
     assert tallies.tolist() == [2**70]
 
 
+def test_mask_distribution_counts_past_int64_exactly_over_two_factors():
+    # Rows 0 and 2 are reached by disjoint columns, row 1 by none, and 10 columns are zero.
+    columns = [[1, 0, 0]] * 30 + [[0, 0, 1]] * 30 + [[0, 0, 0]] * 10
+    m = from_array(GF2, np.array(columns, dtype=np.int64).T)
+    states, tallies = mask_distribution(m, 1 << 80)
+    assert states == 2**70 and tallies.dtype == object
+    assert tallies.tolist() == [2**68] * 4  # y = (y_0, 0, y_2)
+
+
 def test_mask_distribution_peak_memory_is_a_few_tallies():
     # 7x7 over GF(5): the dense tally has 5^7 cells, uint32 since 2^16 < 5^7 < 2^32.
     rng = np.random.default_rng(0)
     m = from_array(make_field(5), rng.integers(0, 5, size=(7, 7), dtype=np.int64))
-    tracemalloc.start()
-    try:
-        _, tallies = mask_distribution(m, CAP)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, tallies, peak = traced_mask_distribution(m)
     assert tallies.dtype == np.uint32
     tally_bytes = tallies.itemsize * 5**7
     assert peak < 3 * tally_bytes, peak / tally_bytes
@@ -192,15 +246,50 @@ def test_mask_distribution_returns_a_full_tally_without_copying_it():
     rng = np.random.default_rng(1)
     m = from_array(make_field(5), rng.integers(0, 5, size=(7, 7), dtype=np.int64))
     assert rank(m) == 7
-    tracemalloc.start()
-    try:
-        states, tallies = mask_distribution(m, CAP)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    states, tallies, peak = traced_mask_distribution(m)
     assert states == 5**7 and tallies.tolist() == [1] * 5**7 and tallies.dtype == np.uint32
     tally_bytes = tallies.itemsize * 5**7
     assert peak < 2 * tally_bytes, peak / tally_bytes
+
+
+@pytest.mark.parametrize("cfg, cells", [(ProblemConfig(2, 2, 2, GF3), 3**10), (ProblemConfig(2, 3, 5, GF2), 2**18)])
+def test_mask_distribution_peak_memory_on_relay_matrices(cfg, cells, monkeypatch):
+    """Relay matrices go through several merges of factors. Full rank, they attain every
+    output: under two tallies. One column zeroed, they attain 1/q of them: under three."""
+    s = build_random(cfg, seed=0)
+    merges = []
+    product = audit._product
+    for u in range(1, cfg.U + 1):
+        m = scheme.assemble_relay_matrix(s, u)
+        assert cfg.field.modulus**m.rows == cells
+        with monkeypatch.context() as patch:
+            patch.setattr(audit, "_product", lambda *args: merges.append(args[1]) or product(*args))
+            mask_distribution(m, CAP)
+        assert len(merges) >= 3, merges
+        merges.clear()
+        states, tallies, peak = traced_mask_distribution(m)
+        tally_bytes = narrowest(states).itemsize * cells
+        assert tallies.size == cells and peak < 2 * tally_bytes, peak / tally_bytes
+        a = m.array.copy()
+        a[:, 0] = 0
+        states, tallies, peak = traced_mask_distribution(from_array(cfg.field, a))
+        assert tallies.size * cfg.field.modulus == cells and peak < 3 * tally_bytes, peak / tally_bytes
+
+
+def test_refused_oracle_allocates_less_than_its_matrix():
+    # The cap checks come before the column list and any tally, so refusing a
+    # 249 x 249 relay matrix at q = 2^61 - 1 costs less than the matrix itself.
+    s = sample_zero_sum_scheme(ProblemConfig(3, 3, 6, make_field(Q61)), 0)
+    m = scheme.assemble_relay_matrix(s, 1)
+    assert (m.rows, m.cols) == (249, 249)
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateSpaceTooLarge):
+            mask_distribution(m, CAP)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < m.array.nbytes, peak
 
 
 def test_mask_distribution_refuses_an_output_space_over_the_cap():
