@@ -19,7 +19,7 @@ import json
 import sys
 from collections.abc import Iterator
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from json.encoder import encode_basestring_ascii
 from math import comb
 
@@ -479,7 +479,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `hsagg` argument parser, built once per process: a process may run main many times."""
     parser = _Parser(
         prog="hsagg",
         description="Hierarchical secure aggregation with groupwise keys: "

@@ -9,8 +9,10 @@ integer below 2^53 and the product is exact in any summation order. rank is,
 at every q, the recursive elimination of Jeannerod, Pernet and Storjohann
 (J. Symbolic Comput. 2013): split the columns in half, eliminate the left
 half, update the right half by one matmul_mod product (its Schur complement)
-and recurse on it. Blocks at most _LEAF_COLS columns wide are eliminated row
-by row, one exact rank-1 update per pivot: plain int64 arithmetic up to
+and recurse on it. Blocks at most _LEAF_COLS columns wide are eliminated in
+place: a column's pivot is the first row with a nonzero residue there, and one
+exact rank-1 update of the whole block, which zeroes the pivot row itself,
+eliminates it, with no row swap. The update is plain int64 arithmetic up to
 q = 3,037,000,499; above it the column is split into 31-bit halves and the
 quotient by q is estimated in float64, then corrected exactly by one
 reduction.
@@ -46,7 +48,7 @@ _FLOAT64_EXACT = (1 << 53) - 1
 # the panels that BLAS packs from them, stay small whatever the operands' size.
 _BLOCK_ENTRIES = 1 << 15
 
-# Widest block that rank eliminates row by row; wider ones recurse on column halves.
+# Widest block that rank eliminates in one leaf; wider ones recurse on column halves.
 _LEAF_COLS = 24
 
 # Identifier of the pseudo-random stream recorded in serialized schemes:
@@ -83,8 +85,8 @@ class Mat:
 def from_array(field: FieldSpec, a: np.ndarray) -> Mat:
     """A Mat over the field from an int64 array of residues.
 
-    The array is made row-major: rank eliminates row by row, which is slower
-    on the column-major arrays that numpy's column gathers return.
+    The array is made row-major, whatever layout numpy's column gathers
+    return, so that every Mat has one layout.
     """
     return Mat(field, np.ascontiguousarray(a))
 
@@ -179,23 +181,26 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 
 
 def _sub_outer(a: np.ndarray, x: np.ndarray, row: np.ndarray, inv: int, q: int) -> np.ndarray:
-    """(a - x (inv row)) mod q, exactly: the rank-1 update of a k x w block of int64 residues.
+    """(a - x (inv row)) mod q, exactly, written into a: the rank-1 update of a k x w block of int64 residues.
 
     x is a column of k residues, row a row of w residues and inv a residue.
-    Up to q = 3,037,000,499 this is plain int64 arithmetic. Above it,
-    y = inv row mod q and c = 2^31 y mod q are made as Python ints (a leaf's
-    pivot row has at most 2 _LEAF_COLS entries), and x = x1 2^31 + x0 is
-    split into halves x1 < 2^30 and x0 < 2^31. Then x y is congruent to
-    P = x1 c + x0 y, whose quotient k = floor(P / q) is estimated in float64
-    as x1 (c/q) + x0 (y/q), the float quotient estimate of FFLAS-FFPACK
-    (Dumas, Giorgi, Pernet, ACM TOMS 2008). Both terms are below 2^31, so
-    the rounding errors add up to less than 2^-19, and the estimate's
-    integer part k' is k - 1, k or k + 1. So a - P + k' q lies in (-2q, 2q),
-    inside int64 for q < 2^61: computed in wrapping int64 arithmetic it is
-    exact, and one reduction mod q ends the update.
+    x and row are read into temporaries before a is written, so they may be
+    views of a. Returns a. Up to q = 3,037,000,499 this is plain int64
+    arithmetic. Above it, y = inv row mod q and c = 2^31 y mod q are made as
+    Python ints (a leaf's pivot row has at most 2 _LEAF_COLS entries), and
+    x = x1 2^31 + x0 is split into halves x1 < 2^30 and x0 < 2^31. Then x y
+    is congruent to P = x1 c + x0 y, whose quotient k = floor(P / q) is
+    estimated in float64 as x1 (c/q) + x0 (y/q), the float quotient estimate
+    of FFLAS-FFPACK (Dumas, Giorgi, Pernet, ACM TOMS 2008). Both terms are
+    below 2^31, so the rounding errors add up to less than 2^-19, and the
+    estimate's integer part k' is k - 1, k or k + 1. So a - P + k' q lies in
+    (-2q, 2q), inside int64 for q < 2^61: computed in wrapping int64
+    arithmetic it is exact, and one reduction mod q ends the update.
     """
     if q <= _INT64_SAFE_MODULUS:
-        return (a - x[:, None] * (row * inv % q)) % q
+        out = np.multiply.outer(x, row * inv % q if inv != 1 else row)
+        np.subtract(a, out, out=out)
+        return np.remainder(out, q, out=a)
     y = [v * inv % q for v in row.tolist()]
     cy = np.array([[(v << 31) % q for v in y], y], dtype=np.int64)
     halves = np.empty((len(x), 2), dtype=np.int64)
@@ -205,49 +210,44 @@ def _sub_outer(a: np.ndarray, x: np.ndarray, row: np.ndarray, inv: int, q: int) 
     out *= q
     out -= halves @ cy
     out += a
-    out %= q
-    return out
+    return np.remainder(out, q, out=a)
 
 
 def _eliminate(a: np.ndarray, q: int, need_t: bool):
-    """Pivot rows R, pivot columns C and (if need_t) T of a block, by row elimination.
+    """Pivot rows R, pivot columns C and (if need_t) T of a block, by in-place row elimination.
 
-    As in plain Gaussian elimination, a column's pivot is the first row below
-    the earlier pivots that is nonzero there once they are eliminated, and it
-    is swapped up to just below them. A[R, C] is invertible, and
-    A[N] = T A[R] for the other rows N in increasing order:
-    T = A[N, C] A[R, C]^-1. T is tracked in extra columns of the working
-    array: a new pivot row gets -1 in its own T column, so that eliminating
-    with it leaves each row's multiplier there. Each pivot's rank-1 update,
-    by its row scaled by the pivot's inverse, is one _sub_outer call.
+    A column's pivot is the first row, over all rows, with a nonzero residue
+    there once the earlier pivots are eliminated; no row is swapped. Each
+    pivot's rank-1 update, by its row scaled by the pivot's inverse, is one
+    _sub_outer call on the whole block from the pivot's column on, the pivot
+    row included: it zeroes that row, so no row is picked twice. A[R, C] is
+    invertible, and A[N] = T A[R] for the other rows N in increasing order:
+    T = A[N, C] A[R, C]^-1. T is tracked in min(m, n) extra columns of the
+    working array: a new pivot row gets -1 in its own T column, so that
+    eliminating with it leaves each row's multiplier there.
     """
     m, n = a.shape
-    work = np.zeros((m, 2 * n if need_t else n), dtype=np.int64)
+    work = np.zeros((m, n + min(m, n) if need_t else n), dtype=np.int64)
     work[:, :n] = a
-    order = np.arange(m)  # order[i]: the row of a now in row i of work
+    pivot_rows: list[int] = []
     pivot_cols: list[int] = []
-    r = 0
-    for c in range(n):
-        nonzero = np.nonzero(work[r:, c])[0]
-        if nonzero.size == 0:
+    for c in range(n if m else 0):
+        column = work[:, c]
+        p = int(column.astype(bool).argmax())
+        if not column[p]:
             continue
-        if nonzero[0]:
-            i = r + nonzero[0]
-            work[[r, i]] = work[[i, r]]
-            order[[r, i]] = order[[i, r]]
-        rows = r + nonzero[1:]
-        end = n + r + 1 if need_t else n
+        end = n
         if need_t:
-            work[r, end - 1] = q - 1
-        if rows.size:
-            inv = pow(int(work[r, c]), -1, q)
-            work[rows, c:end] = _sub_outer(work[rows, c:end], work[rows, c], work[r, c:end], inv, q)
+            end += len(pivot_rows) + 1
+            work[p, end - 1] = q - 1
+        _sub_outer(work[:, c:end], column, work[p, c:end], pow(int(column[p]), -1, q), q)
+        pivot_rows.append(p)
         pivot_cols.append(c)
-        r += 1
-        if r == m:
+        if len(pivot_rows) == m:
             break
-    t = work[r:, n : n + r][np.argsort(order[r:])] if need_t else None
-    return order[:r], np.array(pivot_cols, dtype=np.int64), t
+    r = len(pivot_rows)
+    t = np.delete(work[:, n : n + r], pivot_rows, axis=0) if need_t else None
+    return np.array(pivot_rows, dtype=np.int64), np.array(pivot_cols, dtype=np.int64), t
 
 
 def _echelon(a: np.ndarray, q: int, need_t: bool):

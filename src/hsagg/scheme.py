@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -249,10 +250,22 @@ def assemble_relay_matrix(s: PrecodingScheme, u: int) -> Mat:
     """
     if not 1 <= u <= s.cfg.U:
         raise ValueError(f"relay index {u} outside [1, {s.cfg.U}]")
-    touching = [g for g, grp in enumerate(s.groups) if any(m[0] == u for m in grp)]
     height = s.cfg.V * s.dims.L
     rows = s.encoding[(u - 1) * height : u * height]
-    return linalg.from_array(s.cfg.field, rows[:, _block_columns(touching, s.dims.L_S)])
+    return linalg.from_array(s.cfg.field, rows[:, _relay_columns(s.cfg.U, s.cfg.V, s.cfg.G, u, s.dims.L_S)])
+
+
+@lru_cache(maxsize=64)
+def _relay_columns(U: int, V: int, G: int, u: int, L_S: int) -> np.ndarray:
+    """The read-only column index of relay u's matrix in E: the blocks of the groups touching u.
+
+    It depends on the config alone, since a scheme's groups are always in
+    canonical order, so it is made once per config, not once per attempt.
+    """
+    touching = [g for g, grp in enumerate(enumerate_groups(U, V, G)) if any(m[0] == u for m in grp)]
+    columns = _block_columns(touching, L_S)
+    columns.setflags(write=False)
+    return columns
 
 
 def _relay_sums(s: PrecodingScheme, rows: np.ndarray) -> np.ndarray:

@@ -568,6 +568,38 @@ def test_defaults_are_defined_once(capsys, monkeypatch):
     assert "tally cells an oracle may take (default 2^26)\n" in capsys.readouterr().out
 
 
+def test_cached_parser_runs_commands_as_a_fresh_one(tmp_path, capsys, monkeypatch):
+    # main runs on one parser per process; in one process, a usage error, a
+    # build with its defaults and a verify give the exit codes, output and
+    # file bytes that a freshly built parser gives.
+    assert cli.build_parser() is cli.build_parser()
+    commands = (
+        ["build", "--U", "2", "--V", "2", "--G", "x"],
+        ["build", "--U", "2", "--V", "2", "--G", "2", "--out", "s.json"],
+        ["verify", "s.json", "--out", "report.json"],
+    )
+
+    def outcomes(factory, directory):
+        directory.mkdir()
+        monkeypatch.chdir(directory)
+        monkeypatch.setattr(cli, "build_parser", factory)
+        results = []
+        for argv in commands:
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = exc.code
+            results.append((code, *capsys.readouterr()))
+        files = {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+        return results, files
+
+    cached = outcomes(cli.build_parser, tmp_path / "cached")
+    fresh = outcomes(cli.build_parser.__wrapped__, tmp_path / "fresh")
+    assert [code for code, _, _ in cached[0]] == [EXIT_USAGE, EXIT_OK, EXIT_OK]
+    assert sorted(cached[1]) == ["report.json", "s.json"]
+    assert cached == fresh
+
+
 def test_large_modulus_serialized_as_strings(tmp_path):
     path = str(tmp_path / "big.json")
     q = (1 << 61) - 1

@@ -387,13 +387,15 @@ WIDEST_ROW = 2 * linalg._LEAF_COLS
 
 
 @st.composite
-def outer_operands(draw):
+def outer_operands(draw, q=None):
     """(q, a, x, row, inv) for _sub_outer, with the edge entries 0, 1, q - 1, 2^31 - 1 and 2^31.
 
     Rows of one entry and of a leaf's widest pivot row, and a block a of
-    zeros, so that subtracting the largest products wraps.
+    zeros, so that subtracting the largest products wraps. q is one of
+    MUL_MODULI unless given.
     """
-    q = draw(st.sampled_from(MUL_MODULI))
+    if q is None:
+        q = draw(st.sampled_from(MUL_MODULI))
     edges = [v for v in (0, 1, q - 1, 2**31 - 1, 2**31) if v < q]
     entry = st.one_of(st.sampled_from(edges), st.integers(0, q - 1))
     k = draw(st.integers(1, 6))
@@ -421,6 +423,38 @@ def test_sub_outer_matches_python_ints(operands):
     got = linalg._sub_outer(a, x, row, inv, q)
     assert got.dtype == np.int64 and got.shape == a.shape
     assert got.tolist() == expected
+
+
+@pytest.mark.parametrize("q", MUL_MODULI)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sub_outer_updates_its_block_in_place_from_views_of_it(q, data):
+    # A leaf passes its pivot column and pivot row as views of the block that
+    # _sub_outer writes.
+    _, a, _, _, inv = data.draw(outer_operands(q))
+    i = data.draw(st.integers(0, len(a) - 1))
+    before = a.tolist()
+    y = [v * inv % q for v in before[i]]
+    expected = [[(aij - ai[0] * yj) % q for aij, yj in zip(ai, y)] for ai in before]
+    assert linalg._sub_outer(a, a[:, 0], a[i], inv, q) is a
+    assert a.tolist() == expected
+
+
+def test_tall_leaf_works_in_n_plus_min_m_n_columns():
+    # With T, a leaf's working array is m x (n + min(m, n)): 2 a.nbytes for
+    # this 600 x 24 block at 2^61 - 1. Its peak was 483,388 bytes, 4.2
+    # a.nbytes; an m x (n + m) working array alone would be 26 a.nbytes.
+    q = 2**61 - 1
+    a = np.random.default_rng(0).integers(0, q, size=(600, 24), dtype=np.int64)
+    linalg._eliminate(a[:30], q, True)  # warm up: first-call allocations
+    tracemalloc.start()
+    try:
+        pivot_rows, _, t = linalg._eliminate(a, q, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pivot_rows) == 24 and t.shape == (576, 24)
+    assert peak < 8 * a.nbytes
 
 
 # Moduli on both sides of the int64 bound 3,037,000,499, where the leaves'

@@ -329,6 +329,23 @@ def test_relay_matrix_column_blocks_are_the_groups_touching_the_relay(U):
                 assemble_relay_matrix(s, u)
 
 
+def test_relay_column_index_is_made_once_per_config_and_read_only():
+    cfg = ProblemConfig(3, 2, 3, make_field(Q31))
+    first, second = sample_zero_sum_scheme(cfg, seed=0), sample_zero_sum_scheme(cfg, seed=1)
+    key = (3, 2, 3, 2, first.dims.L_S)
+    index = scheme._relay_columns(*key)
+    assert not index.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        index[0] = 0
+    assert scheme._relay_columns(*key) is index
+    # Every attempt of a config takes its relay columns from the one index.
+    hits = scheme._relay_columns.cache_info().hits
+    height = cfg.V * first.dims.L
+    for s in (first, second):
+        assert np.array_equal(assemble_relay_matrix(s, 2).array, s.encoding[height : 2 * height, index])
+    assert scheme._relay_columns.cache_info().hits == hits + 2
+
+
 @pytest.mark.parametrize("U", [2, 3, 4])
 def test_cross_relay_matrix_column_blocks_are_the_groups_spanning_relays(U):
     for V, G in _grid(U):
