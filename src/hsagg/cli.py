@@ -7,9 +7,9 @@ a template that the writer renders once from a prototype record, one % fill
 per record whose slots take their entries' JSON texts.
 Integers of magnitude >= 2^53 are decimal strings so JSON consumers with
 double-precision parsers cannot lose digits. The writer alone defines the
-scheme format: the loader decodes a scheme object leniently, then accepts
-it only if the writer gives exactly that object for the decoded scheme. So a
-scheme file loads iff re-saving it gives the same bytes.
+scheme format: the loader decodes a scheme file's text leniently, then
+compares the text, piece by piece, with what save_scheme writes for the
+decoded scheme. So a scheme file loads iff re-saving it gives the same bytes.
 """
 
 from __future__ import annotations
@@ -34,9 +34,6 @@ from .scheme import ConstructionFailed, PrecodingScheme
 FORMAT_VERSION = 1
 _JSON_SAFE = 1 << 53
 _SCALARS = (str, int, float, type(None))
-# Types of list entries that _same compares one by one: == alone takes -0.0
-# for 0.0, dicts in any key order, and lists whatever their entries' types.
-_NESTED = frozenset((list, dict, float))
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -63,12 +60,12 @@ def _enc_int(x: int):
     return str(x) if abs(x) >= _JSON_SAFE else x
 
 
-def _residues(a: np.ndarray, quoted: bool = False) -> list:
-    """The entries of a 1-D array of residues as _enc_int writes them; with quoted, as JSON texts from 2^53 on."""
+def _residues(a: np.ndarray) -> list:
+    """The JSON texts of a 1-D residue array's entries for %s slots: ints below 2^53, quoted decimals from 2^53 on."""
     values = a.tolist()
     if not values or a.max() < _JSON_SAFE:
         return values
-    out = [f'"{x}"' for x in values] if quoted else list(map(str, values))
+    out = [f'"{x}"' for x in values]
     for i in np.flatnonzero(a < _JSON_SAFE).tolist():
         out[i] = values[i]
     return out
@@ -132,7 +129,7 @@ class _Template:
             pieces = []
             _write_text(self.prototype, pieces.append, pad)
             self.pad, self.text = pad, "".join(pieces).replace("%", "%%").replace(_SLOT_TEXT, "%s")
-        return self.text % (*head, *_residues(residues, quoted=True))
+        return self.text % (*head, *_residues(residues))
 
 
 def _dec_provenance(v):
@@ -141,69 +138,75 @@ def _dec_provenance(v):
     return int(v) if is_int else v
 
 
-def _same(got, want) -> bool:
-    """Whether two decoded JSON values are the same: equal, with the same types and dict key order at every level.
-
-    That is, whether json.dumps gives them the same text (it tells true from
-    1, 5.0 from 5 and "5" from 5, and keeps key order), without encoding
-    either. A list is compared in one step, and entered only if it holds
-    lists, dicts or floats.
-    """
-    kind = type(want)
-    if type(got) is not kind:
-        return False
-    if kind is list:
-        types = list(map(type, want))
-        if got != want or list(map(type, got)) != types:
-            return False
-        return _NESTED.isdisjoint(types) or all(map(_same, got, want))
-    if kind is dict:
-        return list(got) == list(want) and all(_same(got[k], v) for k, v in want.items())
-    return repr(got) == repr(want) if kind is float else got == want
-
-
-def _scheme_header(s: PrecodingScheme) -> dict:
-    """The scheme object without its blocks: "blocks" holds None, in its place in the key order."""
+def _scheme_file(s: PrecodingScheme) -> dict:
+    """The object save_scheme writes for s; its blocks, in canonical (group, member) order, fill one template."""
+    L, L_S = s.dims.L, s.dims.L_S
+    matrix = {"rows": L, "cols": L_S, "data": [_SLOT] * L * L_S}
+    block = _Template({"group_index": _SLOT, "user": [_SLOT, _SLOT], "matrix": matrix})
     return {
         "format_version": FORMAT_VERSION,
         "prng_id": linalg.PRNG_ID,
         "cfg": {"U": s.cfg.U, "V": s.cfg.V, "G": s.cfg.G, "q": _enc_int(s.cfg.field.modulus)},
-        "dims": {"regime": s.dims.regime.value, "L": s.dims.L, "L_S": s.dims.L_S},
+        "dims": {"regime": s.dims.regime.value, "L": L, "L_S": L_S},
         "group_order": [[list(member) for member in grp] for grp in s.groups],
-        "blocks": None,
+        "blocks": (
+            block.record(s.block(g_idx, member).reshape(-1), (g_idx, *member))
+            for g_idx, grp in enumerate(s.groups)
+            for member in grp
+        ),
         "provenance": {k: _enc_int(v) if isinstance(v, int) else v for k, v in s.provenance.items()},
     }
 
 
-def _scheme_block(s: PrecodingScheme, g_idx, member, data) -> dict:
-    """The block object of a group member whose L x L_S matrix has the row-major entries data."""
-    matrix = {"rows": s.dims.L, "cols": s.dims.L_S, "data": data}
-    return {"group_index": g_idx, "user": list(member), "matrix": matrix}
+def _refuse_unless_written(s: PrecodingScheme, text: str):
+    """Raise SchemeFileError unless text is exactly what save_scheme writes for s.
+
+    Each piece the writer makes is compared with text at its offset, so the
+    writer's text is never held whole, and text after its last piece differs
+    too. From the first difference on, the writer's pieces are kept until it
+    ends that line: the refusal names the line and the writer's text for it.
+    """
+    pos, line = 0, []  # line: once a piece differs, the writer's text of that line so far
+
+    def compare(piece: str):
+        nonlocal pos
+        if not line:
+            if text.startswith(piece, pos):
+                pos += len(piece)
+                return
+            got = text[pos : pos + len(piece)]
+            same = next((i for i, (a, b) in enumerate(zip(piece, got)) if a != b), len(got))
+            pos += same
+            line.append(text[text.rfind("\n", 0, pos) + 1 : pos])
+            piece = piece[same:]
+        head, newline, _ = piece.partition("\n")
+        line.append(head)
+        if newline:
+            number = text.count("\n", 0, pos) + 1
+            raise SchemeFileError(f"line {number} differs from the writer's line {''.join(line)!r} for this scheme")
+
+    _write_text(_scheme_file(s), compare)
+    compare("\n")
+    if pos < len(text):
+        number = text.count("\n", 0, pos) + 1
+        raise SchemeFileError(f"line {number} differs from the writer's text for this scheme, which ends at line {number - 1}")
 
 
-def _scheme_blocks(s: PrecodingScheme) -> Iterator[dict]:
-    """The block objects of the scheme object, in canonical (group, member) order."""
-    for g_idx, grp in enumerate(s.groups):
-        for member in grp:
-            yield _scheme_block(s, g_idx, member, _residues(s.block(g_idx, member).reshape(-1)))
+def scheme_from_text(text: str) -> PrecodingScheme:
+    """The scheme a scheme file's text describes, if save_scheme writes exactly that text for it.
 
-
-def scheme_to_obj(s: PrecodingScheme) -> dict:
-    return {**_scheme_header(s), "blocks": list(_scheme_blocks(s))}
-
-
-def scheme_from_obj(obj: dict) -> PrecodingScheme:
-    """The scheme a scheme object describes, if scheme_to_obj writes exactly that object for it.
-
-    The object is decoded leniently and in bulk, then compared with what
-    scheme_to_obj writes for the decoded scheme by _same (the same values,
-    types and key order): the top-level keys, then each header field, then
-    each block. So a file loads iff re-saving it gives the same bytes, and a
-    refusal (SchemeFileError) names the first field or block that differs.
-    The member blocks are copied into the encoding matrix as they are: a file
-    that breaks zero-sum loads, and verify reports it.
+    The text is decoded leniently and in bulk, and refused at once for a
+    format_version or prng_id this version does not write, too few blocks for
+    its users (checked before any binomial), blocks of the wrong count or
+    shape, or an entry outside [0, q-1]. The decoded object is dropped before
+    the encoding matrix is built; then the text itself is compared with what
+    save_scheme writes for the decoded scheme (_refuse_unless_written). So a
+    file loads iff re-saving it gives the same bytes. The member blocks are
+    copied into the encoding matrix as they are: a file that breaks zero-sum
+    loads, and verify reports it.
     """
     try:
+        obj = json.loads(text)
         if obj["format_version"] != FORMAT_VERSION:
             raise SchemeFileError(f"unsupported format_version {obj['format_version']!r}")
         if obj["prng_id"] != linalg.PRNG_ID:
@@ -229,31 +232,21 @@ def scheme_from_obj(obj: dict) -> PrecodingScheme:
             raise SchemeFileError(f"block data has shape {data.shape}, expected {(len(blocks), L * L_S)}")
         if ((data < 0) | (data >= q)).any():
             raise SchemeFileError("matrix entry outside [0, q-1]")
+        provenance = {k: _dec_provenance(v) for k, v in dict(obj["provenance"]).items()}
+        del obj, blocks
         e = np.zeros((U * V * L, n_groups * L_S), dtype=np.int64)
         members = ((g_idx, member) for g_idx, grp in enumerate(groups) for member in grp)
         for (g_idx, member), block in zip(members, data.reshape(-1, L, L_S)):
             e[scheme_mod.block_slices(cfg, dims, g_idx, member)] = block
-        provenance = {k: _dec_provenance(v) for k, v in dict(obj["provenance"]).items()}
-        s = PrecodingScheme(cfg, dims, groups, e, provenance)
-        # The decode above accepts more than the writer writes (True, 5.0,
-        # " 5", "+5" all become 5); the comparison refuses all of that.
-        header = _scheme_header(s)
-        if list(obj) != list(header):
-            raise SchemeFileError(f"expected the keys {list(header)}")
-        for key, value in header.items():
-            if key != "blocks" and not _same(obj[key], value):
-                raise SchemeFileError(f"field {key!r} differs from the writer's output for this scheme")
-        for i, (got, want) in enumerate(zip(blocks, _scheme_blocks(s))):
-            if not _same(got, want):
-                raise SchemeFileError(
-                    f"block {i} differs from the writer's output for group {want['group_index']} "
-                    f"member {want['user']}"
-                )
-        return s
-    except (KeyError, TypeError, ValueError, OverflowError, Infeasible) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         if isinstance(exc, SchemeFileError):
             raise
         raise SchemeFileError(f"malformed scheme file: {exc}") from exc
+    s = PrecodingScheme(cfg, dims, groups, e, provenance)
+    # The decode above accepts more than the writer writes (True, 5.0, " 5",
+    # "+5" all become 5, and any layout parses); the comparison refuses it.
+    _refuse_unless_written(s, text)
+    return s
 
 
 def _write_json(path: str, obj):
@@ -268,41 +261,17 @@ def _write_json(path: str, obj):
 
 def save_scheme(s: PrecodingScheme, path: str):
     """Write the scheme file: the header through the writer, then each block as one fill of a block template."""
-    block = _Template(_scheme_block(s, _SLOT, (_SLOT, _SLOT), [_SLOT] * s.dims.L * s.dims.L_S))
-    records = (
-        block.record(s.block(g_idx, member).reshape(-1), (g_idx, *member))
-        for g_idx, grp in enumerate(s.groups)
-        for member in grp
-    )
-    _write_json(path, {**_scheme_header(s), "blocks": records})
+    _write_json(path, _scheme_file(s))
 
 
 def load_scheme(path: str) -> PrecodingScheme:
+    """The scheme in a scheme file, whose text is read as it is (no newline translation)."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8
         raise SchemeFileError(f"cannot read scheme file {path}: {exc}") from exc
-    return scheme_from_obj(obj)
-
-
-def _round_templates(batch: protocol.Rounds) -> tuple:
-    """The templates of a round's sections: users' row blocks in canonical order, relays' row blocks, the sum."""
-    cfg, L = batch.scheme.cfg, batch.scheme.dims.L
-    users = [{"user": list(u), "data": [_SLOT] * L} for u in all_users(cfg.U, cfg.V)]
-    relays = [{"relay": u, "data": [_SLOT] * L} for u in range(1, cfg.U + 1)]
-    return tuple(_Template(section) for section in (users, relays, [_SLOT] * L))
-
-
-def transcript_to_obj(batch: protocol.Rounds, r: int, templates: tuple) -> dict:
-    """Round r for the writer, each section one record of its _round_templates template."""
-    users, relays, decoded = templates
-    return {
-        "inputs": users.record(batch.inputs[:, r]),
-        "user_messages": users.record(batch.user_messages[:, r]),
-        "relay_messages": relays.record(batch.relay_messages[:, r]),
-        "decoded_sum": decoded.record(batch.decoded_sum[:, r]),
-    }
+    return scheme_from_text(text)
 
 
 def _frac(f: Fraction) -> str:
@@ -462,10 +431,23 @@ def cmd_simulate(args) -> int:
     correct = int(np.count_nonzero(batch.correct))
     print(f"correct rounds: {correct}/{args.rounds}")
     if args.out:
-        # Each round section is filled from the batch's arrays and written
-        # before the next: neither the whole text nor a list of rounds is held.
-        templates = _round_templates(batch)
-        rounds = (transcript_to_obj(batch, r, templates) for r in range(args.rounds))
+        # Each round section is one record of its template, filled from the
+        # batch's arrays (users' row blocks in canonical order, relays' row
+        # blocks, the sum) and written before the next: neither the whole text
+        # nor a list of rounds is held.
+        L = s.dims.L
+        users = _Template([{"user": list(u), "data": [_SLOT] * L} for u in all_users(s.cfg.U, s.cfg.V)])
+        relays = _Template([{"relay": u, "data": [_SLOT] * L} for u in range(1, s.cfg.U + 1)])
+        decoded = _Template([_SLOT] * L)
+        rounds = (
+            {
+                "inputs": users.record(batch.inputs[:, r]),
+                "user_messages": users.record(batch.user_messages[:, r]),
+                "relay_messages": relays.record(batch.relay_messages[:, r]),
+                "decoded_sum": decoded.record(batch.decoded_sum[:, r]),
+            }
+            for r in range(args.rounds)
+        )
         header = {"format_version": FORMAT_VERSION, "prng_id": linalg.PRNG_ID, "seed": _enc_int(args.seed)}
         _write_json(args.out, {**header, "rounds": rounds})
         print(f"transcripts written to {args.out}")

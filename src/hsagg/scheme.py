@@ -121,26 +121,14 @@ def build_example1() -> PrecodingScheme:
     return _zero_sum_scheme(cfg, classify_regime(cfg), groups, blocks, {"construction": "example1"})
 
 
-# Per-user starting exponents of the GF(11) Vandermonde construction. User
-# (4,2) has none: it is always the zero-sum-completed member when present.
-_EXAMPLE2_EXPONENTS: dict[UserId, int] = {
-    (1, 1): 0,
-    (1, 2): 4,
-    (2, 1): 1,
-    (2, 2): 5,
-    (3, 1): 2,
-    (3, 2): 6,
-    (4, 1): 3,
-}
-
-
 def build_example2() -> PrecodingScheme:
     """The deterministic (U,V,G) = (4,2,7) scheme over GF(11) with L=8, L_S=3.
 
     For group index i (1-based) the three Vandermonde bases are g^(i-1),
     g^(i+2), g^(i+5) with g = 2 and exponents reduced modulo 10 (the order of
-    GF(11)*). The last-indexed member of each group ((4,2) for i >= 2, (4,1)
-    for i = 1) is completed to zero-sum.
+    GF(11)*). Member (u, v) starts its rows at the exponent (u-1) + (v-1)*U.
+    The last-indexed member of each group ((4,2) for i >= 2, (4,1) for i = 1)
+    is completed to zero-sum.
     """
     field = make_field(11)
     cfg = ProblemConfig(4, 2, 7, field)
@@ -150,7 +138,7 @@ def build_example2() -> PrecodingScheme:
     for g_idx, grp in enumerate(groups):
         i = g_idx + 1
         bases = [pow(2, e % 10, 11) for e in (i - 1, i + 2, i + 5)]
-        blocks.append([vandermonde_block(field, bases, _EXAMPLE2_EXPONENTS[m], dims.L) for m in grp[:-1]])
+        blocks.append([vandermonde_block(field, bases, (u - 1) + (v - 1) * cfg.U, dims.L) for u, v in grp[:-1]])
     return _zero_sum_scheme(cfg, dims, groups, np.array(blocks), {"construction": "example2"})
 
 

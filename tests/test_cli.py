@@ -2,6 +2,7 @@ import functools
 import inspect
 import json
 import math
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -20,8 +21,7 @@ from hsagg.cli import (
     SchemeFileError,
     load_scheme,
     save_scheme,
-    scheme_from_obj,
-    scheme_to_obj,
+    scheme_from_text,
 )
 from hsagg.gf import make_field
 from hsagg.rates import ProblemConfig
@@ -35,6 +35,44 @@ def run(argv):
 def canonical_text(obj) -> str:
     """The text the tool writes for a JSON object."""
     return json.dumps(obj, indent=2) + "\n"
+
+
+def reference_scheme(s) -> dict:
+    """The object of a scheme file, built entry by entry from the scheme."""
+    L, L_S = s.dims.L, s.dims.L_S
+
+    def block(g_idx, member):
+        data = [cli._enc_int(int(x)) for x in s.block(g_idx, member).reshape(-1)]
+        return {"group_index": g_idx, "user": list(member), "matrix": {"rows": L, "cols": L_S, "data": data}}
+
+    return {
+        "format_version": cli.FORMAT_VERSION,
+        "prng_id": cli.linalg.PRNG_ID,
+        "cfg": {"U": s.cfg.U, "V": s.cfg.V, "G": s.cfg.G, "q": cli._enc_int(s.cfg.field.modulus)},
+        "dims": {"regime": s.dims.regime.value, "L": L, "L_S": L_S},
+        "group_order": [[list(member) for member in grp] for grp in s.groups],
+        "blocks": [block(g_idx, member) for g_idx, grp in enumerate(s.groups) for member in grp],
+        "provenance": {k: cli._enc_int(v) if isinstance(v, int) else v for k, v in s.provenance.items()},
+    }
+
+
+def saved_text(s) -> str:
+    """The text save_scheme writes for a scheme."""
+    return written_text(cli._scheme_file(s))
+
+
+def expected_refusal(text: str, want: str) -> str:
+    """The loader's refusal of text when the writer writes want: their first differing line, and the writer's."""
+    got_lines, want_lines = (re.findall(r".*\n|.+", t) for t in (text, want))
+    for number, (got, line) in enumerate(zip(got_lines, want_lines), 1):
+        if got != line:
+            break
+    else:
+        number = min(len(got_lines), len(want_lines)) + 1
+        if number > len(want_lines):
+            return f"line {number} differs from the writer's text for this scheme, which ends at line {number - 1}"
+        line = want_lines[number - 1]
+    return f"line {number} differs from the writer's line {line.rstrip(chr(10))!r} for this scheme"
 
 
 def test_rates_example1(capsys):
@@ -162,9 +200,9 @@ def test_verify_corrupted_entry(tmp_path, capsys):
     capsys.readouterr()
     obj = json.loads(Path(path).read_text())
     obj["blocks"][0]["matrix"]["data"][0] = (obj["blocks"][0]["matrix"]["data"][0] + 1) % 5
-    with open(path, "w") as fh:
-        json.dump(obj, fh)
+    Path(path).write_text(canonical_text(obj))  # the writer's layout: a file loads only in it
     assert run(["verify", path, "--fuzz-rounds", "10"]) == EXIT_FAILED
+    assert "zero-sum: FAIL" in capsys.readouterr().out
     capsys.readouterr()
 
 
@@ -178,13 +216,13 @@ def test_verify_malformed_file(tmp_path, capsys):
 
 def _write_oversized_config(path):
     """Example 1 with U = V = 3000 and G = 200000: a small file naming a huge problem."""
-    obj = scheme_to_obj(build_example1())
+    obj = reference_scheme(build_example1())
     obj["cfg"].update(U=3000, V=3000, G=200_000)
     path.write_text(json.dumps(obj, separators=(",", ":")))
 
 
 UNLOADABLE_FILES = {
-    "not-utf8": lambda path: path.write_text(canonical_text(scheme_to_obj(build_example1())), encoding="utf-16"),
+    "not-utf8": lambda path: path.write_text(canonical_text(reference_scheme(build_example1())), encoding="utf-16"),
     "nested-200000-deep": lambda path: path.write_text("[" * 200_000 + "]" * 200_000),
     "oversized-config": _write_oversized_config,
 }
@@ -202,85 +240,71 @@ def test_unloadable_file_is_a_usage_error(kind, command, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
-def test_load_rejects_inconsistent_files(tmp_path):
-    golden = build_example1()
-    obj = scheme_to_obj(golden)
+def refusal(text: str) -> str:
+    with pytest.raises(SchemeFileError) as exc:
+        scheme_from_text(text)
+    return str(exc.value)
 
-    bad = json.loads(json.dumps(obj))
-    bad["format_version"] = 99
-    with pytest.raises(SchemeFileError, match="format_version"):
-        scheme_from_obj(bad)
 
-    bad = json.loads(json.dumps(obj))
-    bad["prng_id"] = "other-prng"
-    with pytest.raises(SchemeFileError, match="prng_id"):
-        scheme_from_obj(bad)
+def test_load_rejects_inconsistent_files():
+    golden = canonical_text(reference_scheme(build_example1()))
 
-    bad = json.loads(json.dumps(obj))
-    bad["dims"]["L"] = 6
-    with pytest.raises(SchemeFileError, match="'dims'"):
-        scheme_from_obj(bad)
+    def edited(edit) -> str:
+        bad = json.loads(golden)
+        edit(bad)
+        return canonical_text(bad)
 
-    bad = json.loads(json.dumps(obj))
-    bad["group_order"][0], bad["group_order"][1] = bad["group_order"][1], bad["group_order"][0]
-    with pytest.raises(SchemeFileError, match="'group_order'"):
-        scheme_from_obj(bad)
-
-    bad = json.loads(json.dumps(obj))
-    bad["blocks"][0]["user"] = [2, 2]  # not a member of group 0
-    with pytest.raises(SchemeFileError, match=r"block 0 .* group 0 member \[1, 1\]"):
-        scheme_from_obj(bad)
-
-    bad = json.loads(json.dumps(obj))
-    bad["blocks"][0]["matrix"]["data"][0] = 7  # outside [0, q-1]
-    with pytest.raises(SchemeFileError, match=r"matrix entry outside \[0, q-1\]"):
-        scheme_from_obj(bad)
-
-    bad = json.loads(json.dumps(obj))
-    del bad["blocks"][0]
-    with pytest.raises(SchemeFileError, match="11 blocks"):
-        scheme_from_obj(bad)
-
-    # The blocks must be exactly the canonical (group, member) sequence.
+    # Refused before the encoding matrix is built.
     for edit, message in (
-        (lambda blocks: blocks.insert(1, blocks[0]), "13 blocks"),  # listed twice
-        (lambda blocks: blocks.append(blocks[-1]), "13 blocks"),  # extra entry
-        (lambda blocks: blocks.insert(0, blocks.pop(1)), r"block 0 .* group 0 member \[1, 1\]"),  # reordered
+        (lambda bad: bad.update(format_version=99), "unsupported format_version 99"),
+        (lambda bad: bad.update(prng_id="other-prng"), "unsupported prng_id 'other-prng'"),
+        (lambda bad: bad["blocks"][0]["matrix"]["data"].__setitem__(0, 7), r"matrix entry outside \[0, q-1\]"),
+        (lambda bad: bad["blocks"].pop(0), "11 blocks"),
+        # The blocks must be exactly the canonical (group, member) sequence.
+        (lambda bad: bad["blocks"].insert(1, bad["blocks"][0]), "13 blocks"),  # listed twice
+        (lambda bad: bad["blocks"].append(bad["blocks"][-1]), "13 blocks"),  # extra entry
     ):
-        bad = json.loads(json.dumps(obj))
-        edit(bad["blocks"])
-        with pytest.raises(SchemeFileError, match=message):
-            scheme_from_obj(bad)
+        assert re.search(message, refusal(edited(edit)))
 
-    # Integers are decoded strictly: no bools, floats or small numbers as strings.
-    for path, value, message in (
-        (("blocks", 2, "group_index"), True, r"block 2 .* group 1 member \[1, 1\]"),
-        (("blocks", 0, "user"), [True, 1], r"block 0 .* group 0 member \[1, 1\]"),
-        (("blocks", 0, "matrix", "rows"), 5.0, r"block 0 .* group 0 member \[1, 1\]"),
-        (("cfg", "q"), "5", "'cfg'"),
-        (("format_version",), True, "'format_version'"),
+    # Refused by the comparison with the writer's text, at the first differing line.
+    def put(*path, value):
+        def edit(bad):
+            *parents, last = path
+            for key in parents:
+                bad = bad[key]
+            bad[last] = value
+
+        return edit
+
+    for edit, line in (
+        (put("dims", "L", value=6), '    "L": 5,'),
+        (lambda bad: bad["group_order"].insert(0, bad["group_order"].pop(1)), "        1,"),
+        (put("blocks", 0, "user", value=[2, 2]), "        1,"),  # not a member of group 0
+        (lambda bad: bad["blocks"].insert(0, bad["blocks"].pop(1)), "        1"),  # reordered
+        # Integers are decoded strictly: no bools, floats or small numbers as strings.
+        (put("blocks", 2, "group_index", value=True), '      "group_index": 1,'),
+        (put("blocks", 0, "user", value=[True, 1]), "        1,"),
+        (put("blocks", 0, "matrix", "rows", value=5.0), '        "rows": 5,'),
+        (put("cfg", "q", value="5"), '    "q": 5'),
+        (put("format_version", value=True), '  "format_version": 1,'),
     ):
-        bad = json.loads(json.dumps(obj))
-        *parents, last = path
-        target = bad
-        for key in parents:
-            target = target[key]
-        target[last] = value
-        with pytest.raises(SchemeFileError, match=message):
-            scheme_from_obj(bad)
+        text = edited(edit)
+        message = refusal(text)
+        assert message == expected_refusal(text, golden) and f"{line!r} for this scheme" in message
 
 
 def test_load_decodes_provenance_integers_as_the_writer_writes_them():
-    obj = scheme_to_obj(build_random(ProblemConfig(2, 2, 2, make_field(5)), seed=3))
-    bad = json.loads(json.dumps(obj))
+    golden = canonical_text(reference_scheme(build_random(ProblemConfig(2, 2, 2, make_field(5)), seed=3)))
+    bad = json.loads(golden)
     bad["provenance"]["seed"] = "123"  # the writer writes a small int as a number
-    with pytest.raises(SchemeFileError, match="'provenance'"):
-        scheme_from_obj(bad)
-    noted = json.loads(json.dumps(obj))
+    text = canonical_text(bad)
+    bad["provenance"]["seed"] = 123
+    assert refusal(text) == expected_refusal(text, canonical_text(bad))
+    noted = json.loads(golden)
     noted["provenance"]["note"] = "x"  # not an integer: loads as it is
-    s = scheme_from_obj(noted)
+    s = scheme_from_text(canonical_text(noted))
     assert s.provenance["seed"] == 3 and s.provenance["note"] == "x"
-    assert canonical_text(scheme_to_obj(s)) == canonical_text(noted)
+    assert saved_text(s) == canonical_text(noted)
 
 
 def test_load_tells_numbers_from_digit_strings_at_2_pow_53():
@@ -295,21 +319,53 @@ def test_load_tells_numbers_from_digit_strings_at_2_pow_53():
     ):
         edited = json.loads(json.dumps(obj))
         edited["blocks"][3]["matrix"]["data"][5] = value
+        text = canonical_text(edited)
         if loads:
-            assert canonical_text(scheme_to_obj(scheme_from_obj(edited))) == canonical_text(edited)
+            assert saved_text(scheme_from_text(text)) == text
         else:
-            with pytest.raises(SchemeFileError, match=r"block 3 differs .* group 1 member \[2, 1\]"):
-                scheme_from_obj(edited)
+            edited["blocks"][3]["matrix"]["data"][5] = cli._enc_int(int(value))
+            assert refusal(text) == expected_refusal(text, canonical_text(edited))
 
 
-def test_load_peak_memory_is_a_few_encoding_matrices():
-    # Comparing block by block keeps the re-encoded text small next to E.
+def _copies(text: str) -> dict:
+    """Copies of a canonical scheme text in other layouts, each with the line its first difference is on."""
+    obj, lines = json.loads(text), text.count("\n")
+    return {
+        "compact": (json.dumps(obj, separators=(",", ":")), "line 1 differs from the writer's line '{'"),
+        "indent-4": (json.dumps(obj, indent=4) + "\n", """line 2 differs from the writer's line '  "format_version": 1,'"""),
+        "crlf": (text.replace("\n", "\r\n"), "line 1 differs from the writer's line '{'"),
+        "extra-trailing-newline": (text + "\n", f"line {lines + 1} differs from the writer's text for this scheme, which ends at line {lines}"),
+        "no-final-newline": (text[:-1], f"line {lines} differs from the writer's line '}}'"),
+        "utf-8-bom": ("\ufeff" + text, "line 1 column 1"),
+    }
+
+
+@pytest.mark.parametrize(
+    "copy", ["compact", "indent-4", "crlf", "extra-trailing-newline", "no-final-newline", "utf-8-bom"]
+)
+def test_a_copy_in_another_layout_is_refused_naming_the_line(copy, tmp_path):
+    # json.loads takes each copy but the one with a BOM; only the writer's exact text loads.
+    path = tmp_path / "s.json"
+    save_scheme(build_example1(), str(path))
+    text, message = _copies(path.read_text())[copy]
+    path.write_bytes(text.encode())
+    with pytest.raises(SchemeFileError) as exc:
+        load_scheme(str(path))
+    assert message in str(exc.value)
+
+
+def test_load_peak_memory_is_a_few_encoding_matrices(monkeypatch):
+    # After the parse, the decode, E and the piece-by-piece comparison with
+    # the writer hold a few copies of E. The parse itself is left out: the
+    # loader is handed an object parsed beforehand.
     cfg = ProblemConfig(3, 3, 6, make_field((1 << 61) - 1))
     s = scheme_mod.sample_zero_sum_scheme(cfg, seed=1)
-    obj = json.loads(json.dumps(scheme_to_obj(s)))
+    text = saved_text(s)
+    obj = json.loads(text)
+    monkeypatch.setattr(cli.json, "loads", lambda _: obj)
     tracemalloc.start()
     try:
-        scheme_from_obj(obj)
+        scheme_from_text(text)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -631,8 +687,8 @@ def _json_paths(obj, path=()):
 def _fuzz_golden(name):
     """Canonical scheme objects: example 1, and a build at q = 2^61 - 1 (entries as strings)."""
     if name == "ex1":
-        return scheme_to_obj(build_example1())
-    return scheme_to_obj(build_random(ProblemConfig(2, 2, 2, make_field((1 << 61) - 1)), seed=1))
+        return reference_scheme(build_example1())
+    return reference_scheme(build_random(ProblemConfig(2, 2, 2, make_field((1 << 61) - 1)), seed=1))
 
 
 _JSON_VALUES = st.one_of(
@@ -651,18 +707,26 @@ _JSON_VALUES = st.one_of(
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_scheme_loader_fuzz(data):
-    # Every mutation of a canonical scheme object either loads and re-saves to
-    # the same bytes, or is refused with SchemeFileError.
+    # Every mutation of a canonical scheme object, and every insertion or
+    # deletion of one whitespace character in its text, either loads and
+    # re-saves to exactly that text, or is refused with SchemeFileError.
     obj = json.loads(json.dumps(_fuzz_golden(data.draw(st.sampled_from(["ex1", "p61"])))))
+    text = canonical_text(obj)
     paths = list(_json_paths(obj))
     path = paths[data.draw(st.integers(0, len(paths) - 1))]
     parent = obj
     for key in path[:-1]:
         parent = parent[key]
     target = parent[path[-1]] if path else obj
-    kinds = ["replace", "derive", "delete", "duplicate", "add", "reorder"]
+    kinds = ["replace", "derive", "delete", "duplicate", "add", "reorder", "insert-space", "delete-space"]
     kind = data.draw(st.sampled_from(kinds))
-    if kind == "replace" and path:
+    if kind == "insert-space":
+        at = data.draw(st.integers(0, len(text)))
+        text = text[:at] + data.draw(st.sampled_from(" \n\t\r")) + text[at:]
+    elif kind == "delete-space":
+        at = data.draw(st.sampled_from([i for i, c in enumerate(text) if c.isspace()]))
+        text = text[:at] + text[at + 1 :]
+    elif kind == "replace" and path:
         parent[path[-1]] = data.draw(_JSON_VALUES)
     elif kind == "derive" and path and isinstance(target, int):
         derived = [target + 1, target - 1, -target, float(target), str(target), bool(target)]
@@ -683,11 +747,13 @@ def test_scheme_loader_fuzz(data):
             target.update(items)
         else:
             target[:] = items
+    if not kind.endswith("-space"):
+        text = canonical_text(obj)
     try:
-        s = scheme_from_obj(obj)
+        s = scheme_from_text(text)
     except SchemeFileError:
         return
-    assert canonical_text(scheme_to_obj(s)) == canonical_text(obj)
+    assert saved_text(s) == text
 
 
 @pytest.mark.parametrize(
@@ -850,7 +916,7 @@ def test_written_files_are_json_dumps_indent_2(q, seed, rounds, tmp_path_factory
     s = build_random(ProblemConfig(2, 2, 2, make_field(q)), seed=seed, max_retries=200)
     save_scheme(s, scheme_path)
     text = Path(scheme_path).read_text()
-    assert text == canonical_text(scheme_to_obj(s))
+    assert text == canonical_text(reference_scheme(s))
     if q > JSON_SAFE:  # the largest entry is >= 2^53, so it is written as a string
         assert f'"{s.encoding.max()}"' in text and s.encoding.max() >= JSON_SAFE
 
