@@ -250,9 +250,9 @@ def scheme_from_text(text: str) -> PrecodingScheme:
 
 
 def _write_json(path: str, obj):
-    """Write json.dumps(obj, indent=2) and a newline, piece by piece; UsageError if path is unwritable."""
+    """Write json.dumps(obj, indent=2) and a newline, piece by piece, with "\n" line ends on every platform; UsageError if path is unwritable."""
     try:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             _write_text(obj, fh.write)
             fh.write("\n")
     except OSError as exc:
@@ -265,13 +265,16 @@ def save_scheme(s: PrecodingScheme, path: str):
 
 
 def load_scheme(path: str) -> PrecodingScheme:
-    """The scheme in a scheme file, whose text is read as it is (no newline translation)."""
+    """The scheme in a scheme file, whose text is read as it is (no newline translation); a refusal names the file."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             text = fh.read()
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8
         raise SchemeFileError(f"cannot read scheme file {path}: {exc}") from exc
-    return scheme_from_text(text)
+    try:
+        return scheme_from_text(text)
+    except SchemeFileError as exc:
+        raise SchemeFileError(f"scheme file {path}: {exc}") from exc
 
 
 def _frac(f: Fraction) -> str:

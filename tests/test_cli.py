@@ -1,7 +1,9 @@
+import _pyio
 import functools
 import inspect
 import json
 import math
+import os
 import re
 import time
 import tracemalloc
@@ -352,6 +354,26 @@ def test_a_copy_in_another_layout_is_refused_naming_the_line(copy, tmp_path):
     with pytest.raises(SchemeFileError) as exc:
         load_scheme(str(path))
     assert message in str(exc.value)
+
+
+def test_a_refusal_names_the_file(tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text("not json\n")
+    with pytest.raises(SchemeFileError) as exc:
+        load_scheme(str(path))
+    assert str(exc.value).startswith(f"scheme file {path}: malformed scheme file: Expecting value: line 1 column 1")
+
+
+def test_saved_scheme_has_lf_line_ends_where_the_platform_writes_crlf(tmp_path, monkeypatch):
+    # The pure-Python io module takes its line end from os.linesep when the
+    # file is opened, so it stands in for a platform whose line end is CRLF.
+    monkeypatch.setattr(os, "linesep", "\r\n")
+    monkeypatch.setattr(cli, "open", _pyio.open, raising=False)
+    path = tmp_path / "s.json"
+    s = build_example1()
+    save_scheme(s, str(path))
+    assert path.read_bytes() == saved_text(s).encode()
+    assert load_scheme(str(path)).provenance == s.provenance
 
 
 def test_load_peak_memory_is_a_few_encoding_matrices(monkeypatch):
