@@ -1,10 +1,11 @@
 """Command-line front end and the JSON formats for schemes, transcripts, reports.
 
-Every file is json.dumps(obj, indent=2) and a newline, fields in a fixed
-order, written piece by piece by one writer. Records that recur in a file, the
-sections of each transcript round and the blocks of a scheme, are filled from
-a template that the writer renders once from a prototype record, one % fill
-per record whose slots take their entries' JSON texts.
+Every file is json.dumps(obj, indent=2) and a newline, with LF line ends on
+every platform, fields in a fixed order, written piece by piece by one
+writer. Records that recur in a file, the sections of each transcript round
+and the blocks of a scheme, are filled from a template that the writer
+renders once from a prototype record, one % fill per record whose slots take
+their entries' JSON texts.
 Integers of magnitude >= 2^53 are decimal strings so JSON consumers with
 double-precision parsers cannot lose digits. The writer alone defines the
 scheme format: the loader decodes a scheme file's text leniently, then
@@ -250,7 +251,7 @@ def scheme_from_text(text: str) -> PrecodingScheme:
 
 
 def _write_json(path: str, obj):
-    """Write json.dumps(obj, indent=2) and a newline, piece by piece, with "\n" line ends on every platform; UsageError if path is unwritable."""
+    """Write json.dumps(obj, indent=2) and a newline, piece by piece, LF line ends on any platform; UsageError if unwritable."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             _write_text(obj, fh.write)

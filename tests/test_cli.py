@@ -353,15 +353,7 @@ def test_a_copy_in_another_layout_is_refused_naming_the_line(copy, tmp_path):
     path.write_bytes(text.encode())
     with pytest.raises(SchemeFileError) as exc:
         load_scheme(str(path))
-    assert message in str(exc.value)
-
-
-def test_a_refusal_names_the_file(tmp_path):
-    path = tmp_path / "s.json"
-    path.write_text("not json\n")
-    with pytest.raises(SchemeFileError) as exc:
-        load_scheme(str(path))
-    assert str(exc.value).startswith(f"scheme file {path}: malformed scheme file: Expecting value: line 1 column 1")
+    assert str(exc.value).startswith(f"scheme file {path}: ") and message in str(exc.value)
 
 
 def test_saved_scheme_has_lf_line_ends_where_the_platform_writes_crlf(tmp_path, monkeypatch):
