@@ -32,6 +32,7 @@ from .scheme import PrecodingScheme
 _MAX_DECIMAL_DIGITS = 4300
 # Default of full_audit and `verify --cap`: most q^cols key states and q^rows tally cells an oracle may take.
 DEFAULT_ORACLE_CAP = 1 << 26
+DEFAULT_FUZZ_ROUNDS = 100  # of full_audit and `verify --fuzz-rounds`
 
 
 class StateSpaceTooLarge(RuntimeError):
@@ -299,7 +300,7 @@ def _oracle_result(oracle, *args, cap: int | None) -> OracleResult | StateSpaceT
 
 def full_audit(
     s: PrecodingScheme,
-    fuzz_rounds: int = 100,
+    fuzz_rounds: int = DEFAULT_FUZZ_ROUNDS,
     oracle_cap: int | None = DEFAULT_ORACLE_CAP,
     seed: int = 0,
 ) -> AuditReport:

@@ -196,15 +196,15 @@ def _refuse_unless_written(s: PrecodingScheme, text: str):
 def scheme_from_text(text: str) -> PrecodingScheme:
     """The scheme a scheme file's text describes, if save_scheme writes exactly that text for it.
 
-    The text is decoded leniently and in bulk, and refused at once for a
-    format_version or prng_id this version does not write, too few blocks for
-    its users (checked before any binomial), blocks of the wrong count or
-    shape, or an entry outside [0, q-1]. The decoded object is dropped before
-    the encoding matrix is built; then the text itself is compared with what
-    save_scheme writes for the decoded scheme (_refuse_unless_written). So a
-    file loads iff re-saving it gives the same bytes. The member blocks are
-    copied into the encoding matrix as they are: a file that breaks zero-sum
-    loads, and verify reports it.
+    The text is decoded leniently and refused at once for a format_version
+    or prng_id this version does not write, too few blocks for its users
+    (checked before any binomial), blocks of the wrong count or length, or an
+    entry outside [0, q-1]. The blocks fill one array, each parsed block
+    released as it is converted, and the object is dropped before the build's
+    scatter places them in E; then the text is compared with what save_scheme
+    writes for the decoded scheme (_refuse_unless_written), so a file loads
+    iff re-saving it gives the same bytes. Blocks are placed as they are: a
+    file that breaks zero-sum loads, and verify reports it.
     """
     try:
         obj = json.loads(text)
@@ -221,24 +221,21 @@ def scheme_from_text(text: str) -> PrecodingScheme:
             raise SchemeFileError(f"{len(blocks)} blocks cannot describe U*V = {U * V} users")
         cfg = ProblemConfig(U, V, G, make_field(q))
         dims = classify_regime(cfg)
-        L, L_S = dims.L, dims.L_S
         # Counted before the groups are enumerated, so the work stays in
         # proportion to the file's size.
         n_groups = comb(U * V, G)
         if len(blocks) != n_groups * G:
             raise SchemeFileError(f"{len(blocks)} blocks, expected C(UV,G)*G = {n_groups * G}")
         groups = tuple(enumerate_groups(U, V, G))
-        data = np.array([b["matrix"]["data"] for b in blocks], dtype=np.int64)
-        if data.shape != (len(blocks), L * L_S):
-            raise SchemeFileError(f"block data has shape {data.shape}, expected {(len(blocks), L * L_S)}")
+        data = np.empty((len(blocks), dims.L * dims.L_S), dtype=np.int64)
+        for i, block in enumerate(blocks):
+            data[i] = block["matrix"]["data"]  # a wrong length raises; the comparison refuses a scalar
+            blocks[i] = None  # the parsed block is released as soon as it is converted
         if ((data < 0) | (data >= q)).any():
             raise SchemeFileError("matrix entry outside [0, q-1]")
         provenance = {k: _dec_provenance(v) for k, v in dict(obj["provenance"]).items()}
         del obj, blocks
-        e = np.zeros((U * V * L, n_groups * L_S), dtype=np.int64)
-        members = ((g_idx, member) for g_idx, grp in enumerate(groups) for member in grp)
-        for (g_idx, member), block in zip(members, data.reshape(-1, L, L_S)):
-            e[scheme_mod.block_slices(cfg, dims, g_idx, member)] = block
+        e = scheme_mod._encoding_matrix(cfg, dims, data.reshape(n_groups, G, dims.L, dims.L_S))
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         if isinstance(exc, SchemeFileError):
             raise
@@ -499,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="audit a scheme file (ranks, fuzz, oracles, rates)")
     p.add_argument("scheme")
     p.add_argument("--oracle", action="store_true", help="run the exhaustive entropy oracles")
-    p.add_argument("--fuzz-rounds", type=_count, default=100)
+    p.add_argument("--fuzz-rounds", type=_count, default=audit.DEFAULT_FUZZ_ROUNDS)
     p.add_argument(
         "--cap",
         type=_count,

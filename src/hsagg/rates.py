@@ -93,9 +93,6 @@ def classify_regime(cfg: ProblemConfig) -> SchemeDims:
     In both cases L_S / L equals the optimal key rate exactly. Infeasible at G = 1.
     """
     relay_frac, server_frac = security_fractions(cfg)
-    total = comb(cfg.U * cfg.V, cfg.G)
-    if relay_frac >= server_frac:
-        L = total - comb((cfg.U - 1) * cfg.V, cfg.G)
-        return SchemeDims(Regime.RELAY_DOMINANT, L, cfg.V)
-    L = total - cfg.U * comb(cfg.V, cfg.G)
-    return SchemeDims(Regime.SERVER_DOMINANT, L, cfg.U - 1)
+    if relay_frac >= server_frac:  # L = L_S / key rate, an integer, so the binomials are not computed again
+        return SchemeDims(Regime.RELAY_DOMINANT, int(cfg.V / relay_frac), cfg.V)
+    return SchemeDims(Regime.SERVER_DOMINANT, int((cfg.U - 1) / server_frac), cfg.U - 1)

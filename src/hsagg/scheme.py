@@ -11,12 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, combinations
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import linalg
-from .combi import Group, UserId, enumerate_groups
+from .combi import Group, UserId, count_groups, enumerate_groups
 from .gf import make_field
 from .linalg import Mat, vandermonde_block
 from .rates import ProblemConfig, SchemeDims, classify_regime
@@ -62,15 +63,32 @@ class PrecodingScheme:
         return self.encoding[block_slices(self.cfg, self.dims, group_index, user)]
 
 
-def _user_index(cfg: ProblemConfig, user: UserId) -> int:
-    return (user[0] - 1) * cfg.V + user[1] - 1
-
-
 def block_slices(cfg: ProblemConfig, dims: SchemeDims, group_index: int, user: UserId):
     """The (rows, columns) of the user's block for the group in the encoding matrix."""
-    row = _user_index(cfg, user) * dims.L
+    row = ((user[0] - 1) * cfg.V + user[1] - 1) * dims.L
     col = group_index * dims.L_S
     return slice(row, row + dims.L), slice(col, col + dims.L_S)
+
+
+@lru_cache(maxsize=64)
+def _members(U: int, V: int, G: int) -> np.ndarray:
+    """The read-only C(UV,G) x G user indices (u-1)*V + (v-1) of each group's members, made once per config.
+
+    The index is monotone in canonical user order, so the rows are the combinations of range(UV), in order.
+    """
+    n_groups = count_groups(U, V, G)  # the config is accepted before anything is made
+    members = np.fromiter(chain.from_iterable(combinations(range(U * V), G)), np.int64).reshape(n_groups, G)
+    members.setflags(write=False)
+    return members
+
+
+def _encoding_matrix(cfg: ProblemConfig, dims: SchemeDims, blocks: np.ndarray) -> np.ndarray:
+    """E in which blocks[g, j] is the block of group g's j-th member, for its first blocks.shape[1] members; zero elsewhere."""
+    n_groups, k = blocks.shape[:2]
+    e = np.zeros((cfg.U * cfg.V * dims.L, n_groups * dims.L_S), dtype=np.int64)
+    members = _members(cfg.U, cfg.V, cfg.G)[:, :k]
+    e.reshape(-1, dims.L, n_groups, dims.L_S)[members, :, np.arange(n_groups)[:, None], :] = blocks
+    return e
 
 
 def _zero_sum_scheme(
@@ -84,19 +102,15 @@ def _zero_sum_scheme(
 
     blocks is a C(UV,G) x (G-1) x L x L_S array of residues, members in
     group order. The last member of every group receives the negated sum of
-    the others. Both are written into the encoding matrix with one scatter
-    each.
+    the others.
     """
-    q, L, L_S, n_groups = cfg.field.modulus, dims.L, dims.L_S, len(groups)
-    users = np.array([[_user_index(cfg, m) for m in grp] for grp in groups], dtype=np.int64)
-    e = np.zeros((cfg.U * cfg.V * L, n_groups * L_S), dtype=np.int64)
-    per_block = e.reshape(-1, L, n_groups, L_S)
-    g = np.arange(n_groups)
-    per_block[users[:, :-1], :, g[:, None], :] = blocks
+    q, n_groups = cfg.field.modulus, len(groups)
+    e = _encoding_matrix(cfg, dims, blocks)
     completion = linalg.sum_mod(blocks, 1, q)
     np.negative(completion, out=completion)
     completion %= q
-    per_block[users[:, -1], :, g, :] = completion
+    last = _members(cfg.U, cfg.V, cfg.G)[:, -1]
+    e.reshape(-1, dims.L, n_groups, dims.L_S)[last, :, np.arange(n_groups), :] = completion
     return PrecodingScheme(cfg, dims, tuple(groups), e, provenance)
 
 
@@ -224,11 +238,6 @@ def build_random(cfg: ProblemConfig, seed: int, max_retries: int = DEFAULT_MAX_R
     raise ConstructionFailed(max_retries + 1)
 
 
-def _block_columns(group_indices: Sequence[int], L_S: int) -> np.ndarray:
-    """Column indices of the given groups' column blocks, in the given order."""
-    return (np.asarray(group_indices, dtype=np.int64)[:, None] * L_S + np.arange(L_S)).reshape(-1)
-
-
 def assemble_relay_matrix(s: PrecodingScheme, u: int) -> Mat:
     """The VL x (T_u * L_S) matrix seen by relay u.
 
@@ -245,13 +254,8 @@ def assemble_relay_matrix(s: PrecodingScheme, u: int) -> Mat:
 
 @lru_cache(maxsize=64)
 def _relay_columns(U: int, V: int, G: int, u: int, L_S: int) -> np.ndarray:
-    """The read-only column index of relay u's matrix in E: the blocks of the groups touching u.
-
-    It depends on the config alone, since a scheme's groups are always in
-    canonical order, so it is made once per config, not once per attempt.
-    """
-    touching = [g for g, grp in enumerate(enumerate_groups(U, V, G)) if any(m[0] == u for m in grp)]
-    columns = _block_columns(touching, L_S)
+    """The read-only column index of relay u's matrix in E, the blocks of the groups touching u; made once per config."""
+    columns = np.flatnonzero(np.repeat((_members(U, V, G) // V == u - 1).any(axis=1), L_S))
     columns.setflags(write=False)
     return columns
 
@@ -282,6 +286,6 @@ def check_zero_sum(s: PrecodingScheme) -> bool:
 
 def cross_relay_server_matrix(s: PrecodingScheme) -> Mat:
     """Server matrix restricted to cross-relay column blocks and the first U-1 row blocks."""
-    cross = [g for g, grp in enumerate(s.groups) if len({m[0] for m in grp}) > 1]
+    cross = np.ptp(_members(s.cfg.U, s.cfg.V, s.cfg.G) // s.cfg.V, axis=1) > 0  # members on more than one relay
     summed = _relay_sums(s, s.encoding[: (s.cfg.U - 1) * s.cfg.V * s.dims.L])
-    return linalg.from_array(s.cfg.field, summed[:, _block_columns(cross, s.dims.L_S)])
+    return linalg.from_array(s.cfg.field, summed[:, np.repeat(cross, s.dims.L_S)])

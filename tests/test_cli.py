@@ -386,6 +386,31 @@ def test_load_peak_memory_is_a_few_encoding_matrices(monkeypatch):
     assert peak < 3 * s.encoding.nbytes, peak / s.encoding.nbytes
 
 
+def test_whole_load_holds_the_parse_and_one_block_array(tmp_path):
+    # A whole load, the read included, holds at most the file's text, its
+    # parsed object and the one array of its blocks: the blocks fill a
+    # preallocated array, each parsed block released as it is converted, so
+    # no other copy of the blocks is made while the parsed object is alive.
+    cfg = ProblemConfig(3, 3, 6, make_field((1 << 61) - 1))
+    s = scheme_mod.sample_zero_sum_scheme(cfg, seed=1)
+    path = str(tmp_path / "s.json")
+    save_scheme(s, path)
+    load_scheme(path)  # warm up: first-call allocations
+    tracemalloc.start()
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            obj = json.loads(fh.read())
+        parse = tracemalloc.get_traced_memory()[1]
+        del obj
+        tracemalloc.reset_peak()
+        load_scheme(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    blocks = len(s.groups) * cfg.G * s.dims.L * s.dims.L_S * 8
+    assert peak < parse + blocks + s.encoding.nbytes / 8, (peak / s.encoding.nbytes, parse / s.encoding.nbytes)
+
+
 def test_save_peak_memory_is_a_small_part_of_the_encoding_matrix(tmp_path):
     # Each block is filled and written before the next, so neither the 4.2 MB of text nor
     # the blocks' texts are held at once.
@@ -627,10 +652,14 @@ def test_round_count_limit_is_rounds_times_rows_plus_cols_of_e(tmp_path, capsys,
 def test_defaults_are_defined_once(capsys, monkeypatch):
     # The command line and the library take each default from one constant.
     assert cli.audit.DEFAULT_ORACLE_CAP == 1 << 26 and scheme_mod.DEFAULT_MAX_RETRIES == 16
+    assert cli.audit.DEFAULT_FUZZ_ROUNDS == 100
     verify = cli.build_parser().parse_args(["verify", "x.json"])
     build = cli.build_parser().parse_args(["build", "--U", "2", "--V", "2", "--G", "2", "--out", "x.json"])
     assert verify.cap is cli.audit.DEFAULT_ORACLE_CAP and build.max_retries is scheme_mod.DEFAULT_MAX_RETRIES
-    assert inspect.signature(cli.audit.full_audit).parameters["oracle_cap"].default is cli.audit.DEFAULT_ORACLE_CAP
+    assert verify.fuzz_rounds is cli.audit.DEFAULT_FUZZ_ROUNDS
+    audit_defaults = inspect.signature(cli.audit.full_audit).parameters
+    assert audit_defaults["oracle_cap"].default is cli.audit.DEFAULT_ORACLE_CAP
+    assert audit_defaults["fuzz_rounds"].default is cli.audit.DEFAULT_FUZZ_ROUNDS
     assert inspect.signature(build_random).parameters["max_retries"].default is scheme_mod.DEFAULT_MAX_RETRIES
     monkeypatch.setenv("COLUMNS", "200")  # the help text on one line
     with pytest.raises(SystemExit):

@@ -1,4 +1,4 @@
-"""The benchmark's per-layer mode runs against the library as it is."""
+"""The benchmark's modes run against the library as it is."""
 
 import json
 import subprocess
@@ -8,13 +8,23 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_benchmark_run_is_correct():
-    # The per-layer mode (--trace 1) wraps library functions and reads their
-    # arguments, so a library change can break it while the untraced mode
-    # still runs. One short traced sample must finish with correct outputs
-    # and no failed op.
-    argv = ["perfbench/run.py", "--workload", "cycle-p31", "--seed", "1", "--seconds", "1", "--trace", "1"]
+def assert_one_sample_is_correct(workload: str, trace: str):
+    """One short sample of the workload must finish with correct outputs and no failed op."""
+    argv = ["perfbench/run.py", "--workload", workload, "--seed", "1", "--seconds", "1", "--trace", trace]
     proc = subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, proc.stdout[-2000:]
+
+
+def test_traced_benchmark_run_is_correct():
+    # The per-layer mode (--trace 1) wraps library functions and reads their
+    # arguments, so a library change can break it while the untraced mode
+    # still runs.
+    assert_one_sample_is_correct("cycle-p31", "1")
+
+
+def test_untraced_oracle_benchmark_run_is_correct():
+    # The untraced mode on the tiny fields runs verify --oracle and the
+    # builds that retry, which the traced cycle-p31 run does not.
+    assert_one_sample_is_correct("oracle-small-q", "0")

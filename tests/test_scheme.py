@@ -347,6 +347,61 @@ def test_relay_column_index_is_made_once_per_config_and_read_only():
 
 
 @pytest.mark.parametrize("U", [2, 3, 4])
+def test_member_index_rows_are_the_canonical_groups_as_user_indices(U):
+    for V, G in _grid(U):
+        members = scheme._members(U, V, G)
+        expected = [[(u - 1) * V + v - 1 for u, v in grp] for grp in enumerate_groups(U, V, G)]
+        assert members.dtype == np.int64 and members.tolist() == expected, (U, V, G)
+        assert not members.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            members[0, 0] = 0
+
+
+def test_member_index_is_made_once_per_config_for_a_retrying_build(monkeypatch):
+    # The gate fails attempts 0-3, so attempt 4 is returned: five schemes
+    # are assembled, and every one takes its members from the one index.
+    cfg = ProblemConfig(2, 3, 4, make_field(Q31))
+    monkeypatch.setattr(scheme, "scheme_rank_checks_pass", lambda s: s.provenance["retries_used"] == 4)
+    before = scheme._members.cache_info()
+    index = scheme._members(2, 3, 4)
+    s = build_random(cfg, seed=0)
+    after = scheme._members.cache_info()
+    assert s.provenance["retries_used"] == 4
+    assert after.misses - before.misses <= 1  # made here at most once, by the first call
+    assert after.hits - before.hits >= 5
+    assert scheme._members(2, 3, 4) is index
+
+
+def placed_block_by_block(cfg, dims, blocks):
+    """The reference placement: blocks[g, j] written at block_slices of group g's j-th member, one block at a time."""
+    groups = enumerate_groups(cfg.U, cfg.V, cfg.G)
+    e = np.zeros((cfg.U * cfg.V * dims.L, len(groups) * dims.L_S), dtype=np.int64)
+    for g_idx, grp in enumerate(groups):
+        for member, block in zip(grp, blocks[g_idx]):
+            e[scheme.block_slices(cfg, dims, g_idx, member)] = block
+    return e
+
+
+@pytest.mark.parametrize("U, V, G, q", [(2, 2, 2, 5), (3, 2, 3, Q31), (2, 3, 4, Q61), (4, 2, 7, 11), (3, 3, 6, Q31)])
+def test_build_and_load_place_blocks_as_block_slices_does(U, V, G, q, tmp_path):
+    cfg = ProblemConfig(U, V, G, make_field(q))
+    dims = classify_regime(cfg)
+    groups = enumerate_groups(U, V, G)
+    rng = np.random.default_rng(U * 100 + V * 10 + G)
+    drawn = rng.integers(0, q, size=(len(groups), G - 1, dims.L, dims.L_S))
+    # A build gives the last member of each group the negated sum of the others.
+    last = (-drawn.astype(object).sum(axis=1) % q).astype(np.int64)
+    built = scheme._zero_sum_scheme(cfg, dims, groups, drawn, {"construction": "test"})
+    expected = placed_block_by_block(cfg, dims, np.concatenate([drawn, last[:, None]], axis=1))
+    assert np.array_equal(built.encoding, expected)
+    # A loaded file's blocks are placed as they are, zero-sum or not.
+    blocks = rng.integers(0, q, size=(len(groups), G, dims.L, dims.L_S))
+    e = placed_block_by_block(cfg, dims, blocks)
+    cli.save_scheme(PrecodingScheme(cfg, dims, tuple(groups), e, {"construction": "test"}), str(tmp_path / "s.json"))
+    assert np.array_equal(cli.load_scheme(str(tmp_path / "s.json")).encoding, e)
+
+
+@pytest.mark.parametrize("U", [2, 3, 4])
 def test_cross_relay_matrix_column_blocks_are_the_groups_spanning_relays(U):
     for V, G in _grid(U):
         s = _grid_scheme(U, V, G)
