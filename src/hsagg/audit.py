@@ -5,11 +5,12 @@ Two independent routes check the same security claims:
     server: rank (U-1)L), and
   * exact oracles: the distribution of the relay/server mask over all key
     assignments, tallied exactly by convolving the mask's column terms, and
-    tested for uniformity. They do not use rank. The tally is a product of
-    factor tallies over disjoint row sets, so a column is convolved only on
-    the rows it reaches; factors merge when a column couples them, and the
-    last merge writes the q^rows tally once. An oracle's peak memory is
-    under three q^rows tallies, and under two when every output is attained.
+    tested for uniformity. They do not use rank. The tally is one exact
+    multiplicity times a product of 0/1 factor tallies over disjoint row
+    sets, so a column is convolved only on the rows it reaches, and factors
+    merge when a column couples them. The cells are the narrowest type that
+    holds q (one byte for q <= 251), and an oracle's peak memory is under two
+    q^rows tallies of them.
 
 Pass/fail is always decided on exact integer tallies, never on floating-point
 entropy values; the float entropy in the results is for reporting only.
@@ -19,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from math import prod
 
 import numpy as np
 
@@ -60,9 +63,11 @@ class StateSpaceTooLarge(RuntimeError):
         return str(self.required) if self.printable else f"{self.q}^{self.n}"
 
 
-def _check_states(q: int, n: int, cap: int):
-    if power_exceeds(q, n, cap):
-        raise StateSpaceTooLarge(q, n, cap)
+def _check_caps(q: int, rows: int, cols: int, cap: int):
+    """Refuse an oracle whose q^cols key states, or else whose q^rows outputs, exceed the cap."""
+    for n in (cols, rows):
+        if power_exceeds(q, n, cap):
+            raise StateSpaceTooLarge(q, n, cap)
 
 
 @dataclass(frozen=True)
@@ -180,6 +185,24 @@ def _product(factors: list, rows: tuple, q: int, dtype) -> np.ndarray:
     return out
 
 
+def _unit_cells(tally: np.ndarray) -> int:
+    """Divide a convolved factor by v, the value of each of its nonzero cells, in place; return v.
+
+    A factor is the 0/1 indicator of its image, a subspace, and convolving it
+    with a line gives v times the indicator of the sum: v is q when the line
+    lies in the subspace, else 1. Cells of more than one nonzero value are an
+    arithmetic fault.
+    """
+    v = int(tally.max())
+    if v == 1:
+        return v
+    # Slice by slice, so that the comparison's cells are 1/q of the factor's.
+    if not v or any(np.count_nonzero(t) != np.count_nonzero(t == v) for t in tally):
+        raise ArithmeticError(f"a convolved factor's nonzero cells are not one value (largest {v})")
+    tally //= v
+    return v
+
+
 def mask_distribution(m: Mat, cap: int) -> tuple[int, np.ndarray]:
     """Exact distribution of m @ s over all q^cols inputs s.
 
@@ -187,53 +210,48 @@ def mask_distribution(m: Mat, cap: int) -> tuple[int, np.ndarray]:
     base-q code order, row 0 the most significant digit). m @ s sums the
     independent terms s_j * c_j over the columns c_j, so the tally is the
     convolution of the uniform distributions on the lines {s * c_j}. It is
-    kept as a product of factor tallies over disjoint row sets: the columns
-    are taken in increasing order of nonzero count, a column inside one
-    factor is convolved in place on that factor's q^k cells alone, and a
-    column that reaches rows of several factors, or rows no factor holds,
-    first merges them into one factor. The last merge writes the (q,)*rows
-    tally in row order once, and the z zero columns scale it by q^z.
+    kept as one exact Python-int multiplicity times a product of 0/1 factor
+    tallies over disjoint row sets: the columns are taken in increasing
+    order of nonzero count, a column inside one factor is convolved in place
+    on that factor's q^k cells alone, and a column that reaches rows of
+    several factors, or rows no factor holds, first merges them into one
+    factor. After each convolution every nonzero cell of the factor must be
+    one value v (else ArithmeticError); the cells are divided by v and v is
+    multiplied into the multiplicity. The z zero columns multiply it by q^z.
     q^cols and then q^rows must be within the cap; the relay and server
-    matrices have rows <= cols, since L_S / L is the optimal key rate. The
-    cells, and the returned multiplicities, are the narrowest unsigned type
-    that holds q^cols (object past 2^64 - 1): at most uint32 under the
-    default cap of 2^26. The peak memory is under three (q,)*rows tallies,
-    and under two when every output is attained, since the tally itself is
-    then returned.
+    matrices have rows <= cols, since L_S / L is the optimal key rate.
+
+    The cells are the narrowest unsigned type that holds q, since a 0/1
+    factor convolved with a line of q points has no cell above q: one byte
+    for q <= 251. The peak memory is under two (q,)*rows tallies of them,
+    whatever q^cols is. The outputs are uniform over the attained ones,
+    which number the product of the factors' nonzero counts, so the
+    multiplicities come back as a read-only broadcast of the one
+    multiplicity, in the narrowest unsigned type that holds q^cols (object
+    past 2^64 - 1, where the multiplicity stays exact).
     """
     q = m.field.modulus
     rows, cols = m.rows, m.cols
-    _check_states(q, cols, cap)
-    _check_states(q, rows, cap)
-    states = q**cols
-    # A factor of mass q^a never has a cell above q^a, nor a product of factors
-    # of masses q^a and q^b one above q^(a+b) <= q^cols, so the narrowest unsigned
-    # type that holds q^cols is exact (np.min_scalar_type gives object past 2^64 - 1).
-    dtype = np.min_scalar_type(states)
-    factors = {}  # sorted rows -> tally with one axis per row; the row sets are disjoint
-    zero_cols = 0
+    _check_caps(q, rows, cols, cap)
+    cell = np.min_scalar_type(q)
+    factors = {}  # sorted rows -> 0/1 tally with one axis per row; the row sets are disjoint
+    multiplicity = 1  # of every attained output: the tally is multiplicity times the product of the factors
     for c in sorted(m.array.T.tolist(), key=lambda c: len(c) - c.count(0)):
         support = [a for a, x in enumerate(c) if x]
         if not support:
-            zero_cols += 1  # s * 0 = 0 for all q keys s
+            multiplicity *= q  # s * 0 = 0 for all q keys s
             continue
         reached = [f for f in factors if any(a in f for a in support)]
         if len(reached) == 1 and all(a in reached[0] for a in support):
             f_rows = reached[0]
         else:
             f_rows = tuple(sorted({*support, *(a for f in reached for a in f)}))
-            factors[f_rows] = _product([(f, factors.pop(f)) for f in reached], f_rows, q, dtype)
+            factors[f_rows] = _product([(f, factors.pop(f)) for f in reached], f_rows, q, cell)
         _convolve_line(factors[f_rows], [c[a] for a in f_rows], q)
-    all_rows = tuple(range(rows))
-    if list(factors) == [all_rows]:
-        tally = factors.pop(all_rows)
-    else:
-        tally = _product(list(factors.items()), all_rows, q, dtype)
-    del factors  # not alive next to the compacted copy below
-    if zero_cols:  # the last factor, over no rows, of mass q^zero_cols
-        tally *= q**zero_cols
-    tally = tally.ravel()  # a view; copied below only if some output is not attained
-    return states, tally if np.count_nonzero(tally) == tally.size else tally[tally > 0]
+        multiplicity *= _unit_cells(factors[f_rows])
+    states = q**cols
+    distinct = prod(np.count_nonzero(t) for t in factors.values())
+    return states, np.broadcast_to(np.array(multiplicity, np.min_scalar_type(states)), (distinct,))
 
 
 def _oracle_from_matrix(m: Mat, target: int, cap: int) -> OracleResult:
@@ -265,15 +283,19 @@ def entropy_oracle_relay(s: PrecodingScheme, u: int, cap: int) -> OracleResult:
     return _oracle_from_matrix(m, s.cfg.V * s.dims.L, cap)
 
 
-def entropy_oracle_server(s: PrecodingScheme, cap: int) -> OracleResult:
+def entropy_oracle_server(s: PrecodingScheme, cap: int, server: Mat | None = None) -> OracleResult:
     """Exact q-ary entropy of the first U-1 relay masks over cross-relay keys.
 
     Intra-relay keys cancel inside their relay and the U-th mask is determined
     by the others, so server security holds iff this joint mask is uniform on
-    GF(q)^{(U-1)L}, i.e. the entropy equals (U-1)*L.
+    GF(q)^{(U-1)L}, i.e. the entropy equals (U-1)*L. The caps are checked
+    before any matrix is made. The oracle's matrix is a slice of server, the
+    scheme's server matrix, which is made here if not given.
     """
-    m = scheme_mod.cross_relay_server_matrix(s)
-    return _oracle_from_matrix(m, (s.cfg.U - 1) * s.dims.L, cap)
+    cfg, target = s.cfg, (s.cfg.U - 1) * s.dims.L
+    cols = scheme_mod.cross_relay_columns(cfg.U, cfg.V, cfg.G, s.dims.L_S).size
+    _check_caps(cfg.field.modulus, target, cols, cap)
+    return _oracle_from_matrix(scheme_mod.cross_relay_server_matrix(s, server), target, cap)
 
 
 def rate_audit(s: PrecodingScheme) -> tuple[bool, RateTuple, RateTuple]:
@@ -314,8 +336,9 @@ def full_audit(
         relay_ranks[u] = RankCheck(target, linalg.rank(m))
         oracle_relay[u] = _oracle_result(_oracle_from_matrix, m, target, cap=oracle_cap)
         del m  # not alive next to the next relay's matrix
-    server_rank = verify_server_rank(s)
-    oracle_server = _oracle_result(entropy_oracle_server, s, cap=oracle_cap)
+    server = scheme_mod.assemble_server_matrix(s)  # once, for its rank and its oracle's slice
+    server_rank = RankCheck((s.cfg.U - 1) * s.dims.L, linalg.rank(server))
+    oracle_server = _oracle_result(partial(entropy_oracle_server, server=server), s, cap=oracle_cap)
     _, achieved, optimal = rate_audit(s)
     return AuditReport(
         zero_sum=scheme_mod.check_zero_sum(s),

@@ -354,9 +354,10 @@ def cmd_rates(args) -> int:
     require_feasible(cfg)
     if huge_count(cfg.U, cfg.V, cfg.G):
         raise UsageError(f"C({cfg.U * cfg.V},{cfg.G}) may exceed 14000 bits, too large for exact rates")
-    rates = optimal_rates(cfg)
-    dims = classify_regime(cfg)
-    relay_frac, server_frac = security_fractions(cfg)
+    fractions = security_fractions(cfg)  # once: r_s, the regime, L and L_S all follow from them
+    relay_frac, server_frac = fractions
+    rates = optimal_rates(cfg, fractions)
+    dims = classify_regime(cfg, fractions)
     print("feasible: yes")
     print(f"relay_bound: {_frac(relay_frac)}")
     print(f"server_bound: {_frac(server_frac)}")

@@ -79,20 +79,24 @@ def require_feasible(cfg: ProblemConfig):
         raise Infeasible("G = 1: groupwise keys are private, no scheme exists")
 
 
-def optimal_rates(cfg: ProblemConfig) -> RateTuple:
-    """The corner point of the optimal region: R_X = R_Y = 1, minimal R_S; Infeasible at G = 1."""
-    relay_frac, server_frac = security_fractions(cfg)
+def optimal_rates(cfg: ProblemConfig, fractions: tuple[Fraction, Fraction] | None = None) -> RateTuple:
+    """The corner point of the optimal region: R_X = R_Y = 1, minimal R_S; Infeasible at G = 1.
+
+    fractions, if given, are security_fractions(cfg), which is then not computed again.
+    """
+    relay_frac, server_frac = fractions or security_fractions(cfg)
     return RateTuple(Fraction(1), Fraction(1), max(relay_frac, server_frac))
 
 
-def classify_regime(cfg: ProblemConfig) -> SchemeDims:
+def classify_regime(cfg: ProblemConfig, fractions: tuple[Fraction, Fraction] | None = None) -> SchemeDims:
     """Pick the dominant security constraint and the matching blocklengths.
 
     Relay-dominant (ties included): L = C(UV,G) - C((U-1)V,G), L_S = V.
     Server-dominant: L = C(UV,G) - U*C(V,G), L_S = U - 1.
     In both cases L_S / L equals the optimal key rate exactly. Infeasible at G = 1.
+    fractions, if given, are security_fractions(cfg), which is then not computed again.
     """
-    relay_frac, server_frac = security_fractions(cfg)
+    relay_frac, server_frac = fractions or security_fractions(cfg)
     if relay_frac >= server_frac:  # L = L_S / key rate, an integer, so the binomials are not computed again
         return SchemeDims(Regime.RELAY_DOMINANT, int(cfg.V / relay_frac), cfg.V)
     return SchemeDims(Regime.SERVER_DOMINANT, int((cfg.U - 1) / server_frac), cfg.U - 1)

@@ -284,8 +284,20 @@ def check_zero_sum(s: PrecodingScheme) -> bool:
     return not linalg.sum_mod(per_user, 0, s.cfg.field.modulus).any()
 
 
-def cross_relay_server_matrix(s: PrecodingScheme) -> Mat:
-    """Server matrix restricted to cross-relay column blocks and the first U-1 row blocks."""
-    cross = np.ptp(_members(s.cfg.U, s.cfg.V, s.cfg.G) // s.cfg.V, axis=1) > 0  # members on more than one relay
-    summed = _relay_sums(s, s.encoding[: (s.cfg.U - 1) * s.cfg.V * s.dims.L])
-    return linalg.from_array(s.cfg.field, summed[:, np.repeat(cross, s.dims.L_S)])
+@lru_cache(maxsize=64)
+def cross_relay_columns(U: int, V: int, G: int, L_S: int) -> np.ndarray:
+    """The read-only column index, in E and in the server matrix, of the groups spanning relays; made once per config."""
+    columns = np.flatnonzero(np.repeat(np.ptp(_members(U, V, G) // V, axis=1) > 0, L_S))
+    columns.setflags(write=False)
+    return columns
+
+
+def cross_relay_server_matrix(s: PrecodingScheme, server: Mat | None = None) -> Mat:
+    """Server matrix restricted to cross-relay column blocks and the first U-1 row blocks.
+
+    A slice of server, the scheme's server matrix, which is made here if not given.
+    """
+    if server is None:
+        server = assemble_server_matrix(s)
+    columns = cross_relay_columns(s.cfg.U, s.cfg.V, s.cfg.G, s.dims.L_S)
+    return linalg.from_array(s.cfg.field, server.array[: (s.cfg.U - 1) * s.dims.L, columns])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hsagg import audit, scheme
+from hsagg import audit, cli, scheme
 from hsagg.audit import (
     OracleResult,
     StateSpaceTooLarge,
@@ -428,3 +428,82 @@ def test_oracle_refuses_a_non_uniform_tally(ex1, monkeypatch):
         entropy_oracle_relay(ex1, 1, CAP)
     with pytest.raises(ArithmeticError, match="not uniform"):
         entropy_oracle_server(ex1, CAP)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [scheme.build_example1, lambda: build_random(ProblemConfig(2, 3, 5, GF2), seed=0)],
+    ids=["2,2,2@5", "2,3,5@2"],
+)
+def test_mask_distribution_holds_two_one_byte_tallies_on_full_rank_relays(build):
+    """(2,2,2)@5 has 5^10 key states, which need uint32 counts, and (2,3,5)@2 has 2^18;
+    either way the cells hold q, so the peak is under two one-byte q^rows tallies."""
+    s = build()
+    for u in range(1, s.cfg.U + 1):
+        m = scheme.assemble_relay_matrix(s, u)
+        assert rank(m) == m.rows
+        states, tallies, peak = traced_mask_distribution(m)
+        cells = s.cfg.field.modulus**m.rows
+        assert tallies.size == cells and tallies.tolist() == [states // cells] * cells
+        assert peak < 2 * cells, peak / cells
+
+
+def test_mask_distribution_refuses_a_factor_of_two_cell_values(ex1, tmp_path, capsys, monkeypatch):
+    # A convolution that leaves nonzero cells of two values is an arithmetic
+    # fault: it is caught at that step, and verify reports it as an error, not a verdict.
+    convolve = audit._convolve_line
+
+    def faulty(tally, c, q):
+        convolve(tally, c, q)
+        flat = tally.reshape(-1)  # a view: the factor is contiguous
+        flat[np.flatnonzero(flat)[0]] += 1
+
+    monkeypatch.setattr(audit, "_convolve_line", faulty)
+    m = scheme.assemble_relay_matrix(ex1, 1)
+    with pytest.raises(ArithmeticError, match="not one value"):
+        mask_distribution(m, CAP)
+    path = str(tmp_path / "ex1.json")
+    assert cli.main(["example", "--id", "1", "--out", path]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["verify", path, "--oracle"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ArithmeticError: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "a",
+    # Full rank, one zero column, a second column on the first one's line (so the
+    # convolution leaves cells of q = 257, past uint8), and two unrelated rows.
+    [[[1, 0], [0, 1]], [[3, 0]], [[1, 2], [2, 4]], [[5], [0]], [[0, 0], [7, 256]]],
+)
+def test_mask_distribution_at_q_257_uses_two_byte_cells(a, monkeypatch):
+    q, seen = 257, set()
+    convolve = audit._convolve_line
+    monkeypatch.setattr(audit, "_convolve_line", lambda tally, c, q: seen.add(tally.dtype) or convolve(tally, c, q))
+    states, tallies = mask_distribution(from_array(make_field(q), np.array(a, dtype=np.int64)), CAP)
+    assert states == q ** len(a[0]) and tallies.dtype == narrowest(states)
+    assert tallies.tolist() == brute_force(a, q)
+    assert seen == {np.dtype(np.uint16)}
+
+
+def test_full_audit_sums_the_relays_once(ex1, monkeypatch):
+    # The server rank and the server oracle take the same server matrix; the oracle's is a slice of it.
+    calls = []
+    relay_sums = scheme._relay_sums
+    monkeypatch.setattr(scheme, "_relay_sums", lambda s, rows: calls.append(rows.shape) or relay_sums(s, rows))
+    report = full_audit(ex1, fuzz_rounds=1, oracle_cap=CAP)
+    assert calls == [ex1.encoding.shape]
+    assert report.oracle_server == entropy_oracle_server(ex1, CAP) and report.oracle_server.passed
+
+
+def test_server_oracle_refuses_before_any_matrix_is_made(ex1, monkeypatch):
+    def no_matrix(*args):
+        raise AssertionError("a matrix was made for a refused oracle")
+
+    for name in ("_relay_sums", "assemble_server_matrix", "cross_relay_server_matrix"):
+        monkeypatch.setattr(scheme, name, no_matrix)
+    # The cross-relay matrix is 5 x 8: its 5^8 key states are checked before its 5^5 outputs.
+    for cap in (5**4, 5**8 - 1):
+        with pytest.raises(StateSpaceTooLarge) as exc:
+            entropy_oracle_server(ex1, cap)
+        assert (exc.value.q, exc.value.n, exc.value.cap) == (5, 8, cap)

@@ -1016,3 +1016,19 @@ def test_simulate_writes_round_by_round(tmp_path, capsys, monkeypatch):
     round_text = out.stat().st_size / 100
     assert out.stat().st_size > 6_000_000
     assert peak < 4 * round_text, peak / round_text
+
+
+def test_rates_computes_the_security_fractions_once(capsys, monkeypatch):
+    # Three binomials give every number rates prints: C(UV,G), C((U-1)V,G) and C(V,G).
+    calls = []
+    monkeypatch.setattr(rates_mod, "comb", lambda n, k: calls.append((n, k)) or comb(n, k))
+    assert run(["rates", "--U", "3", "--V", "3", "--G", "6"]) == EXIT_OK
+    assert calls == [(9, 6), (6, 6), (3, 6)]
+    assert capsys.readouterr() == (
+        "feasible: yes\n"
+        "relay_bound: 3/83\n"
+        "server_bound: 1/42\n"
+        "r_x: 1  r_y: 1  r_s: 3/83\n"
+        "regime: RelayDominant  L: 83  L_S: 3\n",
+        "",
+    )
