@@ -267,7 +267,7 @@ def _oracle_from_matrix(m: Mat, target: int, cap: int) -> OracleResult:
     r = 0  # the least r with q^r >= distinct, found without float logs
     while q**r < distinct:
         r += 1
-    if np.any(tallies != tallies[0]) or q**r != distinct or distinct * int(tallies[0]) != states:
+    if tallies.min() != tallies.max() or q**r != distinct or distinct * int(tallies[0]) != states:
         raise ArithmeticError(f"tally of {distinct} values over {states} states is not uniform on q^{r}")
     # The q-ary entropy of a uniform tally is the exact integer r.
     return OracleResult(states, distinct, True, float(r), target)

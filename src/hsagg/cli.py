@@ -27,7 +27,7 @@ from math import comb
 import numpy as np
 
 from . import audit, linalg, protocol, scheme as scheme_mod
-from .combi import CountOverflow, all_users, count_groups, enumerate_groups, huge_count
+from .combi import CountOverflow, all_users, count_groups, huge_count
 from .gf import NotPrime, make_field
 from .rates import Infeasible, ProblemConfig, classify_regime, optimal_rates, require_feasible, security_fractions
 from .scheme import ConstructionFailed, PrecodingScheme
@@ -140,8 +140,13 @@ def _dec_provenance(v):
 
 
 def _scheme_file(s: PrecodingScheme) -> dict:
-    """The object save_scheme writes for s; its blocks, in canonical (group, member) order, fill one template."""
-    L, L_S = s.dims.L, s.dims.L_S
+    """The object save_scheme writes for s; its blocks, in canonical (group, member) order, fill one template.
+
+    Each group's blocks are one gather from E through the member index (the build's scatter,
+    inverted), group by group; member index i is the user (i // V + 1, i % V + 1).
+    """
+    V, L, L_S = s.cfg.V, s.dims.L, s.dims.L_S
+    members = scheme_mod._members(s.cfg.U, V, s.cfg.G).tolist()
     matrix = {"rows": L, "cols": L_S, "data": [_SLOT] * L * L_S}
     block = _Template({"group_index": _SLOT, "user": [_SLOT, _SLOT], "matrix": matrix})
     return {
@@ -149,11 +154,11 @@ def _scheme_file(s: PrecodingScheme) -> dict:
         "prng_id": linalg.PRNG_ID,
         "cfg": {"U": s.cfg.U, "V": s.cfg.V, "G": s.cfg.G, "q": _enc_int(s.cfg.field.modulus)},
         "dims": {"regime": s.dims.regime.value, "L": L, "L_S": L_S},
-        "group_order": [[list(member) for member in grp] for grp in s.groups],
+        "group_order": [[[i // V + 1, i % V + 1] for i in grp] for grp in members],
         "blocks": (
-            block.record(s.block(g_idx, member).reshape(-1), (g_idx, *member))
-            for g_idx, grp in enumerate(s.groups)
-            for member in grp
+            block.record(data.reshape(-1), (g_idx, i // V + 1, i % V + 1))
+            for g_idx, grp in enumerate(members)
+            for i, data in zip(grp, s.encoding.reshape(-1, L, len(members), L_S)[grp, :, g_idx])
         ),
         "provenance": {k: _enc_int(v) if isinstance(v, int) else v for k, v in s.provenance.items()},
     }
@@ -221,12 +226,11 @@ def scheme_from_text(text: str) -> PrecodingScheme:
             raise SchemeFileError(f"{len(blocks)} blocks cannot describe U*V = {U * V} users")
         cfg = ProblemConfig(U, V, G, make_field(q))
         dims = classify_regime(cfg)
-        # Counted before the groups are enumerated, so the work stays in
+        # Counted before the member index is made, so the work stays in
         # proportion to the file's size.
         n_groups = comb(U * V, G)
         if len(blocks) != n_groups * G:
             raise SchemeFileError(f"{len(blocks)} blocks, expected C(UV,G)*G = {n_groups * G}")
-        groups = tuple(enumerate_groups(U, V, G))
         data = np.empty((len(blocks), dims.L * dims.L_S), dtype=np.int64)
         for i, block in enumerate(blocks):
             data[i] = block["matrix"]["data"]  # a wrong length raises; the comparison refuses a scalar
@@ -240,7 +244,7 @@ def scheme_from_text(text: str) -> PrecodingScheme:
         if isinstance(exc, SchemeFileError):
             raise
         raise SchemeFileError(f"malformed scheme file: {exc}") from exc
-    s = PrecodingScheme(cfg, dims, groups, e, provenance)
+    s = PrecodingScheme(cfg, dims, e, provenance)
     # The decode above accepts more than the writer writes (True, 5.0, " 5",
     # "+5" all become 5, and any layout parses); the comparison refuses it.
     _refuse_unless_written(s, text)

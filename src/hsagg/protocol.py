@@ -27,7 +27,6 @@ class Rounds:
     row blocks of `relay_messages` are relays.
     """
 
-    scheme: PrecodingScheme
     inputs: np.ndarray  # UV*L x R
     user_messages: np.ndarray  # UV*L x R
     relay_messages: np.ndarray  # U*L x R
@@ -47,7 +46,7 @@ def keygen(s: PrecodingScheme, seed) -> np.ndarray:
     substream (seed, g), where seed is an int or a tuple of ints; disjoint
     substreams make the keys independent.
     """
-    groups = np.arange(len(s.groups))[:, None]
+    groups = np.arange(s.encoding.shape[1] // s.dims.L_S)[:, None]
     return linalg.random_mats(s.dims.L_S, 1, s.cfg.field, linalg.seed_rows(seed, groups)).reshape(-1, 1)
 
 
@@ -66,7 +65,6 @@ def run(s: PrecodingScheme, w: np.ndarray, k: np.ndarray) -> Rounds:
     x = (w + matmul_mod(s.encoding, k, q)) % q
     y = sum_mod(x.reshape(U, V, L, rounds), 1, q)
     return Rounds(
-        scheme=s,
         inputs=w,
         user_messages=x,
         relay_messages=y.reshape(U * L, rounds),
@@ -91,5 +89,6 @@ def run_rounds(s: PrecodingScheme, seed: int, rounds: int) -> Rounds:
     even = 2 * np.arange(rounds)[:, None]
     users = np.array(all_users(s.cfg.U, s.cfg.V)).reshape(-1, 2)
     w = _columns(s, s.dims.L, linalg.seed_rows(seed, even), users)
-    k = _columns(s, s.dims.L_S, linalg.seed_rows(seed, even + 1), np.arange(len(s.groups))[:, None])
+    groups = np.arange(s.encoding.shape[1] // s.dims.L_S)[:, None]
+    k = _columns(s, s.dims.L_S, linalg.seed_rows(seed, even + 1), groups)
     return run(s, w, k)

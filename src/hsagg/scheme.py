@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -39,19 +39,18 @@ class ConstructionFailed(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class PrecodingScheme:
-    """A scheme, stored as its read-only UV*L x C(UV,G)*L_S int64 encoding matrix E.
+    """A scheme, stored as its read-only UV*L x C(UV,G)*L_S int64 encoding matrix E, with no group tuples.
 
     Row block i belongs to the i-th user in canonical order ((1,1), (1,2),
-    ..., (U,V)), column block g to group g; the block is the user's matrix
-    for the group, zero for a non-member. Stacking every user's input and
-    every group's key gives all user messages at once, X = W + E K, and the
-    relay matrices, the server matrix and the zero-sum check are slices and
-    row-block sums of E.
+    ..., (U,V)), column block g to group g, whose members _members gives;
+    the block is the user's matrix for the group, zero for a non-member.
+    Stacking every user's input and every group's key gives all user
+    messages at once, X = W + E K, and the relay matrices, the server
+    matrix and the zero-sum check are slices and row-block sums of E.
     """
 
     cfg: ProblemConfig
     dims: SchemeDims
-    groups: tuple[Group, ...]
     encoding: np.ndarray
     provenance: Mapping[str, object]
 
@@ -94,7 +93,6 @@ def _encoding_matrix(cfg: ProblemConfig, dims: SchemeDims, blocks: np.ndarray) -
 def _zero_sum_scheme(
     cfg: ProblemConfig,
     dims: SchemeDims,
-    groups: Sequence[Group],
     blocks: np.ndarray,
     provenance: Mapping[str, object],
 ) -> PrecodingScheme:
@@ -104,14 +102,14 @@ def _zero_sum_scheme(
     group order. The last member of every group receives the negated sum of
     the others.
     """
-    q, n_groups = cfg.field.modulus, len(groups)
+    q, n_groups = cfg.field.modulus, len(blocks)
     e = _encoding_matrix(cfg, dims, blocks)
     completion = linalg.sum_mod(blocks, 1, q)
     np.negative(completion, out=completion)
     completion %= q
     last = _members(cfg.U, cfg.V, cfg.G)[:, -1]
     e.reshape(-1, dims.L, n_groups, dims.L_S)[last, :, np.arange(n_groups), :] = completion
-    return PrecodingScheme(cfg, dims, tuple(groups), e, provenance)
+    return PrecodingScheme(cfg, dims, e, provenance)
 
 
 # The six 5x2 precoding matrices of the (U,V,G,q) = (2,2,2,5) construction,
@@ -130,30 +128,28 @@ _EXAMPLE1_MATRICES: dict[Group, list[list[int]]] = {
 def build_example1() -> PrecodingScheme:
     """The deterministic (U,V,G) = (2,2,2) scheme over GF(5) with L=5, L_S=2."""
     cfg = ProblemConfig(2, 2, 2, make_field(5))
-    groups = enumerate_groups(2, 2, 2)
-    blocks = np.array([[_EXAMPLE1_MATRICES[grp]] for grp in groups], dtype=np.int64)
-    return _zero_sum_scheme(cfg, classify_regime(cfg), groups, blocks, {"construction": "example1"})
+    blocks = np.array([[_EXAMPLE1_MATRICES[grp]] for grp in enumerate_groups(2, 2, 2)], dtype=np.int64)
+    return _zero_sum_scheme(cfg, classify_regime(cfg), blocks, {"construction": "example1"})
 
 
 def build_example2() -> PrecodingScheme:
     """The deterministic (U,V,G) = (4,2,7) scheme over GF(11) with L=8, L_S=3.
 
-    For group index i (1-based) the three Vandermonde bases are g^(i-1),
-    g^(i+2), g^(i+5) with g = 2 and exponents reduced modulo 10 (the order of
-    GF(11)*). Member (u, v) starts its rows at the exponent (u-1) + (v-1)*U.
-    The last-indexed member of each group ((4,2) for i >= 2, (4,1) for i = 1)
-    is completed to zero-sum.
+    For group index i (1-based) the three Vandermonde bases are g^(i-1), g^(i+2), g^(i+5) with
+    g = 2 and exponents reduced modulo 10 (the order of GF(11)*). Member (u, v), of user index
+    m = (u-1)*V + (v-1), starts its rows at the exponent (u-1) + (v-1)*U = m // V + (m % V)*U.
+    The last-indexed member of each group ((4,2) for i >= 2, (4,1) for i = 1) is completed to
+    zero-sum.
     """
     field = make_field(11)
     cfg = ProblemConfig(4, 2, 7, field)
     dims = classify_regime(cfg)
-    groups = enumerate_groups(4, 2, 7)
-    blocks = []
-    for g_idx, grp in enumerate(groups):
+    U, V, blocks = cfg.U, cfg.V, []
+    for g_idx, members in enumerate(_members(U, V, cfg.G).tolist()):
         i = g_idx + 1
         bases = [pow(2, e % 10, 11) for e in (i - 1, i + 2, i + 5)]
-        blocks.append([vandermonde_block(field, bases, (u - 1) + (v - 1) * cfg.U, dims.L) for u, v in grp[:-1]])
-    return _zero_sum_scheme(cfg, dims, groups, np.array(blocks), {"construction": "example2"})
+        blocks.append([vandermonde_block(field, bases, m // V + (m % V) * U, dims.L) for m in members[:-1]])
+    return _zero_sum_scheme(cfg, dims, np.array(blocks), {"construction": "example2"})
 
 
 # Most block entries one batch of build_random's attempts draws at once (2^15
@@ -172,9 +168,9 @@ def _draws(cfg: ProblemConfig, seed: int, attempts: int):
     mod 2^64.
     """
     dims = classify_regime(cfg)
-    groups = tuple(enumerate_groups(cfg.U, cfg.V, cfg.G))  # shared by every attempt's scheme
-    index = np.indices((len(groups), cfg.G - 1)).reshape(2, -1).T  # (group, member) of every drawn block
-    shape = (len(groups), cfg.G - 1, dims.L, dims.L_S)
+    n_groups = count_groups(cfg.U, cfg.V, cfg.G)
+    index = np.indices((n_groups, cfg.G - 1)).reshape(2, -1).T  # (group, member) of every drawn block
+    shape = (n_groups, cfg.G - 1, dims.L, dims.L_S)
     most = max(1, _BATCH_ENTRIES // (len(index) * dims.L * dims.L_S))
     first = np.array(seed % (1 << 64), np.uint64)
     k, size = 0, 1
@@ -184,7 +180,7 @@ def _draws(cfg: ProblemConfig, seed: int, attempts: int):
         blocks = linalg.random_mats(dims.L, dims.L_S, cfg.field, linalg.seed_rows(heads, index))
         for i, attempt in enumerate(blocks.reshape(n, *shape)):
             provenance = {"construction": "random", "seed": seed, "prng_id": linalg.PRNG_ID, "retries_used": k + i}
-            yield _zero_sum_scheme(cfg, dims, groups, attempt, provenance)
+            yield _zero_sum_scheme(cfg, dims, attempt, provenance)
         del blocks, attempt  # the next batch is drawn without this one
         k, size = k + n, 2 * size
 

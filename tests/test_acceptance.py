@@ -93,7 +93,7 @@ def test_criterion_3_golden_example1():
     start = time.process_time()
     s = build_example1()
     ok = True
-    for g_idx, grp in enumerate(s.groups):
+    for g_idx, grp in enumerate(enumerate_groups(s.cfg.U, s.cfg.V, s.cfg.G)):
         base = np.array(GOLDEN1[grp])
         ok &= np.array_equal(s.block(g_idx, grp[0]), base)
         ok &= np.array_equal(s.block(g_idx, grp[1]), -base % 5)
@@ -110,7 +110,7 @@ def test_criterion_3_golden_example1():
 def test_criterion_4_golden_example2():
     start = time.process_time()
     s = build_example2()
-    ok = check_zero_sum(s) and len(s.groups) == 8
+    ok = check_zero_sum(s) and len(enumerate_groups(s.cfg.U, s.cfg.V, s.cfg.G)) == 8
     for u in range(1, 5):
         ok &= audit.verify_relay_rank(s, u) == audit.RankCheck(16, 16)
     ok &= audit.verify_server_rank(s) == audit.RankCheck(24, 24)
@@ -184,7 +184,7 @@ def test_criterion_6_random_construction():
 def _zero_cross_family(s, user):
     """Zero, in a copy of E, every cross-relay group containing the user."""
     e = s.encoding.copy()
-    for g_idx, grp in enumerate(s.groups):
+    for g_idx, grp in enumerate(enumerate_groups(s.cfg.U, s.cfg.V, s.cfg.G)):
         if user in grp and len({m[0] for m in grp}) >= 2:
             e[:, block_slices(s.cfg, s.dims, g_idx, user)[1]] = 0
     return replace(s, encoding=e)
@@ -194,8 +194,9 @@ def _mutate_zero_sum_preserving(s, seed):
     """Change one entry of one non-dependent block in a copy of E, then re-complete the group."""
     picks = linalg.random_mats(1, 4, make_field(2147483647), linalg.seed_rows(seed, [[555]]))
     g_pick, m_pick, r_pick, c_pick = picks[0, 0]
-    g_idx = int(g_pick) % len(s.groups)
-    grp = s.groups[g_idx]
+    groups = enumerate_groups(s.cfg.U, s.cfg.V, s.cfg.G)
+    g_idx = int(g_pick) % len(groups)
+    grp = groups[g_idx]
     member = grp[int(m_pick) % (len(grp) - 1)]  # never the dependent (last)
     q = s.cfg.field.modulus
     e = s.encoding.copy()

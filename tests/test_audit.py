@@ -20,6 +20,7 @@ from hsagg.audit import (
     verify_relay_rank,
     verify_server_rank,
 )
+from hsagg.combi import enumerate_groups
 from hsagg.gf import make_field
 from hsagg.linalg import from_array, rank
 from hsagg.rates import ProblemConfig, SchemeDims
@@ -76,7 +77,7 @@ def traced_mask_distribution(m):
 def zero_group_recompleted(s, g_idx, member):
     """Zero one member's block in a copy of E and re-complete the group's last member."""
     e = s.encoding.copy()
-    grp = s.groups[g_idx]
+    grp = enumerate_groups(s.cfg.U, s.cfg.V, s.cfg.G)[g_idx]
     e[block_slices(s.cfg, s.dims, g_idx, member)] = 0
     others = sum(e[block_slices(s.cfg, s.dims, g_idx, m)] for m in grp[:-1])
     e[block_slices(s.cfg, s.dims, g_idx, grp[-1])] = -others % s.cfg.field.modulus
@@ -86,7 +87,7 @@ def zero_group_recompleted(s, g_idx, member):
 def zero_cross_family(s, user):
     """Zero, in a copy of E, every cross-relay group containing the user (zero-sum preserved)."""
     e = s.encoding.copy()
-    for g_idx, grp in enumerate(s.groups):
+    for g_idx, grp in enumerate(enumerate_groups(s.cfg.U, s.cfg.V, s.cfg.G)):
         if user in grp and len({m[0] for m in grp}) >= 2:
             e[:, block_slices(s.cfg, s.dims, g_idx, user)[1]] = 0
     return replace(s, encoding=e)
@@ -103,7 +104,7 @@ def test_relay_rank_examples(ex1, ex2):
 def test_relay_rank_negative(ex1):
     # Group {(1,1),(2,1)} is index 1 in canonical order; zeroing user (1,1)'s
     # block there removes those columns from relay 1's view.
-    assert ex1.groups[1] == ((1, 1), (2, 1))
+    assert enumerate_groups(ex1.cfg.U, ex1.cfg.V, ex1.cfg.G)[1] == ((1, 1), (2, 1))
     mutated = zero_group_recompleted(ex1, 1, (1, 1))
     assert scheme.check_zero_sum(mutated)
     assert not verify_relay_rank(mutated, 1).passed
@@ -428,6 +429,23 @@ def test_oracle_refuses_a_non_uniform_tally(ex1, monkeypatch):
         entropy_oracle_relay(ex1, 1, CAP)
     with pytest.raises(ArithmeticError, match="not uniform"):
         entropy_oracle_server(ex1, CAP)
+
+
+def test_oracle_checks_uniformity_without_a_pass_over_the_tally(ex1, monkeypatch):
+    # mask_distribution returns one multiplicity broadcast over the attained
+    # outputs, 5^10 of them for (2,2,2)@5's relay 1; an elementwise comparison
+    # would make a 9.77 MB bool array of it.
+    m = scheme.assemble_relay_matrix(ex1, 1)
+    tallies = np.broadcast_to(np.array(1, np.min_scalar_type(5**10)), (5**10,))
+    monkeypatch.setattr(audit, "mask_distribution", lambda m, cap: (5**10, tallies))
+    tracemalloc.start()
+    try:
+        result = audit._oracle_from_matrix(m, 10, CAP)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (result.states, result.distinct, result.passed, result.entropy_qary) == (5**10, 5**10, True, 10.0)
+    assert peak < 1 << 20, peak
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hsagg import linalg
-from hsagg.combi import all_users
+from hsagg.combi import all_users, enumerate_groups
 from hsagg.gf import make_field
 from hsagg.linalg import DimensionMismatch
 from hsagg.protocol import keygen, run, run_rounds
@@ -47,13 +47,13 @@ def test_user_key_counts(ex1, ex2):
     for s, user, count in ((ex1, (1, 1), 3), (ex2, (1, 1), 7), (minimal_scheme(5), (2, 1), 1)):
         w, k = inputs(s, 1), keygen(s, 2)
         base = run(s, w, k).user_messages[user_rows(s, user)]
-        used = []
-        for g in range(len(s.groups)):
+        used, groups = [], enumerate_groups(s.cfg.U, s.cfg.V, s.cfg.G)
+        for g in range(len(groups)):
             bumped = k.copy()
             bumped[g * s.dims.L_S] = (bumped[g * s.dims.L_S] + 1) % s.cfg.field.modulus
             if not np.array_equal(run(s, w, bumped).user_messages[user_rows(s, user)], base):
                 used.append(g)
-        assert used == [g for g, grp in enumerate(s.groups) if user in grp]
+        assert used == [g for g, grp in enumerate(groups) if user in grp]
         assert len(used) == count
 
 
@@ -69,7 +69,7 @@ def test_user_encode_zero_input_is_pure_mask(ex1):
     for user in [(1, 1), (2, 2)]:
         expected = sum(
             ex1.block(g, user).astype(object) @ k[2 * g : 2 * g + 2].astype(object)
-            for g in range(len(ex1.groups))
+            for g in range(len(enumerate_groups(ex1.cfg.U, ex1.cfg.V, ex1.cfg.G)))
         )
         assert x[user_rows(ex1, user)].tolist() == (expected % 5).tolist()
 

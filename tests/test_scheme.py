@@ -1,5 +1,6 @@
+import json
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from math import comb
 
@@ -45,7 +46,7 @@ def test_complete_zero_sum_examples():
     draws = [sample_zero_sum_scheme(ProblemConfig(3, 2, 3, make_field(q)), 4) for q in (5, Q61)]
     for s in [*draws, scheme.build_example1(), scheme.build_example2()]:
         q = s.cfg.field.modulus
-        for g_idx, grp in enumerate(s.groups):
+        for g_idx, grp in enumerate(enumerate_groups(s.cfg.U, s.cfg.V, s.cfg.G)):
             others = sum(s.block(g_idx, m).astype(object) for m in grp[:-1])
             assert s.block(g_idx, grp[-1]).tolist() == (-others % q).tolist()
 
@@ -53,7 +54,7 @@ def test_complete_zero_sum_examples():
 def test_example1_matrices_bit_exact(ex1):
     assert (ex1.cfg.U, ex1.cfg.V, ex1.cfg.G, ex1.cfg.field.modulus) == (2, 2, 2, 5)
     assert (ex1.dims.regime, ex1.dims.L, ex1.dims.L_S) == (Regime.RELAY_DOMINANT, 5, 2)
-    for g_idx, grp in enumerate(ex1.groups):
+    for g_idx, grp in enumerate(enumerate_groups(ex1.cfg.U, ex1.cfg.V, ex1.cfg.G)):
         base = np.array(GOLDEN1[grp])
         first, second = grp
         assert ex1.block(g_idx, first).tolist() == base.tolist()
@@ -86,13 +87,14 @@ def test_example2_structure(ex2):
     assert b[1].tolist() == [1, 8, 9]
     assert np.array_equal(b, vandermonde_block(GF11, (1, 8, 9), 0, 8))
     # Dependent member of the first group is (4,1): the negated sum of the rest.
-    others = sum(ex2.block(0, m) for m in ex2.groups[0] if m != (4, 1))
+    groups = enumerate_groups(ex2.cfg.U, ex2.cfg.V, ex2.cfg.G)
+    others = sum(ex2.block(0, m) for m in groups[0] if m != (4, 1))
     assert np.array_equal(ex2.block(0, (4, 1)), -others % 11)
     # (3,2) is not a member of the third group, so its block is zero.
-    assert (3, 2) not in ex2.groups[2]
+    assert (3, 2) not in groups[2]
     assert not ex2.block(2, (3, 2)).any()
     # (4,2) is the dependent member for every group it belongs to.
-    for g_idx, grp in enumerate(ex2.groups):
+    for g_idx, grp in enumerate(groups):
         if (4, 2) in grp:
             assert grp[-1] == (4, 2)
 
@@ -184,10 +186,11 @@ def test_build_random_matches_one_draw_per_attempt(U, V, G, q):
 def test_draw_seeds_reduce_mod_2_64_as_seed_rows_does(seed):
     cfg = ProblemConfig(2, 3, 5, make_field(7))
     s = sample_zero_sum_scheme(cfg, seed)
-    index = [(g, m) for g in range(len(s.groups)) for m in range(cfg.G - 1)]
+    groups = enumerate_groups(cfg.U, cfg.V, cfg.G)
+    index = [(g, m) for g in range(len(groups)) for m in range(cfg.G - 1)]
     drawn = linalg.random_mats(s.dims.L, s.dims.L_S, cfg.field, linalg.seed_rows(seed, index))
     for (g, m), block in zip(index, drawn):
-        assert np.array_equal(s.block(g, s.groups[g][m]), block)
+        assert np.array_equal(s.block(g, groups[g][m]), block)
 
 
 def _count_batches(monkeypatch, blocks_per_attempt):
@@ -249,7 +252,7 @@ def test_build_random_memory_does_not_grow_with_max_retries(monkeypatch):
     monkeypatch.setattr(scheme, "scheme_rank_checks_pass", lambda s: False)
     s = sample_zero_sum_scheme(cfg, 0)  # warm up: first-call allocations
     most = scheme._BATCH_ENTRIES // 1280
-    index = np.indices((len(s.groups), cfg.G - 1)).reshape(2, -1).T
+    index = np.indices((len(enumerate_groups(cfg.U, cfg.V, cfg.G)), cfg.G - 1)).reshape(2, -1).T
     tracemalloc.start()
     try:
         seeds = linalg.seed_rows(np.arange(most, dtype=np.uint64)[:, None], index)
@@ -278,7 +281,7 @@ def test_relay_matrix_v1_is_horizontal_concat():
     s = build_random(cfg, seed=0)
     m = assemble_relay_matrix(s, 2)
     assert m.rows == s.dims.L
-    touching = [g for g, grp in enumerate(s.groups) if (2, 1) in grp]
+    touching = [g for g, grp in enumerate(enumerate_groups(s.cfg.U, s.cfg.V, s.cfg.G)) if (2, 1) in grp]
     expected = np.hstack([s.block(g, (2, 1)) for g in touching])
     assert np.array_equal(m.array, expected)
 
@@ -299,7 +302,7 @@ def _grid_scheme(U, V, G):
     members = np.array([[user in grp for grp in groups] for user in all_users(U, V)])
     draws = np.random.default_rng(G).integers(1, Q31, size=(U * V, n_groups * dims.L_S))
     e = np.repeat(members, dims.L_S, axis=1) * draws
-    return PrecodingScheme(cfg, replace(dims, L=1), groups, e, {})
+    return PrecodingScheme(cfg, replace(dims, L=1), e, {})
 
 
 def _columns(group_indices, L_S):
@@ -316,9 +319,9 @@ def test_relay_matrix_column_blocks_are_the_groups_touching_the_relay(U):
     for V, G in _grid(U):
         s = _grid_scheme(U, V, G)
         relay_frac, _ = security_fractions(s.cfg)
-        height = V * s.dims.L
+        height, groups = V * s.dims.L, enumerate_groups(U, V, G)
         for u in range(1, U + 1):
-            touching = [g for g, grp in enumerate(s.groups) if any(m[0] == u for m in grp)]
+            touching = [g for g, grp in enumerate(groups) if any(m[0] == u for m in grp)]
             expected = s.encoding[(u - 1) * height : u * height, _columns(touching, s.dims.L_S)]
             m = assemble_relay_matrix(s, u)
             assert np.array_equal(m.array, expected), (U, V, G, u)
@@ -391,14 +394,23 @@ def test_build_and_load_place_blocks_as_block_slices_does(U, V, G, q, tmp_path):
     drawn = rng.integers(0, q, size=(len(groups), G - 1, dims.L, dims.L_S))
     # A build gives the last member of each group the negated sum of the others.
     last = (-drawn.astype(object).sum(axis=1) % q).astype(np.int64)
-    built = scheme._zero_sum_scheme(cfg, dims, groups, drawn, {"construction": "test"})
+    built = scheme._zero_sum_scheme(cfg, dims, drawn, {"construction": "test"})
     expected = placed_block_by_block(cfg, dims, np.concatenate([drawn, last[:, None]], axis=1))
     assert np.array_equal(built.encoding, expected)
     # A loaded file's blocks are placed as they are, zero-sum or not.
     blocks = rng.integers(0, q, size=(len(groups), G, dims.L, dims.L_S))
     e = placed_block_by_block(cfg, dims, blocks)
-    cli.save_scheme(PrecodingScheme(cfg, dims, tuple(groups), e, {"construction": "test"}), str(tmp_path / "s.json"))
+    cli.save_scheme(PrecodingScheme(cfg, dims, e, {"construction": "test"}), str(tmp_path / "s.json"))
     assert np.array_equal(cli.load_scheme(str(tmp_path / "s.json")).encoding, e)
+    # A saved file reads each block back from where block_slices places it, in canonical order.
+    saved = json.loads((tmp_path / "s.json").read_text())
+    assert saved["group_order"] == [[list(member) for member in grp] for grp in groups]
+    expected = [
+        (g_idx, list(member), e[scheme.block_slices(cfg, dims, g_idx, member)].reshape(-1).tolist())
+        for g_idx, grp in enumerate(groups)
+        for member in grp
+    ]
+    assert [(b["group_index"], b["user"], [int(x) for x in b["matrix"]["data"]]) for b in saved["blocks"]] == expected
 
 
 @pytest.mark.parametrize("U", [2, 3, 4])
@@ -407,13 +419,14 @@ def test_cross_relay_matrix_column_blocks_are_the_groups_spanning_relays(U):
         s = _grid_scheme(U, V, G)
         L, q = s.dims.L, s.cfg.field.modulus
         _, server_frac = security_fractions(s.cfg)
-        cross = [g for g, grp in enumerate(s.groups) if len({m[0] for m in grp}) >= 2]
+        groups = enumerate_groups(U, V, G)
+        cross = [g for g, grp in enumerate(groups) if len({m[0] for m in grp}) >= 2]
         relay_sums = s.encoding.astype(object).reshape(U, V, L, -1).sum(axis=1) % q
         expected = relay_sums.reshape(U * L, -1)[: (U - 1) * L, _columns(cross, s.dims.L_S)]
         m = cross_relay_server_matrix(s)
         assert np.array_equal(m.array, expected), (U, V, G)
         # The other U*C(V,G) groups lie within one relay.
-        assert len(s.groups) - len(cross) == U * comb(V, G)
+        assert len(groups) - len(cross) == U * comb(V, G)
         assert m.cols == (U - 1) / server_frac * s.dims.L_S
 
 
@@ -432,7 +445,7 @@ def test_server_matrix_row_blocks_sum_to_zero():
 def test_intra_relay_column_blocks_are_zero(ex1):
     full = assemble_server_matrix(ex1)
     L_S = ex1.dims.L_S
-    for g_idx, grp in enumerate(ex1.groups):
+    for g_idx, grp in enumerate(enumerate_groups(ex1.cfg.U, ex1.cfg.V, ex1.cfg.G)):
         if len({m[0] for m in grp}) == 1:
             sub = full.array[:, g_idx * L_S : (g_idx + 1) * L_S]
             assert not sub.any()
@@ -450,9 +463,9 @@ def test_converse_as_a_dimension_count(U, V, G):
     # These are the paper's two key-rate bounds; T_u and X are counted from
     # the scheme's groups, not from the binomials in rates.
     s = sample_zero_sum_scheme(ProblemConfig(U, V, G, make_field(Q31)), seed=0)
-    L, L_S = s.dims.L, s.dims.L_S
-    touching = [sum(any(m[0] == u for m in grp) for grp in s.groups) for u in range(1, U + 1)]
-    spanning = sum(len({m[0] for m in grp}) > 1 for grp in s.groups)
+    L, L_S, groups = s.dims.L, s.dims.L_S, enumerate_groups(U, V, G)
+    touching = [sum(any(m[0] == u for m in grp) for grp in groups) for u in range(1, U + 1)]
+    spanning = sum(len({m[0] for m in grp}) > 1 for grp in groups)
     for u, t_u in enumerate(touching, start=1):
         assert assemble_relay_matrix(s, u).cols == t_u * L_S
     assert cross_relay_server_matrix(s).cols == spanning * L_S
@@ -478,9 +491,15 @@ def test_failed_attempts_stay_under_the_attempt_failure_bound(q):
     assert failed <= bound * len(seeds)
 
 
-def test_groups_match_canonical_enumeration(ex1, ex2):
-    assert list(ex1.groups) == enumerate_groups(2, 2, 2)
-    assert list(ex2.groups) == enumerate_groups(4, 2, 7)
+def test_groups_match_canonical_enumeration(ex1, ex2, tmp_path):
+    for s, groups in ((ex1, enumerate_groups(2, 2, 2)), (ex2, enumerate_groups(4, 2, 7))):
+        cli.save_scheme(s, str(tmp_path / "s.json"))
+        saved = json.loads((tmp_path / "s.json").read_text())
+        assert saved["group_order"] == [[list(member) for member in grp] for grp in groups]
+
+
+def test_a_scheme_is_its_encoding_matrix_and_nothing_else():
+    assert [f.name for f in fields(PrecodingScheme)] == ["cfg", "dims", "encoding", "provenance"]
 
 
 REPRESENTATION_BUILDS = {
@@ -498,12 +517,13 @@ def test_encoding_matrix_is_the_scheme(name, loaded, tmp_path):
     if loaded:
         cli.save_scheme(s, str(tmp_path / "s.json"))
         s = cli.load_scheme(str(tmp_path / "s.json"))
-    U, V, L, L_S, C = s.cfg.U, s.cfg.V, s.dims.L, s.dims.L_S, len(s.groups)
+    groups = enumerate_groups(s.cfg.U, s.cfg.V, s.cfg.G)
+    U, V, L, L_S, C = s.cfg.U, s.cfg.V, s.dims.L, s.dims.L_S, len(groups)
     e = s.encoding
     assert e.dtype == np.int64 and not e.flags.writeable
     assert e.shape == (U * V * L, C * L_S)
     blocks = e.reshape(U * V, L, C, L_S)  # user, row, group, column
-    for g, grp in enumerate(s.groups):
+    for g, grp in enumerate(groups):
         members = {(u - 1) * V + v - 1 for u, v in grp}
         assert all(not blocks[i, :, g].any() for i in range(U * V) if i not in members)
         assert not (blocks[:, :, g].astype(object).sum(axis=0) % s.cfg.field.modulus).any()

@@ -95,3 +95,29 @@ def test_library_writes_json_without_the_indenting_encoder():
     """json.dump(s) with indent= always runs CPython's pure-Python encoder; files go through cli's writer."""
     found = [f"{name}:{node.lineno}" for name, node in _nodes() if _indented_json_dump(node)]
     assert not found, f"json.dump(s) with indent= in src/hsagg: {found}"
+
+
+def _enumerate_groups_uses(path: Path) -> list[str]:
+    """Where a module names combi.enumerate_groups, outside scheme.build_example1 and the import it reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed = set()
+    if path.name == "scheme.py":
+        example1 = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "build_example1"]
+        allowed = {id(node) for f in example1 for node in ast.walk(f)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            named = any(alias.name.rpartition(".")[2] == "enumerate_groups" for alias in node.names)
+            named = named and path.name != "scheme.py"
+        else:
+            named = getattr(node, "id", getattr(node, "attr", None)) == "enumerate_groups" and id(node) not in allowed
+        if named:
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_groups_are_enumerated_only_by_combi_and_example1():
+    """A scheme is its encoding matrix: the layout comes from scheme._members, and group tuples
+    are made only by combi.enumerate_groups and read only by build_example1's golden table."""
+    found = [use for path in sorted(SRC.glob("*.py")) if path.name != "combi.py" for use in _enumerate_groups_uses(path)]
+    assert not found, f"enumerate_groups outside combi.py and scheme.build_example1: {found}"
