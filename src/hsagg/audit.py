@@ -135,22 +135,41 @@ def verify_server_rank(s: PrecodingScheme) -> RankCheck:
     return RankCheck((s.cfg.U - 1) * s.dims.L, linalg.rank(m))
 
 
-def _roll(a: np.ndarray, shift: list[int]) -> np.ndarray:
-    """a rolled by shift[j] along axis j, every axis of length q.
+def _shift_index(q: int, shift: list[int]) -> np.ndarray:
+    """index[z] = the base-q code of (z - shift) mod q, over the codes z of len(shift) digits."""
+    index = np.zeros(1, np.intp)
+    for x in shift:
+        index = (index[:, None] * q + (np.arange(q) - x) % q).ravel()
+    return index
 
-    At q = 2 a roll by 1 reverses its axis, so the result is a view and no copy.
+
+def _roll(a: np.ndarray, shift: list[int]) -> np.ndarray:
+    """a translated by shift, every axis of length q: the result at z is a[(z - shift) mod q].
+
+    At q = 2 a shift by 1 reverses its axis, so the result is a view and no
+    copy. Otherwise a is read as a (q^h, q^(n-h)) matrix, h = n // 2, and
+    translated by at most two gathers: of its rows by the leading axes' shift,
+    then of its columns by the trailing axes'. Each goes through an index of
+    at most q^(n-h) entries, about the square root of a's size.
     """
-    if a.shape[0] == 2:
+    q, h = a.shape[0], a.ndim // 2
+    if q == 2:
         return a[tuple(slice(None, None, -x or None) for x in shift)]
-    axes = [j for j, x in enumerate(shift) if x]
-    for k in range(0, len(axes), 8):
-        chunk = axes[k : k + 8]
-        a = np.roll(a, [shift[j] for j in chunk], chunk)
-    return a
+    flat = a.reshape(q**h, -1)
+    for axis, part in ((0, shift[:h]), (1, shift[h:])):
+        if any(part):
+            flat = flat.take(_shift_index(q, part), axis)
+    return flat.reshape(a.shape)
 
 
 def _convolve_line(tally: np.ndarray, c: list[int], q: int):
-    """Convolve tally in place with the uniform distribution on the line {s * c}; c is nonzero."""
+    """Convolve tally in place with the uniform distribution on the line {s * c}; c is nonzero.
+
+    The tally is cut into its q slices along the first nonzero axis i of c,
+    and each slice is translated by a multiple of c's other entries with
+    _roll, at most two gathers, so at most two slices' cells are alive
+    beside the tally.
+    """
     # c scaled to c[i] = 1 spans the same line; each line parallel to it meets
     # the hyperplane y_i = 0 once, and its point in slice y_i = t gets there by -t * c.
     i = next(a for a, x in enumerate(c) if x)
@@ -223,12 +242,14 @@ def mask_distribution(m: Mat, cap: int) -> tuple[int, np.ndarray]:
 
     The cells are the narrowest unsigned type that holds q, since a 0/1
     factor convolved with a line of q points has no cell above q: one byte
-    for q <= 251. The peak memory is under two (q,)*rows tallies of them,
-    whatever q^cols is. The outputs are uniform over the attained ones,
-    which number the product of the factors' nonzero counts, so the
-    multiplicities come back as a read-only broadcast of the one
-    multiplicity, in the narrowest unsigned type that holds q^cols (object
-    past 2^64 - 1, where the multiplicity stays exact).
+    for q <= 251. A convolution sums and writes back the factor's q slices,
+    each translated by at most two gathers (see _roll), so it holds at most
+    two slices, 1/q of the factor each, beside it. The peak memory is under
+    two (q,)*rows tallies of cells, whatever q^cols is. The outputs are
+    uniform over the attained ones, which number the product of the
+    factors' nonzero counts, so the multiplicities come back as a read-only
+    broadcast of the one multiplicity, in the narrowest unsigned type that
+    holds q^cols (object past 2^64 - 1, where the multiplicity stays exact).
     """
     q = m.field.modulus
     rows, cols = m.rows, m.cols

@@ -1,4 +1,5 @@
 import itertools
+import json
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -197,6 +198,36 @@ def test_mask_distribution_ignores_column_order(qa, data):
     assert permuted.tolist() == tallies.tolist()
 
 
+# Most axes per q that keep a translated slice at a few 10^4 cells.
+ROLL_AXES = {2: 7, 3: 7, 5: 6, 7: 5, 11: 4, 257: 2}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_roll_is_np_roll_along_every_axis(data):
+    """audit._roll translates like np.roll, on contiguous tallies and on strided slices of one,
+    through indexes of at most q^ceil(n/2) entries for n axes."""
+    q = data.draw(st.sampled_from(sorted(ROLL_AXES)), label="q")
+    n = data.draw(st.integers(1, ROLL_AXES[q]), label="axes")
+    dtype = data.draw(st.sampled_from([np.uint8, np.uint16]), label="dtype")
+    shift = data.draw(st.lists(st.sampled_from([0, 1]) | st.integers(0, q - 1), min_size=n, max_size=n), label="shift")
+    i = data.draw(st.integers(0, n), label="sliced axis")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    # Slice 1 of a length-2 axis at i: contiguous at i = 0, strided past it.
+    t = rng.integers(0, np.iinfo(dtype).max, (q,) * i + (2,) + (q,) * (n - i), dtype, endpoint=True)
+    strided = np.moveaxis(t, i, 0)[1]
+    sizes = []
+    shift_index = audit._shift_index
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(audit, "_shift_index", lambda q, part: sizes.append(q ** len(part)) or shift_index(q, part))
+        for a in (strided, np.ascontiguousarray(strided)):
+            for s in (shift, [0] * n):
+                moved = audit._roll(a, s)
+                assert moved.dtype == a.dtype and moved.shape == a.shape
+                assert np.array_equal(moved, np.roll(a, s, tuple(range(n))))
+    assert max(sizes, default=0) <= q ** -(-n // 2)
+
+
 @pytest.mark.parametrize(
     "q, cols",
     [(2, c) for c in (7, 8, 15, 16, 17, 31, 32, 33, 63, 64, 65)] + [(3, 5), (3, 6), (3, 40), (3, 41), (251, 1)],
@@ -379,7 +410,7 @@ def test_full_audit_oracles_not_run(ex1):
     assert report.oracle_server is None
 
 
-def test_full_audit_catches_sign_flip(ex1):
+def test_full_audit_catches_sign_flip(ex1, tmp_path, capsys):
     e = ex1.encoding.copy()
     rows, cols = block_slices(ex1.cfg, ex1.dims, 0, (1, 1))
     e[rows, cols] = -e[rows, cols] % 5
@@ -388,6 +419,16 @@ def test_full_audit_catches_sign_flip(ex1):
     assert not report.zero_sum
     assert report.fuzz_failures > 0
     assert not report.passed
+    # Off zero-sum the server rank is taken on the full server matrix, 7; its
+    # cross-relay slice, which equals it on zero-sum schemes, would give 5.
+    assert (report.server_rank.expected, report.server_rank.computed) == (5, 7)
+    assert rank(scheme.cross_relay_server_matrix(corrupted)) == 5
+    # A file that breaks zero-sum loads, and its report carries the same value.
+    path, out = str(tmp_path / "flip.json"), tmp_path / "report.json"
+    cli.save_scheme(corrupted, path)
+    assert cli.main(["verify", path, "--fuzz-rounds", "20", "--out", str(out)]) == cli.EXIT_FAILED
+    capsys.readouterr()
+    assert json.loads(out.read_text())["server_rank"] == {"expected": 5, "computed": 7, "passed": False}
 
 
 def test_server_oracle_never_exceeds_target_on_zero_sum_schemes():

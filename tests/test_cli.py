@@ -518,10 +518,12 @@ def test_build_count_overflow_is_a_usage_error(tmp_path, capsys):
     ids=["encoding-entries", "group-count"],
 )
 def test_oversized_build_is_refused_before_enumeration(config, message, tmp_path, capsys, monkeypatch):
-    def enumerate_groups(*args):
-        raise AssertionError("enumerated the groups of a refused build")
+    def reached(*args):
+        raise AssertionError("a refused build made its member index or drew its blocks")
 
-    monkeypatch.setattr(scheme_mod, "enumerate_groups", enumerate_groups)
+    # A random build lays out its groups through _members and draws them through _draws.
+    monkeypatch.setattr(scheme_mod, "_members", reached)
+    monkeypatch.setattr(scheme_mod, "_draws", reached)
     out = tmp_path / "s.json"
     U, V, G = config
     start = time.process_time()

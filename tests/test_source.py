@@ -121,3 +121,17 @@ def test_groups_are_enumerated_only_by_combi_and_example1():
     are made only by combi.enumerate_groups and read only by build_example1's golden table."""
     found = [use for path in sorted(SRC.glob("*.py")) if path.name != "combi.py" for use in _enumerate_groups_uses(path)]
     assert not found, f"enumerate_groups outside combi.py and scheme.build_example1: {found}"
+
+
+def _numpy_roll(node) -> bool:
+    """np.roll / numpy.roll as an attribute, or roll imported from numpy."""
+    if isinstance(node, ast.Attribute):
+        return isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy") and node.attr == "roll"
+    return isinstance(node, ast.ImportFrom) and node.module == "numpy" and any(a.name == "roll" for a in node.names)
+
+
+def test_library_translates_tallies_without_np_roll():
+    """np.roll over k axes copies 2^k strided pieces; the oracle translates a slice by
+    two gathers (audit._roll), and np.roll stays a reference in the tests alone."""
+    found = [f"{name}:{node.lineno}" for name, node in _nodes() if _numpy_roll(node)]
+    assert not found, f"np.roll in src/hsagg: {found}"
