@@ -1,8 +1,9 @@
 """Security and rate verification.
 
 Two independent routes check the same security claims:
-  * rank predicates on the stacked precoding matrices (relay: rank VL,
-    server: rank (U-1)L), and
+  * rank predicates on the gates' matrices (scheme.gates): relay u's matrix
+    must have rank VL, and the server matrix, the relay sums of the first
+    U-1 relays on the cross-relay groups' columns, rank (U-1)L; and
   * exact oracles: the distribution of the relay/server mask over all key
     assignments, tallied exactly by convolving the mask's column terms, and
     tested for uniformity. They do not use rank. The tally is one exact
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import prod
 
 import numpy as np
@@ -63,9 +63,9 @@ class StateSpaceTooLarge(RuntimeError):
         return str(self.required) if self.printable else f"{self.q}^{self.n}"
 
 
-def _check_caps(q: int, rows: int, cols: int, cap: int):
-    """Refuse an oracle whose q^cols key states, or else whose q^rows outputs, exceed the cap."""
-    for n in (cols, rows):
+def _check_caps(q: int, cap: int, *sizes: int):
+    """Refuse an oracle with the first n of sizes for which q^n exceeds the cap: its key states (cols), then its outputs (rows)."""
+    for n in sizes:
         if power_exceeds(q, n, cap):
             raise StateSpaceTooLarge(q, n, cap)
 
@@ -123,16 +123,6 @@ class AuditReport:
             and all(r.passed for r in oracles if isinstance(r, OracleResult))
             and self.rates_match
         )
-
-
-def verify_relay_rank(s: PrecodingScheme, u: int) -> RankCheck:
-    m = scheme_mod.assemble_relay_matrix(s, u)
-    return RankCheck(s.cfg.V * s.dims.L, linalg.rank(m))
-
-
-def verify_server_rank(s: PrecodingScheme) -> RankCheck:
-    m = scheme_mod.assemble_server_matrix(s)
-    return RankCheck((s.cfg.U - 1) * s.dims.L, linalg.rank(m))
 
 
 def _shift_index(q: int, shift: list[int]) -> np.ndarray:
@@ -253,7 +243,7 @@ def mask_distribution(m: Mat, cap: int) -> tuple[int, np.ndarray]:
     """
     q = m.field.modulus
     rows, cols = m.rows, m.cols
-    _check_caps(q, rows, cols, cap)
+    _check_caps(q, cap, cols, rows)
     cell = np.min_scalar_type(q)
     factors = {}  # sorted rows -> 0/1 tally with one axis per row; the row sets are disjoint
     multiplicity = 1  # of every attained output: the tally is multiplicity times the product of the factors
@@ -300,23 +290,21 @@ def entropy_oracle_relay(s: PrecodingScheme, u: int, cap: int) -> OracleResult:
     Relay security holds iff the mask is uniform on GF(q)^{VL}, i.e. the
     entropy equals V*L.
     """
-    m = scheme_mod.assemble_relay_matrix(s, u)
-    return _oracle_from_matrix(m, s.cfg.V * s.dims.L, cap)
+    return _oracle_from_matrix(*scheme_mod.gate(s, u), cap)
 
 
-def entropy_oracle_server(s: PrecodingScheme, cap: int, server: Mat | None = None) -> OracleResult:
+def entropy_oracle_server(s: PrecodingScheme, cap: int) -> OracleResult:
     """Exact q-ary entropy of the first U-1 relay masks over cross-relay keys.
 
     Intra-relay keys cancel inside their relay and the U-th mask is determined
     by the others, so server security holds iff this joint mask is uniform on
-    GF(q)^{(U-1)L}, i.e. the entropy equals (U-1)*L. The caps are checked
-    before any matrix is made. The oracle's matrix is a slice of server, the
-    scheme's server matrix, which is made here if not given.
+    GF(q)^{(U-1)L}, i.e. the entropy equals (U-1)*L. Its matrix is the server
+    matrix (scheme.server_matrix), which is made only once its q^cols key
+    states are within the cap; its q^rows outputs are then too, as rows <= cols.
     """
-    cfg, target = s.cfg, (s.cfg.U - 1) * s.dims.L
-    cols = scheme_mod.cross_relay_columns(cfg.U, cfg.V, cfg.G, s.dims.L_S).size
-    _check_caps(cfg.field.modulus, target, cols, cap)
-    return _oracle_from_matrix(scheme_mod.cross_relay_server_matrix(s, server), target, cap)
+    cfg = s.cfg
+    _check_caps(cfg.field.modulus, cap, scheme_mod.cross_relay_columns(cfg.U, cfg.V, cfg.G, s.dims.L_S).size)
+    return _oracle_from_matrix(*scheme_mod.gate(s, None), cap)
 
 
 def rate_audit(s: PrecodingScheme) -> tuple[bool, RateTuple, RateTuple]:
@@ -331,12 +319,12 @@ def correctness_fuzz(s: PrecodingScheme, rounds: int, seed: int) -> int:
     return int(np.count_nonzero(~batch.correct))
 
 
-def _oracle_result(oracle, *args, cap: int | None) -> OracleResult | StateSpaceTooLarge | None:
-    """The oracle's result, its refusal of an output space over cap, or None (not run) if cap is None."""
+def _oracle_result(m: Mat, target: int, cap: int | None) -> OracleResult | StateSpaceTooLarge | None:
+    """The oracle's result on m, its refusal of an output space over cap, or None (not run) if cap is None."""
     if cap is None:
         return None
     try:
-        return oracle(*args, cap)
+        return _oracle_from_matrix(m, target, cap)
     except StateSpaceTooLarge as exc:
         return exc
 
@@ -350,24 +338,28 @@ def full_audit(
     """Run every check; oversized oracles are recorded as skipped, not failed.
 
     oracle_cap None runs no oracle: each is recorded as None, reported "not-run".
+    Each gate's matrix (scheme.gates) is made once, for its rank and its
+    oracle. On a scheme that is not zero-sum the server matrix can lose rank,
+    so there the server rank is taken on the relay sums of all of E.
     """
-    relay_ranks, oracle_relay, target = {}, {}, s.cfg.V * s.dims.L
-    for u in range(1, s.cfg.U + 1):  # each relay matrix once, for its rank and its oracle
-        m = scheme_mod.assemble_relay_matrix(s, u)
-        relay_ranks[u] = RankCheck(target, linalg.rank(m))
-        oracle_relay[u] = _oracle_result(_oracle_from_matrix, m, target, cap=oracle_cap)
-        del m  # not alive next to the next relay's matrix
-    server = scheme_mod.assemble_server_matrix(s)  # once, for its rank and its oracle's slice
-    server_rank = RankCheck((s.cfg.U - 1) * s.dims.L, linalg.rank(server))
-    oracle_server = _oracle_result(partial(entropy_oracle_server, server=server), s, cap=oracle_cap)
+    zero_sum = scheme_mod.check_zero_sum(s)
+    ranks, oracles = {}, {}  # by u, the server's under None
+    for u, m, target in scheme_mod.gates(s):
+        ranked = m
+        if u is None and not zero_sum:
+            ranked = linalg.from_array(s.cfg.field, scheme_mod._relay_sums(s, s.encoding))
+        ranks[u] = RankCheck(target, linalg.rank(ranked))
+        oracles[u] = _oracle_result(m, target, oracle_cap)
+        del m, ranked  # not alive next to the next gate's matrix
+    server_rank, oracle_server = ranks.pop(None), oracles.pop(None)
     _, achieved, optimal = rate_audit(s)
     return AuditReport(
-        zero_sum=scheme_mod.check_zero_sum(s),
-        relay_ranks=relay_ranks,
+        zero_sum=zero_sum,
+        relay_ranks=ranks,
         server_rank=server_rank,
         fuzz_rounds=fuzz_rounds,
         fuzz_failures=correctness_fuzz(s, fuzz_rounds, seed),
-        oracle_relay=oracle_relay,
+        oracle_relay=oracles,
         oracle_server=oracle_server,
         achieved_rates=achieved,
         optimal_rates=optimal,

@@ -69,13 +69,9 @@ def security_fractions(cfg: ProblemConfig) -> tuple[Fraction, Fraction]:
     return Fraction(cfg.V, relay_denom), Fraction(cfg.U - 1, server_denom)
 
 
-def check_feasible(cfg: ProblemConfig) -> bool:
-    """Secure aggregation is impossible iff G = 1 (no key is shared)."""
-    return cfg.G != 1
-
-
 def require_feasible(cfg: ProblemConfig):
-    if not check_feasible(cfg):
+    """Raise Infeasible iff G = 1: no key is shared, so secure aggregation is impossible."""
+    if cfg.G == 1:
         raise Infeasible("G = 1: groupwise keys are private, no scheme exists")
 
 

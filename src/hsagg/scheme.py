@@ -196,13 +196,27 @@ def sample_zero_sum_scheme(cfg: ProblemConfig, seed: int) -> PrecodingScheme:
     return next(_draws(cfg, seed, 1))
 
 
+def gate(s: PrecodingScheme, u: int | None) -> tuple[Mat, int]:
+    """The (matrix, target rank) of relay u's security gate, or of the server's if u is None.
+
+    Each gate asks its matrix for full row rank: V*L for a relay (see
+    assemble_relay_matrix), (U-1)*L for the server (see server_matrix, whose
+    rank decides server security only on a zero-sum scheme).
+    """
+    if u is None:
+        return server_matrix(s), (s.cfg.U - 1) * s.dims.L
+    return assemble_relay_matrix(s, u), s.cfg.V * s.dims.L
+
+
+def gates(s: PrecodingScheme):
+    """(u, matrix, target rank) of every gate: relays u = 1..U, then the server (u None); each matrix is made when reached."""
+    for u in [*range(1, s.cfg.U + 1), None]:
+        yield u, *gate(s, u)
+
+
 def scheme_rank_checks_pass(s: PrecodingScheme) -> bool:
-    """True iff every relay matrix has rank V*L and the server matrix (U-1)*L."""
-    target_relay = s.cfg.V * s.dims.L
-    for u in range(1, s.cfg.U + 1):
-        if linalg.rank(assemble_relay_matrix(s, u)) != target_relay:
-            return False
-    return linalg.rank(assemble_server_matrix(s)) == (s.cfg.U - 1) * s.dims.L
+    """True iff every gate's matrix has its target rank; s must be zero-sum (see server_matrix), as every build is."""
+    return all(linalg.rank(m) == target for _, m, target in gates(s))
 
 
 def attempt_failure_bound(cfg: ProblemConfig, dims: SchemeDims) -> Fraction:
@@ -263,17 +277,6 @@ def _relay_sums(s: PrecodingScheme, rows: np.ndarray) -> np.ndarray:
     return linalg.sum_mod(per_user, 1, s.cfg.field.modulus).reshape(-1, cols)
 
 
-def assemble_server_matrix(s: PrecodingScheme) -> Mat:
-    """The UL x (C(UV,G) * L_S) matrix behind the relay messages.
-
-    Row block u, column block g is the relay-aggregated block
-    sum_v block(g, (u, v)). Intra-relay groups yield all-zero column blocks
-    since their members cancel within the relay. Rank (U-1)L is exactly the
-    server security condition.
-    """
-    return linalg.from_array(s.cfg.field, _relay_sums(s, s.encoding))
-
-
 def check_zero_sum(s: PrecodingScheme) -> bool:
     """Exact check that every group's member blocks sum to the zero matrix."""
     per_user = s.encoding.reshape(-1, s.dims.L, s.encoding.shape[1])
@@ -282,18 +285,23 @@ def check_zero_sum(s: PrecodingScheme) -> bool:
 
 @lru_cache(maxsize=64)
 def cross_relay_columns(U: int, V: int, G: int, L_S: int) -> np.ndarray:
-    """The read-only column index, in E and in the server matrix, of the groups spanning relays; made once per config."""
+    """The read-only column index in E of the groups spanning relays, the server matrix's columns; made once per config."""
     columns = np.flatnonzero(np.repeat(np.ptp(_members(U, V, G) // V, axis=1) > 0, L_S))
     columns.setflags(write=False)
     return columns
 
 
-def cross_relay_server_matrix(s: PrecodingScheme, server: Mat | None = None) -> Mat:
-    """Server matrix restricted to cross-relay column blocks and the first U-1 row blocks.
+def server_matrix(s: PrecodingScheme) -> Mat:
+    """The (U-1)L x (X * L_S) server matrix, X the number of groups spanning relays.
 
-    A slice of server, the scheme's server matrix, which is made here if not given.
+    Row block u, column block j is the relay-aggregated block
+    sum_v block(g, (u, v)) of the j-th cross-relay group g: the relay sums
+    of E's first U-1 relays at cross_relay_columns. Precondition: s is
+    zero-sum. Then a group's U relay sums add up to zero, so relay U adds no
+    rank, and an intra-relay group's blocks cancel inside their relay, so
+    this matrix has the rank of the relay sums of all of E, and rank (U-1)L
+    is exactly the server security condition.
     """
-    if server is None:
-        server = assemble_server_matrix(s)
-    columns = cross_relay_columns(s.cfg.U, s.cfg.V, s.cfg.G, s.dims.L_S)
-    return linalg.from_array(s.cfg.field, server.array[: (s.cfg.U - 1) * s.dims.L, columns])
+    U, V, L = s.cfg.U, s.cfg.V, s.dims.L
+    columns = cross_relay_columns(U, V, s.cfg.G, s.dims.L_S)
+    return linalg.from_array(s.cfg.field, _relay_sums(s, s.encoding[: (U - 1) * V * L, columns]))

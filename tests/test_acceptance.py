@@ -19,9 +19,9 @@ from hsagg.gf import make_field
 from hsagg.rates import (
     Infeasible,
     ProblemConfig,
-    check_feasible,
     classify_regime,
     optimal_rates,
+    require_feasible,
 )
 from hsagg.scheme import (
     PrecodingScheme,
@@ -63,6 +63,12 @@ def oracle_computable(cfg: ProblemConfig) -> bool:
     return q ** (t_max * dims.L_S) <= CAP and q ** (c_x * dims.L_S) <= CAP
 
 
+def gate_check(s, u=None):
+    """The RankCheck of relay u's gate, or of the server's if u is None, as full_audit makes it on a zero-sum scheme."""
+    m, target = scheme.gate(s, u)
+    return audit.RankCheck(target, linalg.rank(m))
+
+
 def test_criterion_1_rate_region():
     ok = True
     r1 = optimal_rates(ProblemConfig(2, 2, 2, make_field(5)))
@@ -78,7 +84,11 @@ def test_criterion_2_infeasibility(capsys):
     for U in range(2, 6):
         for V in range(1, 5):
             cfg = ProblemConfig(U, V, 1, f)
-            ok &= not check_feasible(cfg)
+            try:
+                require_feasible(cfg)
+                ok = False
+            except Infeasible:
+                pass
             try:
                 build_random(cfg, seed=0)
                 ok = False
@@ -97,9 +107,9 @@ def test_criterion_3_golden_example1():
         base = np.array(GOLDEN1[grp])
         ok &= np.array_equal(s.block(g_idx, grp[0]), base)
         ok &= np.array_equal(s.block(g_idx, grp[1]), -base % 5)
-    ok &= audit.verify_relay_rank(s, 1) == audit.RankCheck(10, 10)
-    ok &= audit.verify_relay_rank(s, 2) == audit.RankCheck(10, 10)
-    ok &= audit.verify_server_rank(s) == audit.RankCheck(5, 5)
+    ok &= gate_check(s, 1) == audit.RankCheck(10, 10)
+    ok &= gate_check(s, 2) == audit.RankCheck(10, 10)
+    ok &= gate_check(s) == audit.RankCheck(5, 5)
     ok &= audit.correctness_fuzz(s, rounds=100, seed=0) == 0
     elapsed = time.process_time() - start
     ok &= elapsed < 1.0
@@ -112,8 +122,8 @@ def test_criterion_4_golden_example2():
     s = build_example2()
     ok = check_zero_sum(s) and len(enumerate_groups(s.cfg.U, s.cfg.V, s.cfg.G)) == 8
     for u in range(1, 5):
-        ok &= audit.verify_relay_rank(s, u) == audit.RankCheck(16, 16)
-    ok &= audit.verify_server_rank(s) == audit.RankCheck(24, 24)
+        ok &= gate_check(s, u) == audit.RankCheck(16, 16)
+    ok &= gate_check(s) == audit.RankCheck(24, 24)
     ok &= audit.correctness_fuzz(s, rounds=100, seed=0) == 0
     elapsed = time.process_time() - start
     ok &= elapsed < 5.0
@@ -137,10 +147,10 @@ def test_criterion_5_oracle_equivalence():
                 for u in range(1, U + 1):
                     r = audit.entropy_oracle_relay(s, u, CAP)
                     ok &= r.uniform and r.entropy_qary == cfg.V * s.dims.L
-                    ok &= r.passed == audit.verify_relay_rank(s, u).passed
+                    ok &= r.passed == gate_check(s, u).passed
                 o = audit.entropy_oracle_server(s, CAP)
                 ok &= o.uniform and o.entropy_qary == (U - 1) * s.dims.L
-                ok &= o.passed == audit.verify_server_rank(s).passed
+                ok &= o.passed == gate_check(s).passed
                 checked += 1
     ok &= checked >= 10  # the computable portion of the grid is non-trivial
     # Example 1 over GF(5)
@@ -148,10 +158,10 @@ def test_criterion_5_oracle_equivalence():
     for u in (1, 2):
         r = audit.entropy_oracle_relay(s, u, CAP)
         ok &= r.uniform and r.entropy_qary == 10.0
-        ok &= r.passed == audit.verify_relay_rank(s, u).passed
+        ok &= r.passed == gate_check(s, u).passed
     o = audit.entropy_oracle_server(s, CAP)
     ok &= o.uniform and o.entropy_qary == 5.0
-    ok &= o.passed == audit.verify_server_rank(s).passed
+    ok &= o.passed == gate_check(s).passed
     elapsed = time.process_time() - start
     ok &= elapsed < 120.0
     report(5, f"oracle equivalence, {checked} grid configs ({elapsed:.1f}s)", ok)
@@ -223,14 +233,14 @@ def test_criterion_7_negative_controls():
     # (b) zeroing the cross-relay block family of one user drops the server
     # rank below target, and the oracle (where feasible) sees entropy < target
     fam1 = _zero_cross_family(ex1, (1, 1))
-    c = audit.verify_server_rank(fam1)
+    c = gate_check(fam1)
     ok &= c.computed < 5 and not c.passed
     o = audit.entropy_oracle_server(fam1, CAP)
     ok &= o.entropy_qary < o.target and not o.passed
     ok &= o.passed == c.passed
     ex2 = build_example2()
     fam2 = _zero_cross_family(ex2, (1, 1))
-    c2 = audit.verify_server_rank(fam2)
+    c2 = gate_check(fam2)
     ok &= c2.computed < 24 and not c2.passed
 
     # (c) >= 50 seeded zero-sum-preserving mutations: rank and oracle verdicts
@@ -245,11 +255,11 @@ def test_criterion_7_negative_controls():
                 m = _mutate_zero_sum_preserving(base, seed)
                 ok &= check_zero_sum(m)
                 for u in range(1, U + 1):
-                    rank_ok = audit.verify_relay_rank(m, u).passed
+                    rank_ok = gate_check(m, u).passed
                     ok &= audit.entropy_oracle_relay(m, u, CAP).passed == rank_ok
                 ok &= (
                     audit.entropy_oracle_server(m, CAP).passed
-                    == audit.verify_server_rank(m).passed
+                    == gate_check(m).passed
                 )
                 mutations += 1
     # mutated golden example too
@@ -258,7 +268,7 @@ def test_criterion_7_negative_controls():
         ok &= check_zero_sum(m)
         ok &= (
             audit.entropy_oracle_server(m, CAP).passed
-            == audit.verify_server_rank(m).passed
+            == gate_check(m).passed
         )
         mutations += 1
     ok &= mutations >= 50

@@ -18,8 +18,6 @@ from hsagg.audit import (
     full_audit,
     mask_distribution,
     rate_audit,
-    verify_relay_rank,
-    verify_server_rank,
 )
 from hsagg.combi import enumerate_groups
 from hsagg.gf import make_field
@@ -94,11 +92,17 @@ def zero_cross_family(s, user):
     return replace(s, encoding=e)
 
 
+def gate_check(s, u=None):
+    """The RankCheck of relay u's gate, or of the server's if u is None, as full_audit makes it on a zero-sum scheme."""
+    m, target = scheme.gate(s, u)
+    return audit.RankCheck(target, rank(m))
+
+
 def test_relay_rank_examples(ex1, ex2):
     for u in (1, 2):
-        c = verify_relay_rank(ex1, u)
+        c = gate_check(ex1, u)
         assert c.passed and c.computed == 10 and c.expected == 10
-    c = verify_relay_rank(ex2, 1)
+    c = gate_check(ex2, 1)
     assert c.passed and c.computed == 16
 
 
@@ -108,24 +112,24 @@ def test_relay_rank_negative(ex1):
     assert enumerate_groups(ex1.cfg.U, ex1.cfg.V, ex1.cfg.G)[1] == ((1, 1), (2, 1))
     mutated = zero_group_recompleted(ex1, 1, (1, 1))
     assert scheme.check_zero_sum(mutated)
-    assert not verify_relay_rank(mutated, 1).passed
+    assert not gate_check(mutated, 1).passed
 
 
 def test_server_rank_examples(ex1, ex2):
-    c = verify_server_rank(ex1)
+    c = gate_check(ex1)
     assert c.passed and c.computed == 5 and c.expected == 5
-    c = verify_server_rank(ex2)
+    c = gate_check(ex2)
     assert c.passed and c.computed == 24
 
 
 def test_all_cross_blocks_zeroed_rank_zero_and_entropy_zero():
     s = build_random(ProblemConfig(2, 1, 2, GF2), seed=0)
     dead = zero_cross_family(s, (1, 1))  # the only group is cross-relay
-    c = verify_server_rank(dead)
+    c = gate_check(dead)
     assert not c.passed and c.computed == 0
     o = entropy_oracle_server(dead, CAP)
     assert o.entropy_qary == 0.0 and not o.passed
-    assert not verify_relay_rank(dead, 1).passed
+    assert not gate_check(dead, 1).passed
     r = entropy_oracle_relay(dead, 1, CAP)
     assert r.entropy_qary == 0.0 and not r.passed
 
@@ -419,10 +423,10 @@ def test_full_audit_catches_sign_flip(ex1, tmp_path, capsys):
     assert not report.zero_sum
     assert report.fuzz_failures > 0
     assert not report.passed
-    # Off zero-sum the server rank is taken on the full server matrix, 7; its
-    # cross-relay slice, which equals it on zero-sum schemes, would give 5.
+    # Off zero-sum the server rank is taken on the relay sums of all of E, 7;
+    # the server matrix, which has that rank on zero-sum schemes, would give 5.
     assert (report.server_rank.expected, report.server_rank.computed) == (5, 7)
-    assert rank(scheme.cross_relay_server_matrix(corrupted)) == 5
+    assert rank(scheme.server_matrix(corrupted)) == 5
     # A file that breaks zero-sum loads, and its report carries the same value.
     path, out = str(tmp_path / "flip.json"), tmp_path / "report.json"
     cli.save_scheme(corrupted, path)
@@ -445,8 +449,8 @@ def test_oracle_and_rank_verdicts_agree_on_ungated_schemes():
         for seed in range(8):
             s = sample_zero_sum_scheme(cfg, seed)
             for u in (1, 2):
-                assert entropy_oracle_relay(s, u, CAP).passed == verify_relay_rank(s, u).passed
-            assert entropy_oracle_server(s, CAP).passed == verify_server_rank(s).passed
+                assert entropy_oracle_relay(s, u, CAP).passed == gate_check(s, u).passed
+            assert entropy_oracle_server(s, CAP).passed == gate_check(s).passed
 
 
 def test_correctness_fuzz_counts(ex1):
@@ -546,20 +550,30 @@ def test_mask_distribution_at_q_257_uses_two_byte_cells(a, monkeypatch):
 
 
 def test_full_audit_sums_the_relays_once(ex1, monkeypatch):
-    # The server rank and the server oracle take the same server matrix; the oracle's is a slice of it.
+    # Build and the audit of a zero-sum scheme sum only E's first U-1 relays, for
+    # the server matrix; the audit of one that is not zero-sum also sums all of E, once.
     calls = []
     relay_sums = scheme._relay_sums
     monkeypatch.setattr(scheme, "_relay_sums", lambda s, rows: calls.append(rows.shape) or relay_sums(s, rows))
+    built = build_random(ProblemConfig(3, 2, 3, make_field(2**31 - 1)), seed=0)
+    assert calls and {rows for rows, _ in calls} == {(built.cfg.U - 1) * built.cfg.V * built.dims.L}, calls
+    calls.clear()
     report = full_audit(ex1, fuzz_rounds=1, oracle_cap=CAP)
-    assert calls == [ex1.encoding.shape]
+    assert calls == [(10, 8)]  # relay 1's 2 users x L = 5 rows, at the 4 cross-relay groups' L_S = 2 columns
     assert report.oracle_server == entropy_oracle_server(ex1, CAP) and report.oracle_server.passed
+    e = ex1.encoding.copy()
+    rows, cols = block_slices(ex1.cfg, ex1.dims, 0, (1, 1))
+    e[rows, cols] = -e[rows, cols] % 5
+    calls.clear()
+    assert not full_audit(replace(ex1, encoding=e), fuzz_rounds=1, oracle_cap=CAP).zero_sum
+    assert calls.count(e.shape) == 1, calls
 
 
 def test_server_oracle_refuses_before_any_matrix_is_made(ex1, monkeypatch):
     def no_matrix(*args):
         raise AssertionError("a matrix was made for a refused oracle")
 
-    for name in ("_relay_sums", "assemble_server_matrix", "cross_relay_server_matrix"):
+    for name in ("_relay_sums", "server_matrix", "gate"):
         monkeypatch.setattr(scheme, name, no_matrix)
     # The cross-relay matrix is 5 x 8: its 5^8 key states are checked before its 5^5 outputs.
     for cap in (5**4, 5**8 - 1):

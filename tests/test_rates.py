@@ -9,9 +9,9 @@ from hsagg.rates import (
     ProblemConfig,
     RateTuple,
     Regime,
-    check_feasible,
     classify_regime,
     optimal_rates,
+    require_feasible,
     security_fractions,
 )
 
@@ -34,9 +34,10 @@ def test_problem_config_validation():
 
 
 def test_check_feasible():
-    assert not check_feasible(cfg(2, 2, 1))
-    assert check_feasible(cfg(2, 2, 2))
-    assert check_feasible(cfg(2, 1, 2))
+    with pytest.raises(Infeasible):
+        require_feasible(cfg(2, 2, 1))
+    assert require_feasible(cfg(2, 2, 2)) is None
+    assert require_feasible(cfg(2, 1, 2)) is None
 
 
 def test_optimal_rates_examples():

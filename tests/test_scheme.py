@@ -16,11 +16,10 @@ from hsagg.scheme import (
     ConstructionFailed,
     PrecodingScheme,
     assemble_relay_matrix,
-    assemble_server_matrix,
     build_random,
     check_zero_sum,
-    cross_relay_server_matrix,
     sample_zero_sum_scheme,
+    server_matrix,
 )
 
 GF2 = make_field(2)
@@ -38,6 +37,11 @@ GOLDEN1 = {
     ((1, 2), (2, 2)): [[0, 1], [1, 0], [2, 1], [1, 2], [1, 1]],
     ((2, 1), (2, 2)): [[1, 0], [1, 1], [2, 2], [2, 1], [0, 2]],
 }
+
+
+def relay_sums(s):
+    """The UL x C(UV,G) * L_S matrix of the relay sums of all of E; server_matrix is its first U-1 row blocks at the cross-relay columns."""
+    return linalg.from_array(s.cfg.field, scheme._relay_sums(s, s.encoding))
 
 
 def test_complete_zero_sum_examples():
@@ -69,10 +73,10 @@ def test_example1_ranks(ex1):
         m = assemble_relay_matrix(ex1, u)
         assert (m.rows, m.cols) == (10, 10)
         assert rank(m) == 10
-    server = assemble_server_matrix(ex1)
+    server = relay_sums(ex1)
     assert (server.rows, server.cols) == (10, 12)
     assert rank(server) == 5
-    cross = cross_relay_server_matrix(ex1)
+    cross = server_matrix(ex1)
     assert (cross.rows, cross.cols) == (5, 8)
     assert rank(cross) == 5
 
@@ -104,10 +108,10 @@ def test_example2_ranks(ex2):
         m = assemble_relay_matrix(ex2, u)
         assert (m.rows, m.cols) == (16, 24)
         assert rank(m) == 16
-    server = assemble_server_matrix(ex2)
+    server = relay_sums(ex2)
     assert (server.rows, server.cols) == (32, 24)
     assert rank(server) == 24
-    cross = cross_relay_server_matrix(ex2)
+    cross = server_matrix(ex2)
     assert (cross.rows, cross.cols) == (24, 24)
     assert rank(cross) == 24
 
@@ -423,7 +427,7 @@ def test_cross_relay_matrix_column_blocks_are_the_groups_spanning_relays(U):
         cross = [g for g, grp in enumerate(groups) if len({m[0] for m in grp}) >= 2]
         relay_sums = s.encoding.astype(object).reshape(U, V, L, -1).sum(axis=1) % q
         expected = relay_sums.reshape(U * L, -1)[: (U - 1) * L, _columns(cross, s.dims.L_S)]
-        m = cross_relay_server_matrix(s)
+        m = server_matrix(s)
         assert np.array_equal(m.array, expected), (U, V, G)
         # The other U*C(V,G) groups lie within one relay.
         assert len(groups) - len(cross) == U * comb(V, G)
@@ -434,7 +438,7 @@ def test_server_matrix_row_blocks_sum_to_zero():
     cfg = ProblemConfig(3, 2, 2, make_field(5))
     for seed in range(4):
         s = sample_zero_sum_scheme(cfg, seed)  # ungated draws included
-        full = assemble_server_matrix(s)
+        full = relay_sums(s)
         L = s.dims.L
         row_blocks = [full.array[u * L : (u + 1) * L].astype(object) for u in range(s.cfg.U)]
         assert not (sum(row_blocks) % 5).any()
@@ -442,8 +446,28 @@ def test_server_matrix_row_blocks_sum_to_zero():
         assert rank(full) <= (s.cfg.U - 1) * L
 
 
+def test_server_matrix_keeps_the_rank_of_all_relay_sums():
+    # On a zero-sum scheme the last relay's row block and the intra-relay
+    # columns add no rank, so the server gate may rank the cross-relay slice.
+    # Ungated draws over tiny fields are often server-deficient; built schemes
+    # over the two large fields have full rank.
+    deficient = dict.fromkeys((2, 3, 5), 0)
+    for q in deficient:
+        for U, V, G in ((2, 2, 2), (3, 2, 2), (2, 3, 3), (3, 2, 3), (3, 1, 2)):
+            for seed in range(8):
+                s = sample_zero_sum_scheme(ProblemConfig(U, V, G, make_field(q)), seed)
+                r = rank(server_matrix(s))
+                assert r == rank(relay_sums(s)), (q, U, V, G, seed)
+                deficient[q] += r < (U - 1) * s.dims.L
+    assert all(deficient.values()), deficient
+    for q in (Q31, Q61):
+        for U, V, G in ((3, 2, 3), (4, 2, 4)):
+            s = build_random(ProblemConfig(U, V, G, make_field(q)), seed=0)
+            assert rank(server_matrix(s)) == rank(relay_sums(s)) == (U - 1) * s.dims.L
+
+
 def test_intra_relay_column_blocks_are_zero(ex1):
-    full = assemble_server_matrix(ex1)
+    full = relay_sums(ex1)
     L_S = ex1.dims.L_S
     for g_idx, grp in enumerate(enumerate_groups(ex1.cfg.U, ex1.cfg.V, ex1.cfg.G)):
         if len({m[0] for m in grp}) == 1:
@@ -468,7 +492,7 @@ def test_converse_as_a_dimension_count(U, V, G):
     spanning = sum(len({m[0] for m in grp}) > 1 for grp in groups)
     for u, t_u in enumerate(touching, start=1):
         assert assemble_relay_matrix(s, u).cols == t_u * L_S
-    assert cross_relay_server_matrix(s).cols == spanning * L_S
+    assert server_matrix(s).cols == spanning * L_S
     # classify_regime's L_S / L is the least ratio that meets both bounds,
     # with equality in the dominant one.
     least = max([Fraction(V, t_u) for t_u in touching] + [Fraction(U - 1, spanning)])

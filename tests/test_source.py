@@ -135,3 +135,31 @@ def test_library_translates_tallies_without_np_roll():
     two gathers (audit._roll), and np.roll stays a reference in the tests alone."""
     found = [f"{name}:{node.lineno}" for name, node in _nodes() if _numpy_roll(node)]
     assert not found, f"np.roll in src/hsagg: {found}"
+
+
+# The functions that rank a gate's matrix: every security verdict takes its
+# (matrix, target) pairs from scheme.gates, so no other gate definition grows back.
+_RANKERS = {"scheme.py": "scheme_rank_checks_pass", "audit.py": "full_audit"}
+
+
+def _rank_calls(path: Path) -> list[str]:
+    """Where a module calls linalg.rank (or rank imported from linalg), outside the one function _RANKERS allows it."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed = {
+        id(node)
+        for f in tree.body
+        if isinstance(f, ast.FunctionDef) and f.name == _RANKERS.get(path.name)
+        for node in ast.walk(f)
+    }
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("linalg.rank", "rank") and id(node) not in allowed
+    ]
+
+
+def test_rank_is_called_only_by_the_two_gate_checks():
+    """linalg.rank ranks the gates' matrices in scheme.scheme_rank_checks_pass (build) and
+    audit.full_audit (verify) alone; every other verdict reads scheme.gates through them or the oracles."""
+    found = [use for path in sorted(SRC.glob("*.py")) for use in _rank_calls(path)]
+    assert not found, f"linalg.rank outside scheme_rank_checks_pass and full_audit: {found}"
