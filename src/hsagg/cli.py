@@ -61,17 +61,6 @@ def _enc_int(x: int):
     return str(x) if abs(x) >= _JSON_SAFE else x
 
 
-def _residues(a: np.ndarray) -> list:
-    """The JSON texts of a 1-D residue array's entries for %s slots: ints below 2^53, quoted decimals from 2^53 on."""
-    values = a.tolist()
-    if not values or a.max() < _JSON_SAFE:
-        return values
-    out = [f'"{x}"' for x in values]
-    for i in np.flatnonzero(a < _JSON_SAFE).tolist():
-        out[i] = values[i]
-    return out
-
-
 def _scalar_text(x) -> str:
     return encode_basestring_ascii(x) if isinstance(x, str) else str(x) if type(x) is int else json.dumps(x)
 
@@ -108,18 +97,29 @@ _SLOT = "\0"
 _SLOT_TEXT = encode_basestring_ascii(_SLOT)
 
 
+# Most entries below 2^53 that a record with larger ones puts back bare, one
+# str.replace of its text each; past about four, per-entry texts cost less.
+_FEW_BARE = 4
+
+
 class _Template:
     """A record layout that recurs in a file: the writer renders it once, and each record is one % fill.
 
-    The prototype is the record's object with _SLOT wherever records differ.
-    Its text, rendered by _write_text at the records' indentation, has a %s
-    in each slot, which the fill gives ints below 2^53 and quoted decimal
-    texts from 2^53 on, so each slot holds its entry's JSON text.
+    The prototype is the record's object with _SLOT wherever records differ,
+    head slots (small ints) first, then residue slots. Its text, rendered by
+    _write_text at the records' indentation, has a %s in each slot; a record
+    whose residues are all below 2^53 fills it from tolist(). A second text
+    quotes the residue slots, "%d", and fills a record with entries from 2^53
+    on. Each of its few entries below 2^53 is then put back bare by replacing
+    "x" with x, which is exact: the prototype holds no quoted run of digits,
+    so only a residue slot can. A record with more such entries fills the
+    first text from per-entry texts: an int below 2^53, a quoted decimal from
+    2^53 on. Either way each slot holds its entry's JSON text.
     """
 
     def __init__(self, prototype):
         self.prototype = prototype
-        self.pad = self.text = None
+        self.pad = self.text = self.quoted = None
 
     def record(self, residues: np.ndarray, head: tuple = ()):
         """The record whose slots hold the ints of head, then the entries of a 1-D residue array."""
@@ -129,8 +129,23 @@ class _Template:
         if pad != self.pad:
             pieces = []
             _write_text(self.prototype, pieces.append, pad)
-            self.pad, self.text = pad, "".join(pieces).replace("%", "%%").replace(_SLOT_TEXT, "%s")
-        return self.text % (*head, *_residues(residues))
+            parts = "".join(pieces).replace("%", "%%").split(_SLOT_TEXT)
+            slots = ["%s"] * len(head) + ['"%d"'] * (len(parts) - 1 - len(head))
+            self.pad, self.text = pad, "%s".join(parts)
+            self.quoted = "".join(part + slot for part, slot in zip(parts, slots)) + parts[-1]
+        values = residues.tolist()
+        if not values or residues.max() < _JSON_SAFE:
+            return self.text % (*head, *values)
+        bare = np.flatnonzero(residues < _JSON_SAFE).tolist()
+        if len(bare) <= _FEW_BARE:
+            text = self.quoted % (*head, *values)
+            for x in {values[i] for i in bare}:
+                text = text.replace(f'"{x}"', str(x))
+            return text
+        texts = [f'"{x}"' for x in values]
+        for i in bare:
+            texts[i] = values[i]
+        return self.text % (*head, *texts)
 
 
 def _dec_provenance(v):

@@ -5,17 +5,19 @@ here is exact. The matrix product matmul_mod and the residue sums sum_mod work
 at every such q. matmul_mod runs on float64 BLAS: it splits its operands into
 21-bit limbs at every q, and sums limb products over inner chunks of at most
 (2^53 - 1) // m^2 terms, m the largest limb, so that every partial sum is an
-integer below 2^53 and the product is exact in any summation order. rank is,
-at every q, the recursive elimination of Jeannerod, Pernet and Storjohann
-(J. Symbolic Comput. 2013): split the columns in half, eliminate the left
-half, update the right half by one matmul_mod product (its Schur complement)
-and recurse on it. Blocks at most _LEAF_COLS columns wide are eliminated in
-place: a column's pivot is the first row with a nonzero residue there, and one
-exact rank-1 update of the whole block, which zeroes the pivot row itself,
-eliminates it, with no row swap. The update is plain int64 arithmetic up to
-q = 3,037,000,499; above it the column is split into 31-bit halves and the
-quotient by q is estimated in float64, then corrected exactly by one
-reduction.
+integer below 2^53 and the product is exact in any summation order; where
+those sums stay below q, each Horner step reduces by one conditional
+subtraction. rank is, at every q, the recursive elimination of Jeannerod,
+Pernet and Storjohann (J. Symbolic Comput. 2013): split the columns in half,
+eliminate the left half, update the right half by one matmul_mod product (its
+Schur complement) and recurse on it. Blocks at most _LEAF_COLS columns wide
+are eliminated in place, held transposed so that each update is on
+contiguous memory: a column's pivot is the first row with a nonzero residue
+there, and one exact rank-1 update of the whole block, which zeroes the pivot
+row itself, eliminates it, with no row swap. The update is plain int64
+arithmetic up to q = 3,037,000,499; above it the column is split into 31-bit
+halves and the quotient by q is estimated in float64, and two unsigned minima
+correct the result exactly, with no division.
 
 Seeded draws come from one kernel, random_mats, that reproduces numpy's
 Generator(PCG64(SeedSequence(seed))).integers(0, q, ...) bit for bit for many
@@ -40,6 +42,8 @@ from .gf import FieldSpec
 
 # Largest modulus for which (q-1)^2 fits comfortably in int64.
 _INT64_SAFE_MODULUS = 3_037_000_499
+# Shift and mask that split a residue into 31-bit halves, as 0-d uint64 arrays.
+_S31, _M31 = np.array(31, np.uint64), np.array(0x7FFFFFFF, np.uint64)
 _INT64_MAX = (1 << 63) - 1
 # Every integer up to this is a float64.
 _FLOAT64_EXACT = (1 << 53) - 1
@@ -149,12 +153,19 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     i of the block (one limb of `a` at a time) times limb j of `b` is added
     to the int64 sum of weight 2^(21 (i + j)); the 2n - 1 sums are reduced
     mod q after each chunk if there are several. Then Horner's rule folds the
-    sums in from the top. The result is an int64 array of residues.
+    sums in from the top: acc 2^21 mod q (_mul_pow2) plus the next sum. A sum
+    collects at most n chunk products, so it is at most n (2^53 - 1), and
+    below q after a chunk reduction. Where q > n (2^53 - 1), as at 2^61 - 1,
+    each step's value is therefore below 2q, and an unsigned minimum with
+    itself minus q reduces it; elsewhere a step reduces mod q. The result is
+    an int64 array of residues.
     """
     width = 21
     mask = (1 << width) - 1
     n = -(-(q - 1).bit_length() // width)
     chunk = _FLOAT64_EXACT // min(q - 1, mask) ** 2
+    # Whether every weight sum is below q, so that each Horner step's value is below 2q.
+    below_q = n * _FLOAT64_EXACT < q
     inner, cols = b.shape
     b_limbs = np.empty((n, inner, cols))
     for j in range(n):
@@ -173,80 +184,98 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
                     weights[i + j] += (limb @ b_limbs[j, t : t + chunk]).astype(np.int64)
             if inner > chunk:
                 weights %= q
-        acc = weights[-1] % q
+        acc = weights[-1] if below_q else weights[-1] % q
         for s in reversed(range(2 * n - 2)):
-            acc = (_mul_pow2(acc, width, q) + weights[s]) % q
+            acc = _mul_pow2(acc, width, q)
+            acc += weights[s]
+            if below_q:
+                u = acc.view(np.uint64)
+                np.minimum(u, u - np.uint64(q), out=u)  # u - q wraps past u when u < q
+            else:
+                acc %= q
         out[r : r + step] = acc
     return out
 
 
 def _sub_outer(a: np.ndarray, x: np.ndarray, row: np.ndarray, inv: int, q: int) -> np.ndarray:
-    """(a - x (inv row)) mod q, exactly, written into a: the rank-1 update of a k x w block of int64 residues.
+    """(a - outer(inv row, x)) mod q, exactly, written into a: the rank-1 update of a w x k block of int64 residues.
 
-    x is a column of k residues, row a row of w residues and inv a residue.
-    x and row are read into temporaries before a is written, so they may be
-    views of a. Returns a. Up to q = 3,037,000,499 this is plain int64
+    row is a column of w residues, x a row of k residues and inv a residue:
+    a leaf keeps its block transposed, so x is the pivot column and row the
+    pivot row. They are read into temporaries before a is written, so they
+    may be views of a. Returns a. Up to q = 3,037,000,499 this is plain int64
     arithmetic. Above it, y = inv row mod q and c = 2^31 y mod q are made as
     Python ints (a leaf's pivot row has at most 2 _LEAF_COLS entries), and
-    x = x1 2^31 + x0 is split into halves x1 < 2^30 and x0 < 2^31. Then x y
-    is congruent to P = x1 c + x0 y, whose quotient k = floor(P / q) is
-    estimated in float64 as x1 (c/q) + x0 (y/q), the float quotient estimate
+    x = x1 2^31 + x0 is split into halves x1 < 2^30 and x0 < 2^31. Then y x
+    is congruent to P = c x1 + y x0, whose quotient k = floor(P / q) is
+    estimated in float64 as (c/q) x1 + (y/q) x0, the float quotient estimate
     of FFLAS-FFPACK (Dumas, Giorgi, Pernet, ACM TOMS 2008). Both terms are
     below 2^31, so the rounding errors add up to less than 2^-19, and the
     estimate's integer part k' is k - 1, k or k + 1. So a - P + k' q lies in
-    (-2q, 2q), inside int64 for q < 2^61: computed in wrapping int64
-    arithmetic it is exact, and one reduction mod q ends the update.
+    (-2q, 2q): computed from two wrapping outer products in uint64 it is
+    exact modulo 2^64, and two unsigned minima, with that value plus 2q and
+    then with it minus q, bring it into [0, q), since 4q < 2^63 for q < 2^61.
     """
     if q <= _INT64_SAFE_MODULUS:
-        out = np.multiply.outer(x, row * inv % q if inv != 1 else row)
+        out = np.multiply.outer(row * inv % q if inv != 1 else row, x)
         np.subtract(a, out, out=out)
         return np.remainder(out, q, out=a)
     y = [v * inv % q for v in row.tolist()]
-    cy = np.array([[(v << 31) % q for v in y], y], dtype=np.int64)
-    halves = np.empty((len(x), 2), dtype=np.int64)
-    np.right_shift(x, 31, out=halves[:, 0])
-    np.bitwise_and(x, 0x7FFFFFFF, out=halves[:, 1])
-    out = (halves.astype(np.float64) @ (cy * (1.0 / q))).astype(np.int64)
-    out *= q
-    out -= halves @ cy
-    out += a
-    return np.remainder(out, q, out=a)
+    cy = np.array([[(v << 31) % q for v in y], y], dtype=np.uint64)
+    halves = np.empty((2, len(x)), dtype=np.uint64)
+    np.right_shift(x.view(np.uint64), _S31, out=halves[0])
+    np.bitwise_and(x.view(np.uint64), _M31, out=halves[1])
+    u = ((cy.T * (1.0 / q)) @ halves.astype(np.float64)).astype(np.uint64)
+    u *= np.uint64(q)
+    p = np.multiply.outer(cy[0], halves[0])
+    u -= p
+    np.multiply.outer(cy[1], halves[1], out=p)
+    u -= p
+    u += a.view(np.uint64)
+    np.add(u, np.uint64(2 * q), out=p)  # u + 2q wraps below u when u is below 0 as int64
+    np.minimum(u, p, out=u)
+    np.subtract(u, np.uint64(q), out=p)  # u - q wraps past u when u < q
+    np.minimum(u, p, out=a.view(np.uint64))
+    return a
 
 
 def _eliminate(a: np.ndarray, q: int, need_t: bool):
     """Pivot rows R, pivot columns C and (if need_t) T of a block, by in-place row elimination.
 
     A column's pivot is the first row, over all rows, with a nonzero residue
-    there once the earlier pivots are eliminated; no row is swapped. Each
-    pivot's rank-1 update, by its row scaled by the pivot's inverse, is one
-    _sub_outer call on the whole block from the pivot's column on, the pivot
-    row included: it zeroes that row, so no row is picked twice. A[R, C] is
-    invertible, and A[N] = T A[R] for the other rows N in increasing order:
-    T = A[N, C] A[R, C]^-1. T is tracked in min(m, n) extra columns of the
-    working array: a new pivot row gets -1 in its own T column, so that
-    eliminating with it leaves each row's multiplier there.
+    there once the earlier pivots are eliminated; no row is swapped. The
+    working array holds the block transposed, so that its row c is column c
+    and each update runs on contiguous memory. Each pivot's rank-1 update, by
+    its row scaled by the pivot's inverse, is one _sub_outer call on the
+    working rows after c, from the next column to the last T column in use:
+    it zeroes the pivot row there, so no row is picked twice, and column c is
+    not read again. A[R, C] is invertible, and A[N] = T A[R] for the other
+    rows N in increasing order: T = A[N, C] A[R, C]^-1. T is tracked
+    transposed in min(m, n) extra rows of the working array: a new pivot row
+    gets -1 in its own T row, so that eliminating with it leaves each row's
+    multiplier there.
     """
     m, n = a.shape
-    work = np.zeros((m, n + min(m, n) if need_t else n), dtype=np.int64)
-    work[:, :n] = a
+    work = np.zeros((n + min(m, n) if need_t else n, m), dtype=np.int64)
+    work[:n] = a.T
     pivot_rows: list[int] = []
     pivot_cols: list[int] = []
     for c in range(n if m else 0):
-        column = work[:, c]
+        column = work[c]
         p = int(column.astype(bool).argmax())
         if not column[p]:
             continue
         end = n
         if need_t:
             end += len(pivot_rows) + 1
-            work[p, end - 1] = q - 1
-        _sub_outer(work[:, c:end], column, work[p, c:end], pow(int(column[p]), -1, q), q)
+            work[end - 1, p] = q - 1
+        _sub_outer(work[c + 1 : end], column, work[c + 1 : end, p], pow(int(column[p]), -1, q), q)
         pivot_rows.append(p)
         pivot_cols.append(c)
         if len(pivot_rows) == m:
             break
     r = len(pivot_rows)
-    t = np.delete(work[:, n : n + r], pivot_rows, axis=0) if need_t else None
+    t = np.delete(work[n : n + r], pivot_rows, axis=1).T if need_t else None
     return np.array(pivot_rows, dtype=np.int64), np.array(pivot_cols, dtype=np.int64), t
 
 

@@ -1,4 +1,4 @@
-"""The two-hop aggregation round: keygen, user encoding, relay and server sums.
+"""The two-hop aggregation round: seeded inputs and keys, user encoding, relay and server sums.
 
 R rounds run as one product over GF(q): with every user's input stacked into
 W (UV*L x R) and every group's key into K (C(UV,G)*L_S x R), the user messages
@@ -39,22 +39,12 @@ class Rounds:
         return np.all(self.decoded_sum == self.input_sum, axis=0)
 
 
-def keygen(s: PrecodingScheme, seed) -> np.ndarray:
-    """All C(UV, G) groupwise keys, i.i.d. uniform over GF(q)^{L_S}, as one int64 column.
-
-    Rows g*L_S .. (g+1)*L_S - 1 hold group g's key, drawn from the PRNG
-    substream (seed, g), where seed is an int or a tuple of ints; disjoint
-    substreams make the keys independent.
-    """
-    groups = np.arange(s.encoding.shape[1] // s.dims.L_S)[:, None]
-    return linalg.random_mats(s.dims.L_S, 1, s.cfg.field, linalg.seed_rows(seed, groups)).reshape(-1, 1)
-
-
 def run(s: PrecodingScheme, w: np.ndarray, k: np.ndarray) -> Rounds:
     """Encode, aggregate and decode the rounds whose inputs and keys are the columns of w, k.
 
     w is UV*L x R (users' inputs stacked in canonical order), k is
-    C(UV,G)*L_S x R (as keygen stacks the keys); both hold int64 residues.
+    C(UV,G)*L_S x R (group g's key in rows g*L_S .. (g+1)*L_S - 1); both
+    hold int64 residues.
     """
     q, U, V, L = s.cfg.field.modulus, s.cfg.U, s.cfg.V, s.dims.L
     if w.ndim != 2 or w.shape[1:] != k.shape[1:] or (len(w), len(k)) != s.encoding.shape:
@@ -83,8 +73,9 @@ def run_rounds(s: PrecodingScheme, seed: int, rounds: int) -> Rounds:
     """`rounds` rounds with uniform random inputs and keys, deterministic in the seed.
 
     Round i draws user (u, v)'s input from the substream ((seed, 2i), u, v)
-    and its keys as keygen(s, (seed, 2i + 1)) does; all inputs are one
-    random_mats call and all keys another.
+    and group g's key, i.i.d. uniform over GF(q)^{L_S}, from the substream
+    ((seed, 2i + 1), g): disjoint substreams make the keys independent. All
+    inputs are one random_mats call and all keys another.
     """
     even = 2 * np.arange(rounds)[:, None]
     users = np.array(all_users(s.cfg.U, s.cfg.V)).reshape(-1, 2)

@@ -284,7 +284,7 @@ def test_criterion_8_rate_audit():
     report(8, f"rate audit over {len(BUILT_SCHEMES)} schemes", ok)
 
 
-def test_criterion_9_determinism(tmp_path, capsys):
+def test_criterion_9_determinism(tmp_path, capsys, keygen):
     ok = True
     # byte-identical scheme files from two identical builds
     cfg = ProblemConfig(2, 2, 2, make_field(BIG_Q))
@@ -295,7 +295,7 @@ def test_criterion_9_determinism(tmp_path, capsys):
 
     # identical key material and transcripts
     s = build_example1()
-    ok &= np.array_equal(protocol.keygen(s, 99), protocol.keygen(s, 99))
+    ok &= np.array_equal(keygen(s, 99), keygen(s, 99))
     r1, r2 = protocol.run_rounds(s, 4, 10), protocol.run_rounds(s, 4, 10)
     for name in ("inputs", "user_messages", "relay_messages", "decoded_sum"):
         ok &= np.array_equal(getattr(r1, name), getattr(r2, name))

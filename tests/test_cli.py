@@ -25,7 +25,7 @@ from hsagg.cli import (
     save_scheme,
     scheme_from_text,
 )
-from hsagg.combi import count_groups, enumerate_groups
+from hsagg.combi import all_users, count_groups, enumerate_groups
 from hsagg.gf import make_field
 from hsagg.rates import ProblemConfig
 from hsagg.scheme import build_example1, build_random
@@ -925,6 +925,52 @@ def test_writer_renders_residue_arrays_as_enc_int_does(entries):
     template = cli._Template({"data": [cli._SLOT] * len(entries)})
     expected = canonical_text({"k": {"data": [cli._enc_int(x) for x in entries]}})
     assert written_text({"k": template.record(array)}) == expected
+
+
+@st.composite
+def template_records(draw):
+    """(template, head, residue arrays, their objects): two records of a scheme block or of transcript users.
+
+    q is above 2^53. Each record holds a drawn number of entries below 2^53
+    (all, none or any count between, so both ways of putting them back bare
+    run), from a few values each side of 2^53, so values repeat; the bare ones
+    include 0, 2^53 - 1 and the head's values, the quoted ones 2^53 and q - 1.
+    """
+    q = draw(st.sampled_from([9_007_199_254_740_997, 18_014_398_509_482_143, (1 << 61) - 1]))
+    if draw(st.booleans()):  # a scheme block: group_index and user are head slots
+        head = (draw(st.integers(0, 20)), draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+        rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        matrix = {"rows": rows, "cols": cols, "data": [cli._SLOT] * rows * cols}
+        template = cli._Template({"group_index": cli._SLOT, "user": [cli._SLOT, cli._SLOT], "matrix": matrix})
+        n = rows * cols
+
+        def obj(data):
+            return {"group_index": head[0], "user": list(head[1:]), "matrix": {**matrix, "data": data}}
+    else:  # a transcript section of every user's row block
+        head, users, L = (), all_users(draw(st.integers(1, 3)), draw(st.integers(1, 3))), draw(st.integers(1, 5))
+        template = cli._Template([{"user": list(u), "data": [cli._SLOT] * L} for u in users])
+        n = len(users) * L
+
+        def obj(data):
+            return [{"user": list(u), "data": data[i * L : (i + 1) * L]} for i, u in enumerate(users)]
+    bare = draw(st.lists(st.sampled_from([0, JSON_SAFE - 1, *head]) | st.integers(0, JSON_SAFE - 1), min_size=1, max_size=8))
+    quoted = draw(st.lists(st.sampled_from([JSON_SAFE, q - 1]) | st.integers(JSON_SAFE, q - 1), min_size=1, max_size=8))
+    records = []
+    for _ in range(2):
+        n_bare = draw(st.sampled_from([0, n]) | st.integers(0, n))
+        kinds = draw(st.permutations([bare] * n_bare + [quoted] * (n - n_bare)))
+        entries = [draw(st.sampled_from(values)) for values in kinds]
+        records.append((np.array(entries, dtype=np.int64), obj([cli._enc_int(x) for x in entries])))
+    return template, head, records
+
+
+@settings(max_examples=300, deadline=None)
+@given(template_records())
+def test_template_records_with_quoted_residues_render_as_enc_int_does(args):
+    # Two records of one template in a list, so the second fill reuses the rendered texts.
+    template, head, records = args
+    written = written_text({"k": [template.record(array, head) for array, _ in records]})
+    assert written == canonical_text({"k": [record for _, record in records]})
 
 
 def reference_transcripts(s, seed: int, rounds: int) -> dict:

@@ -32,6 +32,11 @@ GOLDEN = {
         "cdd90ea40f8508439b962e70b047930f26a4e400b9ec93b7532e1400629c654d",
         "a4886882862ddfa63d3ec48b5bcbc1af83e5985516266989b7514703c948c041",
     ),
+    "rand323": (
+        "e27fef582dd19c14ec2e3cdf7fb3f2ca3bc8bb94dd983d87e6383bff53e6c6bd",
+        "74e168faee93d1f4fe498398a46c112bf382f8327592095077989e16035caa2d",
+        "d660a5658ef5418a85975bea3f18c2bf0caadd3dcedc97d05a9086bcf004ca4d",
+    ),
     "retry235": (
         "105f57bdc5baad8f70bc09770ff4c849913c27868a2509be1d3d69f869142d6e",
         "eb9433e9f231768ac45856634314d8b04300fd3a14b6359c8c183aa30d55d7e0",
@@ -42,12 +47,14 @@ MAKE = {
     "ex1": ["example", "--id", "1"],
     "ex2": ["example", "--id", "2"],
     "rand336": ["build", "--U", "3", "--V", "3", "--G", "6", "--q", str(Q61), "--seed", "5"],
+    # README's build at q = 2^31 - 1, where rank's leaves are plain int64 and every slot is bare.
+    "rand323": ["build", "--U", "3", "--V", "2", "--G", "3", "--q", "2147483647", "--seed", "7"],
     # Passes on attempt 22 (retries_used 21), so build_random's retries are pinned too.
     "retry235": ["build", "--U", "2", "--V", "3", "--G", "5", "--q", "2", "--seed", "4", "--max-retries", "500"],
 }
 # ex2's oracles are skipped as infeasible, which pins the required_states encoding.
 # retry235's oracles all run.
-VERIFY_EXTRA = {"ex1": [], "ex2": ["--oracle"], "rand336": [], "retry235": ["--oracle"]}
+VERIFY_EXTRA = {"ex1": [], "ex2": ["--oracle"], "rand336": [], "rand323": [], "retry235": ["--oracle"]}
 # verify --oracle --seed 2 of ex1: every oracle runs, so the report pins their tallies.
 EX1_ORACLE_REPORT = "733f9b8f2a534db68111eadae6f12ee9979ad2c05976092bb67174f845ae6a97"
 

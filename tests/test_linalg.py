@@ -278,15 +278,17 @@ def test_matmul_mod_inner_dimension_past_chunk_bound(q, inner):
 
 
 def boundary_operands(q, rows, inner, cols, fill, seed):
-    """a (rows x inner) and b (inner x cols): every entry q - 1, every entry the largest limb, or uniform.
+    """a (rows x inner) and b (inner x cols): every entry q - 1, the largest limb, two largest limbs, or uniform.
 
     The largest limb is min(q - 1, 2^21 - 1): products of it are the largest
-    a chunk may sum.
+    a chunk may sum. Two largest limbs, min(q - 1, 2^42 - 1), give the largest
+    weight sums that a q of three limbs can have: a0 b1 + a1 b0 is close to
+    2^54 over a chunk.
     """
     if fill == "random":
         rng = np.random.default_rng(seed)
         return tuple(rng.integers(0, q, size=shape, dtype=np.int64) for shape in ((rows, inner), (inner, cols)))
-    entry = q - 1 if fill == "q-1" else min(q - 1, 2**21 - 1)
+    entry = q - 1 if fill == "q-1" else min(q - 1, 2 ** (21 if fill == "largest limb" else 42) - 1)
     return np.full((rows, inner), entry, dtype=np.int64), np.full((inner, cols), entry, dtype=np.int64)
 
 
@@ -300,7 +302,7 @@ def chunk_boundaries(draw):
     q = draw(st.sampled_from(BOUNDARY_MODULI))
     inner = CHUNK + draw(st.sampled_from([-1, 0, 1]))
     rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    fill = draw(st.sampled_from(["q-1", "largest limb", "random"]))
+    fill = draw(st.sampled_from(["q-1", "largest limb", "two largest limbs", "random"]))
     return q, rows, inner, cols, fill, draw(st.integers(0, 2**32 - 1))
 
 
@@ -310,6 +312,15 @@ def chunk_boundaries(draw):
 @example((2**61 - 1, 2, CHUNK + 1, 3, "largest limb", 0))
 @example((4_294_967_291, 1, CHUNK + 1, 1, "largest limb", 0))
 @example((2_097_143, 3, CHUNK + 1, 2, "largest limb", 0))
+# The Horner step reduces by one subtraction only where 3 (2^53 - 1) < q, where every weight sum is
+# below q: not at the first prime above 2^53, where a full chunk's weight sums pass q, nor at the last
+# prime below 3 2^53, but at the first prime above it.
+@example((9_007_199_254_740_997, 2, CHUNK, 3, "two largest limbs", 0))
+@example((9_007_199_254_740_997, 2, CHUNK + 1, 3, "random", 0))
+@example((27_021_597_764_222_939, 2, CHUNK, 3, "two largest limbs", 0))
+@example((27_021_597_764_222_939, 2, CHUNK + 1, 3, "q-1", 0))
+@example((27_021_597_764_223_071, 2, CHUNK, 3, "two largest limbs", 0))
+@example((27_021_597_764_223_071, 2, CHUNK + 1, 3, "random", 0))
 def test_matmul_mod_is_exact_at_the_chunk_boundaries(args):
     q, a, b = args[0], *boundary_operands(*args)
     expected = (a.astype(object) @ b.astype(object)) % q  # Python ints
@@ -379,8 +390,9 @@ def reference_rank(rows: list, q: int) -> int:
 
 # Moduli of the rank-1 update in rank's leaves: tiny fields, the 31-bit
 # Mersenne prime, the primes either side of the int64 bound 3,037,000,499
-# (plain int64 arithmetic below it, a float64 quotient estimate above), 2^32 - 5
-# and the two largest primes below 2^61, 2^61 - 31 and 2^61 - 1.
+# (plain int64 arithmetic below it; above it a float64 quotient estimate and
+# two unsigned-minimum corrections, with no division), 2^32 - 5 and the two
+# largest primes below 2^61, 2^61 - 31 and 2^61 - 1.
 MUL_MODULI = (2, 3, 2**31 - 1, 3_037_000_493, 3_037_000_507, 4_294_967_291, 2**61 - 31, 2**61 - 1)
 # Widest pivot row of a leaf: _LEAF_COLS columns and as many T columns.
 WIDEST_ROW = 2 * linalg._LEAF_COLS
@@ -390,9 +402,10 @@ WIDEST_ROW = 2 * linalg._LEAF_COLS
 def outer_operands(draw, q=None):
     """(q, a, x, row, inv) for _sub_outer, with the edge entries 0, 1, q - 1, 2^31 - 1 and 2^31.
 
-    Rows of one entry and of a leaf's widest pivot row, and a block a of
-    zeros, so that subtracting the largest products wraps. q is one of
-    MUL_MODULI unless given.
+    a is a w x k block as a leaf holds it, transposed: x is a pivot column of
+    k entries, row a pivot row of w entries, of one entry or of a leaf's
+    widest pivot row. A block a of zeros makes subtracting the largest
+    products wrap. q is one of MUL_MODULI unless given.
     """
     if q is None:
         q = draw(st.sampled_from(MUL_MODULI))
@@ -401,14 +414,27 @@ def outer_operands(draw, q=None):
     k = draw(st.integers(1, 6))
     w = draw(st.one_of(st.sampled_from([1, WIDEST_ROW]), st.integers(1, WIDEST_ROW)))
     entries = lambda n: np.array(draw(st.lists(entry, min_size=n, max_size=n)), dtype=np.int64)  # noqa: E731
-    a = np.zeros((k, w), dtype=np.int64) if draw(st.booleans()) else entries(k * w).reshape(k, w)
+    a = np.zeros((w, k), dtype=np.int64) if draw(st.booleans()) else entries(w * k).reshape(w, k)
     return q, a, entries(k), entries(w), draw(entry)
 
 
 def largest_products(q):
     """a = 0 against x y = (q - 1)^2 and the other edge products, for every entry."""
     x = np.array([q - 1, 2**31 - 1, 2**31, q - 2, 1, 0], dtype=np.int64)
-    return q, np.zeros((len(x), WIDEST_ROW), dtype=np.int64), x, np.full(WIDEST_ROW, q - 1, dtype=np.int64), 1
+    return q, np.zeros((WIDEST_ROW, len(x)), dtype=np.int64), x, np.full(WIDEST_ROW, q - 1, dtype=np.int64), 1
+
+
+def estimate_off_by_one(q, x, y):
+    """a = q - 1 against x y, where x y mod q is 1 or q - 1 and the float quotient estimate is one off.
+
+    Found by a search over random x, with y = x^-1 or -x^-1 mod q: x y is then
+    just above a multiple of q, where the estimate fell one below the true
+    quotient, or just below one, where it rose one above. The estimate was one
+    off both with and without a fused multiply-add in its sum. One below, a - P
+    + k' q is negative and both corrections run; one above, it is q and the
+    second one runs.
+    """
+    return q, np.full((1, 1), q - 1, dtype=np.int64), np.array([x], dtype=np.int64), np.array([y], dtype=np.int64), 1
 
 
 @settings(max_examples=300, deadline=None)
@@ -416,10 +442,16 @@ def largest_products(q):
 @example(largest_products(2**61 - 1))
 @example(largest_products(2**61 - 31))
 @example(largest_products(3_037_000_507))
+@example(estimate_off_by_one(2**61 - 1, 1_713_579_533_001_729_264, 252_158_239_168_193_325))  # one below
+@example(estimate_off_by_one(2**61 - 1, 1_312_494_768_036_884_981, 76_801_796_536_228_096))  # one above
+@example(estimate_off_by_one(2**61 - 31, 2_035_441_467_719_029_583, 1_973_731_933_697_246_064))  # one below
+@example(estimate_off_by_one(2**61 - 31, 2_065_056_262_729_204_470, 1_444_087_498_065_254_828))  # one above
+@example(estimate_off_by_one(3_037_000_507, 2_860_188_161, 1_696_479_279))  # one below
+@example(estimate_off_by_one(3_037_000_507, 2_980_532_982, 2_187_996_453))  # one above
 def test_sub_outer_matches_python_ints(operands):
     q, a, x, row, inv = operands
     y = [v * inv % q for v in row.tolist()]
-    expected = [[(aij - xi * yj) % q for aij, yj in zip(ai, y)] for ai, xi in zip(a.tolist(), x.tolist())]
+    expected = [[(aji - yj * xi) % q for aji, xi in zip(aj, x.tolist())] for aj, yj in zip(a.tolist(), y)]
     got = linalg._sub_outer(a, x, row, inv, q)
     assert got.dtype == np.int64 and got.shape == a.shape
     assert got.tolist() == expected
@@ -430,20 +462,22 @@ def test_sub_outer_matches_python_ints(operands):
 @given(data=st.data())
 def test_sub_outer_updates_its_block_in_place_from_views_of_it(q, data):
     # A leaf passes its pivot column and pivot row as views of the block that
-    # _sub_outer writes.
+    # _sub_outer writes: a row and a column of the transposed block.
     _, a, _, _, inv = data.draw(outer_operands(q))
-    i = data.draw(st.integers(0, len(a) - 1))
+    i = data.draw(st.integers(0, a.shape[1] - 1))
     before = a.tolist()
-    y = [v * inv % q for v in before[i]]
-    expected = [[(aij - ai[0] * yj) % q for aij, yj in zip(ai, y)] for ai in before]
-    assert linalg._sub_outer(a, a[:, 0], a[i], inv, q) is a
+    y = [aj[i] * inv % q for aj in before]
+    expected = [[(aji - yj * x0i) % q for aji, x0i in zip(aj, before[0])] for aj, yj in zip(before, y)]
+    assert linalg._sub_outer(a, a[0], a[:, i], inv, q) is a
     assert a.tolist() == expected
 
 
 def test_tall_leaf_works_in_n_plus_min_m_n_columns():
-    # With T, a leaf's working array is m x (n + min(m, n)): 2 a.nbytes for
-    # this 600 x 24 block at 2^61 - 1. Its peak was 483,388 bytes, 4.2
-    # a.nbytes; an m x (n + m) working array alone would be 26 a.nbytes.
+    # With T, a leaf's working array is the block transposed plus min(m, n)
+    # rows of T, (n + min(m, n)) x m: 2 a.nbytes for this 600 x 24 block at
+    # 2^61 - 1. Its peak was 599,380 bytes, 5.2 a.nbytes (the working array
+    # and about three n x m temporaries of one update); an (n + m) x m working
+    # array alone would be 26 a.nbytes.
     q = 2**61 - 1
     a = np.random.default_rng(0).integers(0, q, size=(600, 24), dtype=np.int64)
     linalg._eliminate(a[:30], q, True)  # warm up: first-call allocations
@@ -459,8 +493,9 @@ def test_tall_leaf_works_in_n_plus_min_m_n_columns():
 
 # Moduli on both sides of the int64 bound 3,037,000,499, where the leaves'
 # update changes from plain int64 arithmetic to a float64 quotient estimate
-# (3,037,000,507 is the first prime above it, where x1 <= 1); rank recurses on
-# column halves at every q.
+# corrected by unsigned minima (3,037,000,507 is the first prime above it,
+# where x1 <= 1); rank recurses on column halves, and its leaves hold their
+# blocks transposed, at every q.
 RANK_MODULI = (2, 3, 5, 2**31 - 1, 3_037_000_507, 4_294_967_291, 2**61 - 1)
 LEAF = linalg._LEAF_COLS
 # Column counts at the leaf width and at twice it, one either side, plus the

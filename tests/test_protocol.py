@@ -7,7 +7,7 @@ from hsagg import linalg
 from hsagg.combi import all_users, enumerate_groups
 from hsagg.gf import make_field
 from hsagg.linalg import DimensionMismatch
-from hsagg.protocol import keygen, run, run_rounds
+from hsagg.protocol import run, run_rounds
 from hsagg.rates import ProblemConfig
 from hsagg.scheme import build_random
 
@@ -31,7 +31,7 @@ def user_rows(s, user):
     return slice(i * s.dims.L, (i + 1) * s.dims.L)
 
 
-def test_keygen_determinism_and_shape(ex1):
+def test_keygen_determinism_and_shape(ex1, keygen):
     k1 = keygen(ex1, 42)
     assert np.array_equal(k1, keygen(ex1, 42))
     assert k1.shape == (6 * 2, 1) and k1.dtype == np.int64
@@ -42,7 +42,7 @@ def test_keygen_determinism_and_shape(ex1):
         assert np.array_equal(k1[2 * g : 2 * g + 2], substream)
 
 
-def test_user_key_counts(ex1, ex2):
+def test_user_key_counts(ex1, ex2, keygen):
     # A user's message depends on the keys of exactly the groups it belongs to.
     for s, user, count in ((ex1, (1, 1), 3), (ex2, (1, 1), 7), (minimal_scheme(5), (2, 1), 1)):
         w, k = inputs(s, 1), keygen(s, 2)
@@ -62,7 +62,7 @@ def test_user_encode_zero_keys_is_identity(ex1):
     assert np.array_equal(run(ex1, w, zero_keys(ex1)).user_messages, w)
 
 
-def test_user_encode_zero_input_is_pure_mask(ex1):
+def test_user_encode_zero_input_is_pure_mask(ex1, keygen):
     # With zero inputs a user's message is sum over its groups of block(g, user) * S_g.
     k = keygen(ex1, 5)
     x = run(ex1, np.zeros((20, 1), dtype=np.int64), k).user_messages
@@ -74,7 +74,7 @@ def test_user_encode_zero_input_is_pure_mask(ex1):
         assert x[user_rows(ex1, user)].tolist() == (expected % 5).tolist()
 
 
-def test_user_encode_rejects_bad_shape(ex1):
+def test_user_encode_rejects_bad_shape(ex1, keygen):
     k = keygen(ex1, 0)
     with pytest.raises(DimensionMismatch):
         run(ex1, np.zeros((19, 1), dtype=np.int64), k)  # one input row short
@@ -84,7 +84,7 @@ def test_user_encode_rejects_bad_shape(ex1):
         run(ex1, np.zeros(20, dtype=np.int64), k[:, 0])  # not columns
 
 
-def test_encode_is_affine_in_the_input(ex1):
+def test_encode_is_affine_in_the_input(ex1, keygen):
     k = keygen(ex1, 9)
     w1, w2 = inputs(ex1, 21), inputs(ex1, 22)
     lhs = run(ex1, (w1 + w2) % 5, k).user_messages
@@ -124,7 +124,7 @@ def test_decode_for_fixed_input_over_both_keys():
     assert rounds.decoded_sum.tolist() == [[1, 1]]
 
 
-def test_run_round_deterministic(ex1):
+def test_run_round_deterministic(ex1, keygen):
     r1, r2 = run_rounds(ex1, seed=5, rounds=4), run_rounds(ex1, seed=5, rounds=4)
     assert np.array_equal(r1.inputs, r2.inputs)
     assert np.array_equal(r1.user_messages, r2.user_messages)
@@ -157,7 +157,7 @@ def test_hundred_rounds_examples(ex1, ex2):
         assert rounds.correct.all()
 
 
-def test_intra_relay_key_cancels_in_relay_message(ex1):
+def test_intra_relay_key_cancels_in_relay_message(ex1, keygen):
     # Group 0 = {(1,1),(1,2)} lives entirely inside relay 1; changing its key
     # must leave Y_1 unchanged.
     k = keygen(ex1, 3)
