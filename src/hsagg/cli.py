@@ -158,10 +158,10 @@ def _scheme_file(s: PrecodingScheme) -> dict:
     """The object save_scheme writes for s; its blocks, in canonical (group, member) order, fill one template.
 
     Each group's blocks are one gather from E through the member index (the build's scatter,
-    inverted), group by group; member index i is the user (i // V + 1, i % V + 1).
+    inverted), group by group; member index i is the user all_users(U, V)[i].
     """
-    V, L, L_S = s.cfg.V, s.dims.L, s.dims.L_S
-    members = scheme_mod._members(s.cfg.U, V, s.cfg.G).tolist()
+    L, L_S = s.dims.L, s.dims.L_S
+    members, users = scheme_mod._members(s.cfg.U, s.cfg.V, s.cfg.G).tolist(), all_users(s.cfg.U, s.cfg.V)
     matrix = {"rows": L, "cols": L_S, "data": [_SLOT] * L * L_S}
     block = _Template({"group_index": _SLOT, "user": [_SLOT, _SLOT], "matrix": matrix})
     return {
@@ -169,9 +169,9 @@ def _scheme_file(s: PrecodingScheme) -> dict:
         "prng_id": linalg.PRNG_ID,
         "cfg": {"U": s.cfg.U, "V": s.cfg.V, "G": s.cfg.G, "q": _enc_int(s.cfg.field.modulus)},
         "dims": {"regime": s.dims.regime.value, "L": L, "L_S": L_S},
-        "group_order": [[[i // V + 1, i % V + 1] for i in grp] for grp in members],
+        "group_order": [[list(users[i]) for i in grp] for grp in members],
         "blocks": (
-            block.record(data.reshape(-1), (g_idx, i // V + 1, i % V + 1))
+            block.record(data.reshape(-1), (g_idx, *users[i]))
             for g_idx, grp in enumerate(members)
             for i, data in zip(grp, s.encoding.reshape(-1, L, len(members), L_S)[grp, :, g_idx])
         ),

@@ -1,18 +1,15 @@
-"""User indexing and group enumeration.
+"""User indexing and group counts.
 
 Users are pairs (u, v) with relay index u in [1..U] and within-relay index
-v in [1..V]. A group is a sorted tuple of G distinct users. The canonical
-group order is lexicographic over the sorted member tuples, so groups can be
-referred to stably by their index in enumerate_groups.
+v in [1..V], in canonical order. A group is a set of G distinct users, and
+groups are numbered in lexicographic order of their sorted members; the one
+group enumeration is scheme._members, which this module's count_groups
+accepts first.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations
-
-UserId = tuple[int, int]
-Group = tuple[UserId, ...]
 
 _COUNT_MAX = (1 << 63) - 1
 
@@ -25,7 +22,7 @@ class CountOverflow(OverflowError):
     """Raised when a binomial count does not fit in 64 bits."""
 
 
-def all_users(U: int, V: int) -> list[UserId]:
+def all_users(U: int, V: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(1, U + 1) for v in range(1, V + 1)]
 
 
@@ -61,8 +58,3 @@ def count_groups(U: int, V: int, G: int) -> int:
         raise CountOverflow(f"C({U * V},{G}) = {count} exceeds 64 bits")
     return count
 
-
-def enumerate_groups(U: int, V: int, G: int) -> list[Group]:
-    """All C(UV, G) size-G groups in lexicographic order of sorted members."""
-    count_groups(U, V, G)  # refused before anything is materialized
-    return [tuple(c) for c in combinations(all_users(U, V), G)]

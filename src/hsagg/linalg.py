@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Sequence
 
 import numpy as np
 
@@ -305,14 +304,6 @@ def _echelon(a: np.ndarray, q: int, need_t: bool):
 def rank(m: Mat) -> int:
     """GF(q) rank: the number of pivots that _echelon finds; it does not depend on the pivot order."""
     return len(_echelon(m.array, m.field.modulus, False)[0])
-
-
-def vandermonde_block(field: FieldSpec, bases: Sequence[int], start_exp: int, rows: int) -> np.ndarray:
-    """int64 rows x len(bases) residues with entry (r, c) = bases[c]^(start_exp + r)."""
-    if rows < 1:
-        raise DimensionMismatch("rows must be >= 1")
-    powers = [[pow(b, start_exp + r, field.modulus) for b in bases] for r in range(rows)]
-    return np.array(powers, dtype=np.int64)
 
 
 def _flatten_seed(seed) -> tuple[int, ...]:

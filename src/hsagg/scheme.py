@@ -17,9 +17,9 @@ from typing import Mapping
 import numpy as np
 
 from . import linalg
-from .combi import Group, UserId, count_groups, enumerate_groups
+from .combi import all_users, count_groups
 from .gf import make_field
-from .linalg import Mat, vandermonde_block
+from .linalg import Mat
 from .rates import ProblemConfig, SchemeDims, classify_regime
 
 # A Mersenne prime. How often one attempt of build_random may fail at it is
@@ -56,17 +56,6 @@ class PrecodingScheme:
 
     def __post_init__(self):
         self.encoding.setflags(write=False)
-
-    def block(self, group_index: int, user: UserId) -> np.ndarray:
-        """The user's L x L_S matrix for the group (a view of E); zero for a non-member."""
-        return self.encoding[block_slices(self.cfg, self.dims, group_index, user)]
-
-
-def block_slices(cfg: ProblemConfig, dims: SchemeDims, group_index: int, user: UserId):
-    """The (rows, columns) of the user's block for the group in the encoding matrix."""
-    row = ((user[0] - 1) * cfg.V + user[1] - 1) * dims.L
-    col = group_index * dims.L_S
-    return slice(row, row + dims.L), slice(col, col + dims.L_S)
 
 
 @lru_cache(maxsize=64)
@@ -115,7 +104,7 @@ def _zero_sum_scheme(
 # The six 5x2 precoding matrices of the (U,V,G,q) = (2,2,2,5) construction,
 # keyed by group in canonical order. The lexicographically earlier member of
 # each pair carries the matrix as-is, the later member its negation.
-_EXAMPLE1_MATRICES: dict[Group, list[list[int]]] = {
+_EXAMPLE1_MATRICES: dict[tuple[tuple[int, int], ...], list[list[int]]] = {
     ((1, 1), (1, 2)): [[1, 0], [0, 1], [1, 1], [1, 2], [2, 1]],
     ((1, 1), (2, 1)): [[1, 2], [2, 1], [0, 1], [1, 0], [1, 1]],
     ((1, 1), (2, 2)): [[1, 1], [0, 2], [2, 0], [1, 2], [2, 1]],
@@ -128,7 +117,9 @@ _EXAMPLE1_MATRICES: dict[Group, list[list[int]]] = {
 def build_example1() -> PrecodingScheme:
     """The deterministic (U,V,G) = (2,2,2) scheme over GF(5) with L=5, L_S=2."""
     cfg = ProblemConfig(2, 2, 2, make_field(5))
-    blocks = np.array([[_EXAMPLE1_MATRICES[grp]] for grp in enumerate_groups(2, 2, 2)], dtype=np.int64)
+    users = all_users(2, 2)
+    groups = [tuple(users[i] for i in grp) for grp in _members(2, 2, 2).tolist()]
+    blocks = np.array([[_EXAMPLE1_MATRICES[grp]] for grp in groups], dtype=np.int64)
     return _zero_sum_scheme(cfg, classify_regime(cfg), blocks, {"construction": "example1"})
 
 
@@ -136,20 +127,19 @@ def build_example2() -> PrecodingScheme:
     """The deterministic (U,V,G) = (4,2,7) scheme over GF(11) with L=8, L_S=3.
 
     For group index i (1-based) the three Vandermonde bases are g^(i-1), g^(i+2), g^(i+5) with
-    g = 2 and exponents reduced modulo 10 (the order of GF(11)*). Member (u, v), of user index
-    m = (u-1)*V + (v-1), starts its rows at the exponent (u-1) + (v-1)*U = m // V + (m % V)*U.
-    The last-indexed member of each group ((4,2) for i >= 2, (4,1) for i = 1) is completed to
-    zero-sum.
+    g = 2 and exponents reduced modulo 10 (the order of GF(11)*). Member (u, v)'s row r holds the
+    bases to the power (u-1) + (v-1)*U + r. The last-indexed member of each group ((4,2) for
+    i >= 2, (4,1) for i = 1) is completed to zero-sum.
     """
-    field = make_field(11)
-    cfg = ProblemConfig(4, 2, 7, field)
+    cfg = ProblemConfig(4, 2, 7, make_field(11))
     dims = classify_regime(cfg)
-    U, V, blocks = cfg.U, cfg.V, []
-    for g_idx, members in enumerate(_members(U, V, cfg.G).tolist()):
+    U, users, blocks = cfg.U, all_users(cfg.U, cfg.V), []
+    for g_idx, members in enumerate(_members(U, cfg.V, cfg.G).tolist()):
         i = g_idx + 1
         bases = [pow(2, e % 10, 11) for e in (i - 1, i + 2, i + 5)]
-        blocks.append([vandermonde_block(field, bases, m // V + (m % V) * U, dims.L) for m in members[:-1]])
-    return _zero_sum_scheme(cfg, dims, np.array(blocks), {"construction": "example2"})
+        starts = [(u - 1) + (v - 1) * U for u, v in (users[m] for m in members[:-1])]
+        blocks.append([[[pow(b, start + r, 11) for b in bases] for r in range(dims.L)] for start in starts])
+    return _zero_sum_scheme(cfg, dims, np.array(blocks, dtype=np.int64), {"construction": "example2"})
 
 
 # Most block entries one batch of build_random's attempts draws at once (2^15
@@ -183,17 +173,6 @@ def _draws(cfg: ProblemConfig, seed: int, attempts: int):
             yield _zero_sum_scheme(cfg, dims, attempt, provenance)
         del blocks, attempt  # the next batch is drawn without this one
         k, size = k + n, 2 * size
-
-
-def sample_zero_sum_scheme(cfg: ProblemConfig, seed: int) -> PrecodingScheme:
-    """One unchecked draw: i.i.d. uniform blocks with zero-sum completion.
-
-    For each group, all members except the lexicographically last get
-    independent uniform L x L_S blocks; the last is the negated sum. No rank
-    gate is applied, so the result may be insecure (useful for audits). It
-    is attempt 0 of build_random with the same seed.
-    """
-    return next(_draws(cfg, seed, 1))
 
 
 def gate(s: PrecodingScheme, u: int | None) -> tuple[Mat, int]:

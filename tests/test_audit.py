@@ -19,11 +19,11 @@ from hsagg.audit import (
     mask_distribution,
     rate_audit,
 )
-from hsagg.combi import enumerate_groups
 from hsagg.gf import make_field
 from hsagg.linalg import from_array, rank
 from hsagg.rates import ProblemConfig, SchemeDims
-from hsagg.scheme import block_slices, build_random, sample_zero_sum_scheme
+from hsagg.scheme import build_random
+from reference import block_slices, enumerate_groups, sample_zero_sum_scheme
 
 CAP = 1 << 26
 Q61 = (1 << 61) - 1

@@ -25,10 +25,11 @@ from hsagg.cli import (
     save_scheme,
     scheme_from_text,
 )
-from hsagg.combi import all_users, count_groups, enumerate_groups
+from hsagg.combi import all_users, count_groups
 from hsagg.gf import make_field
 from hsagg.rates import ProblemConfig
 from hsagg.scheme import build_example1, build_random
+from reference import block, enumerate_groups, sample_zero_sum_scheme
 
 
 def run(argv):
@@ -45,8 +46,8 @@ def reference_scheme(s) -> dict:
     L, L_S = s.dims.L, s.dims.L_S
     groups = enumerate_groups(s.cfg.U, s.cfg.V, s.cfg.G)
 
-    def block(g_idx, member):
-        data = [cli._enc_int(int(x)) for x in s.block(g_idx, member).reshape(-1)]
+    def record(g_idx, member):
+        data = [cli._enc_int(int(x)) for x in block(s, g_idx, member).reshape(-1)]
         return {"group_index": g_idx, "user": list(member), "matrix": {"rows": L, "cols": L_S, "data": data}}
 
     return {
@@ -55,7 +56,7 @@ def reference_scheme(s) -> dict:
         "cfg": {"U": s.cfg.U, "V": s.cfg.V, "G": s.cfg.G, "q": cli._enc_int(s.cfg.field.modulus)},
         "dims": {"regime": s.dims.regime.value, "L": L, "L_S": L_S},
         "group_order": [[list(member) for member in grp] for grp in groups],
-        "blocks": [block(g_idx, member) for g_idx, grp in enumerate(groups) for member in grp],
+        "blocks": [record(g_idx, member) for g_idx, grp in enumerate(groups) for member in grp],
         "provenance": {k: cli._enc_int(v) if isinstance(v, int) else v for k, v in s.provenance.items()},
     }
 
@@ -164,7 +165,7 @@ def test_example_roundtrip_and_verify(tmp_path, capsys):
     s = load_scheme(path)
     golden = build_example1()
     assert np.array_equal(s.encoding, golden.encoding)
-    assert s.block(0, (1, 1)).tolist() == [[1, 0], [0, 1], [1, 1], [1, 2], [2, 1]]
+    assert block(s, 0, (1, 1)).tolist() == [[1, 0], [0, 1], [1, 1], [1, 2], [2, 1]]
     # save(load(f)) is byte-identical
     again = str(tmp_path / "again.json")
     save_scheme(s, again)
@@ -375,7 +376,7 @@ def test_load_peak_memory_is_a_few_encoding_matrices(monkeypatch):
     # the writer hold a few copies of E. The parse itself is left out: the
     # loader is handed an object parsed beforehand.
     cfg = ProblemConfig(3, 3, 6, make_field((1 << 61) - 1))
-    s = scheme_mod.sample_zero_sum_scheme(cfg, seed=1)
+    s = sample_zero_sum_scheme(cfg, seed=1)
     text = saved_text(s)
     obj = json.loads(text)
     monkeypatch.setattr(cli.json, "loads", lambda _: obj)
@@ -394,7 +395,7 @@ def test_whole_load_holds_the_parse_and_one_block_array(tmp_path):
     # preallocated array, each parsed block released as it is converted, so
     # no other copy of the blocks is made while the parsed object is alive.
     cfg = ProblemConfig(3, 3, 6, make_field((1 << 61) - 1))
-    s = scheme_mod.sample_zero_sum_scheme(cfg, seed=1)
+    s = sample_zero_sum_scheme(cfg, seed=1)
     path = str(tmp_path / "s.json")
     save_scheme(s, path)
     load_scheme(path)  # warm up: first-call allocations
@@ -417,7 +418,7 @@ def test_save_peak_memory_is_a_small_part_of_the_encoding_matrix(tmp_path):
     # Each block is filled and written before the next, so neither the 4.2 MB of text nor
     # the blocks' texts are held at once.
     cfg = ProblemConfig(3, 3, 6, make_field((1 << 61) - 1))
-    s = scheme_mod.sample_zero_sum_scheme(cfg, seed=1)
+    s = sample_zero_sum_scheme(cfg, seed=1)
     tracemalloc.start()
     try:
         save_scheme(s, str(tmp_path / "s.json"))
@@ -1051,7 +1052,7 @@ def test_simulate_writes_zero_and_one_rounds(rounds, tmp_path, capsys):
 def test_simulate_writes_round_by_round(tmp_path, capsys, monkeypatch):
     # 100 rounds at (3,3,6)@2^61-1 are 6.5 MB of text; the writer holds about one round's worth.
     cfg = ProblemConfig(3, 3, 6, make_field((1 << 61) - 1))
-    s = scheme_mod.sample_zero_sum_scheme(cfg, seed=1)
+    s = sample_zero_sum_scheme(cfg, seed=1)
     batch = cli.protocol.run_rounds(s, 0, 100)
     monkeypatch.setattr(cli, "load_scheme", lambda path: s)
     monkeypatch.setattr(cli.protocol, "run_rounds", lambda *args: batch)

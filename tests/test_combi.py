@@ -3,7 +3,9 @@ import time
 
 import pytest
 
-from hsagg.combi import BadGroupSize, CountOverflow, all_users, count_groups, enumerate_groups
+from hsagg import scheme
+from hsagg.combi import BadGroupSize, CountOverflow, all_users, count_groups
+from reference import enumerate_groups
 
 
 def test_user_listing():
@@ -16,17 +18,21 @@ def test_enumerate_groups_examples():
     assert g427[0] == ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1))
     assert len(enumerate_groups(2, 2, 2)) == 6
     assert enumerate_groups(2, 1, 2) == [((1, 1), (2, 1))]
-    with pytest.raises(BadGroupSize):
-        enumerate_groups(2, 2, 0)
-    with pytest.raises(BadGroupSize):
-        enumerate_groups(2, 2, 5)
+    assert scheme._members(2, 1, 2).tolist() == [[0, 1]]
+    for enumerate_ in (enumerate_groups, scheme._members):
+        with pytest.raises(BadGroupSize):
+            enumerate_(2, 2, 0)
+        with pytest.raises(BadGroupSize):
+            enumerate_(2, 2, 5)
 
 
 def test_enumerate_groups_refuses_counts_past_64_bits():
-    with pytest.raises(CountOverflow, match=r"^C\(1600,30\) = \d+ exceeds 64 bits$"):
-        enumerate_groups(40, 40, 30)
-    with pytest.raises(CountOverflow, match=r"^C\(70,35\) = 112186277816662845432 exceeds"):
-        enumerate_groups(35, 2, 35)  # ~1.1e20 groups, refused before any is made
+    # Both the reference and the library's one enumeration, scheme._members.
+    for enumerate_ in (enumerate_groups, scheme._members):
+        with pytest.raises(CountOverflow, match=r"^C\(1600,30\) = \d+ exceeds 64 bits$"):
+            enumerate_(40, 40, 30)
+        with pytest.raises(CountOverflow, match=r"^C\(70,35\) = 112186277816662845432 exceeds"):
+            enumerate_(35, 2, 35)  # ~1.1e20 groups, refused before any is made
 
 
 def test_count_groups_refuses_huge_counts_without_computing_them():

