@@ -2,12 +2,12 @@
 
 Every file is json.dumps(obj, indent=2) and a newline, with LF line ends on
 every platform, fields in a fixed order, written piece by piece by one
-writer. Records that recur in a file, the sections of each transcript round
-and the blocks of a scheme, are filled from a template that the writer
-renders once from a prototype record, one % fill per record whose slots take
-their entries' JSON texts.
-Integers of magnitude >= 2^53 are decimal strings so JSON consumers with
-double-precision parsers cannot lose digits. The writer alone defines the
+writer. Integers of magnitude >= 2^53 are decimal strings so JSON consumers
+with double-precision parsers cannot lose digits. Records that recur in a
+file, the blocks of a scheme and the sections of each transcript round, are
+% fills of a template that the writer renders once per file, one fill rule
+per q (_Template). A transcript round is one record: its fixed text,
+rendered once, around four section fills. The writer alone defines the
 scheme format: the loader decodes a scheme file's text leniently, then
 compares the text, piece by piece, with what save_scheme writes for the
 decoded scheme. So a scheme file loads iff re-saving it gives the same bytes.
@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from collections.abc import Iterator
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from json.encoder import encode_basestring_ascii
 from math import comb
 
@@ -69,15 +70,15 @@ def _write_text(obj, write, pad: str = ""):
     """Pass the text of json.dumps(obj, indent=2), at indentation pad, to write in pieces.
 
     A list may also be an iterator, drawn as it is written, and any value a
-    function of the indentation that gives its text (a _Template record). A
-    list of scalars is one piece, made by one join.
+    function that writes its own text, called as value(write, pad) (a list of
+    template records). A list of scalars is one piece, made by one join.
     """
     inner = pad + "  "
     if isinstance(obj, list) and all(isinstance(x, _SCALARS) for x in obj):
         texts = list(map(_scalar_text, obj))
         write("[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]" if texts else "[]")
     elif callable(obj):
-        write(obj(pad))
+        obj(write, pad)
     elif isinstance(obj, (dict, list, tuple, Iterator)):
         is_dict = isinstance(obj, dict)
         opener, closer = "{}" if is_dict else "[]"
@@ -91,61 +92,76 @@ def _write_text(obj, write, pad: str = ""):
         write(_scalar_text(obj))
 
 
+def _text(obj, pad: str) -> str:
+    """The text of json.dumps(obj, indent=2) at indentation pad, as the writer makes it."""
+    pieces = []
+    _write_text(obj, pieces.append, pad)
+    return "".join(pieces)
+
+
 # Marks a slot in a template's prototype: no record holds this string, and
 # the writer renders it as the text _SLOT_TEXT.
 _SLOT = "\0"
 _SLOT_TEXT = encode_basestring_ascii(_SLOT)
-
-
-# Most entries below 2^53 that a record with larger ones puts back bare, one
-# str.replace of its text each; past about four, per-entry texts cost less.
-_FEW_BARE = 4
+# 10^1 .. 10^18: an int64 x >= 0 has 1 + (the count of these <= x) digits.
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
 class _Template:
-    """A record layout that recurs in a file: the writer renders it once, and each record is one % fill.
+    """A record layout that recurs in a list: the writer renders it once, and a record costs only its % fill.
 
     The prototype is the record's object with _SLOT wherever records differ,
-    head slots (small ints) first, then residue slots. Its text, rendered by
-    _write_text at the records' indentation, has a %s in each slot; a record
-    whose residues are all below 2^53 fills it from tolist(). A second text
-    quotes the residue slots, "%d", and fills a record with entries from 2^53
-    on. Each of its few entries below 2^53 is then put back bare by replacing
-    "x" with x, which is exact: the prototype holds no quoted run of digits,
-    so only a residue slot can. A record with more such entries fills the
-    first text from per-entry texts: an int below 2^53, a quoted decimal from
-    2^53 on. Either way each slot holds its entry's JSON text.
+    head slots (small ints) first, then residue slots, whose entries are
+    residues of q, in [0, q-1]. Its text, rendered by _write_text at the
+    records' indentation, has a %s in each slot, quoted, "%s", in each
+    residue slot if q > 2^53. At q <= 2^53 every residue is below 2^53, so a
+    record is just that text % (head, residues). Above 2^53 a record fills
+    the quoted text once, then drops the quotes around each of its entries
+    below 2^53. Their offsets are counted back from the record's end: the
+    fixed text after each slot, measured unescaped, plus the widths of the
+    entries after it, each its digit count (one searchsorted over powers of
+    ten) and two quotes. Either way each slot holds its entry's JSON text,
+    as _enc_int gives it.
     """
 
-    def __init__(self, prototype):
-        self.prototype = prototype
-        self.pad = self.text = self.quoted = None
+    def __init__(self, prototype, q: int):
+        self.prototype, self.quoted = prototype, q > _JSON_SAFE
+        self.pad = None
 
-    def record(self, residues: np.ndarray, head: tuple = ()):
-        """The record whose slots hold the ints of head, then the entries of a 1-D residue array."""
-        return partial(self._fill, head=head, residues=residues)
-
-    def _fill(self, pad: str, head: tuple, residues: np.ndarray) -> str:
+    def fill(self, pad: str, head: tuple, residues: np.ndarray) -> str:
+        """The text, at indentation pad, of the record whose slots hold the ints of head, then the entries of a 1-D residue array."""
         if pad != self.pad:
-            pieces = []
-            _write_text(self.prototype, pieces.append, pad)
-            parts = "".join(pieces).replace("%", "%%").split(_SLOT_TEXT)
-            slots = ["%s"] * len(head) + ['"%d"'] * (len(parts) - 1 - len(head))
-            self.pad, self.text = pad, "%s".join(parts)
-            self.quoted = "".join(part + slot for part, slot in zip(parts, slots)) + parts[-1]
-        values = residues.tolist()
-        if not values or residues.max() < _JSON_SAFE:
-            return self.text % (*head, *values)
-        bare = np.flatnonzero(residues < _JSON_SAFE).tolist()
-        if len(bare) <= _FEW_BARE:
-            text = self.quoted % (*head, *values)
-            for x in {values[i] for i in bare}:
-                text = text.replace(f'"{x}"', str(x))
+            text = _text(self.prototype, pad)
+            if self.quoted:  # the length of the fixed text after each residue slot, to the record's end
+                marks = np.fromiter((m.end() for m in re.finditer(re.escape(_SLOT_TEXT), text)), np.int64)[len(head) :]
+                self.after = len(text) - marks - len(_SLOT_TEXT) * np.arange(len(marks))[::-1]
+            text = text.replace("%", "%%").replace(_SLOT_TEXT, "%s", len(head))
+            self.pad, self.text = pad, text.replace(_SLOT_TEXT, '"%s"' if self.quoted else "%s")
+        text = self.text % (*head, *residues.tolist())
+        if not self.quoted:
             return text
-        texts = [f'"{x}"' for x in values]
-        for i in bare:
-            texts[i] = values[i]
-        return self.text % (*head, *texts)
+        bare = np.flatnonzero(residues < _JSON_SAFE)
+        if not len(bare):
+            return text
+        widths = np.searchsorted(_POWERS_OF_TEN, residues, side="right") + 3  # digits and two quotes
+        total = widths.cumsum()
+        ends = total[bare] + (len(text) - total[-1]) - self.after[bare]  # past each closing quote
+        chars = np.frombuffer(text.encode("ascii"), np.uint8)
+        kept = np.ones(len(chars), bool)
+        kept[ends - widths[bare]] = kept[ends - 1] = False
+        return str(chars[kept], "ascii")
+
+    def records(self, items):
+        """The list of records, one per (head, residues) that items yields, as a value the writer calls."""
+
+        def write_list(write, pad: str):
+            inner, opener = pad + "  ", "[\n"
+            for head, residues in items:
+                write(opener + inner + self.fill(inner, head, residues))
+                opener = ",\n"
+            write("[]" if opener == "[\n" else "\n" + pad + "]")
+
+        return write_list
 
 
 def _dec_provenance(v):
@@ -163,15 +179,15 @@ def _scheme_file(s: PrecodingScheme) -> dict:
     L, L_S = s.dims.L, s.dims.L_S
     members, users = scheme_mod._members(s.cfg.U, s.cfg.V, s.cfg.G).tolist(), all_users(s.cfg.U, s.cfg.V)
     matrix = {"rows": L, "cols": L_S, "data": [_SLOT] * L * L_S}
-    block = _Template({"group_index": _SLOT, "user": [_SLOT, _SLOT], "matrix": matrix})
+    block = _Template({"group_index": _SLOT, "user": [_SLOT, _SLOT], "matrix": matrix}, s.cfg.field.modulus)
     return {
         "format_version": FORMAT_VERSION,
         "prng_id": linalg.PRNG_ID,
         "cfg": {"U": s.cfg.U, "V": s.cfg.V, "G": s.cfg.G, "q": _enc_int(s.cfg.field.modulus)},
         "dims": {"regime": s.dims.regime.value, "L": L, "L_S": L_S},
         "group_order": [[list(users[i]) for i in grp] for grp in members],
-        "blocks": (
-            block.record(data.reshape(-1), (g_idx, *users[i]))
+        "blocks": block.records(
+            ((g_idx, *users[i]), data.reshape(-1))
             for g_idx, grp in enumerate(members)
             for i, data in zip(grp, s.encoding.reshape(-1, L, len(members), L_S)[grp, :, g_idx])
         ),
@@ -411,7 +427,7 @@ def cmd_build(args) -> int:
     cfg = _cfg_from_args(args, q=args.q)
     require_feasible(cfg)  # before any count, as in rates
     # E has UV*L x C(UV,G)*L_S entries. The group count comes first: once it
-    # fits 64 bits, the regime's binomials are cheap.
+    # is at most 2^63 - 1, the regime's binomials are cheap.
     n_groups = count_groups(cfg.U, cfg.V, cfg.G)
     dims = classify_regime(cfg)
     _check_entries(cfg.U * cfg.V * dims.L * n_groups * dims.L_S, "the encoding matrix")
@@ -452,25 +468,34 @@ def cmd_simulate(args) -> int:
     correct = int(np.count_nonzero(batch.correct))
     print(f"correct rounds: {correct}/{args.rounds}")
     if args.out:
-        # Each round section is one record of its template, filled from the
-        # batch's arrays (users' row blocks in canonical order, relays' row
-        # blocks, the sum) and written before the next: neither the whole text
-        # nor a list of rounds is held.
-        L = s.dims.L
-        users = _Template([{"user": list(u), "data": [_SLOT] * L} for u in all_users(s.cfg.U, s.cfg.V)])
-        relays = _Template([{"relay": u, "data": [_SLOT] * L} for u in range(1, s.cfg.U + 1)])
-        decoded = _Template([_SLOT] * L)
-        rounds = (
-            {
-                "inputs": users.record(batch.inputs[:, r]),
-                "user_messages": users.record(batch.user_messages[:, r]),
-                "relay_messages": relays.record(batch.relay_messages[:, r]),
-                "decoded_sum": decoded.record(batch.decoded_sum[:, r]),
-            }
-            for r in range(args.rounds)
-        )
+        # A round is one record: its fixed text, rendered once, around four
+        # section fills read from column r of the batch's arrays (users' row
+        # blocks in canonical order, relays' row blocks, the sum), each written
+        # before the next: neither the whole text, nor a list of rounds, nor
+        # more than one section's values and text is held.
+        L, q = s.dims.L, s.cfg.field.modulus
+        users = _Template([{"user": list(u), "data": [_SLOT] * L} for u in all_users(s.cfg.U, s.cfg.V)], q)
+        relays = _Template([{"relay": u, "data": [_SLOT] * L} for u in range(1, s.cfg.U + 1)], q)
+        sections = {
+            "inputs": (users, batch.inputs),
+            "user_messages": (users, batch.user_messages),
+            "relay_messages": (relays, batch.relay_messages),
+            "decoded_sum": (_Template([_SLOT] * L, q), batch.decoded_sum),
+        }
+
+        def write_rounds(write, pad: str):
+            inner, opener = pad + "  ", "[\n"
+            section_pad = inner + "  "
+            head, *tails = _text(dict.fromkeys(sections, _SLOT), inner).split(_SLOT_TEXT)
+            for r in range(args.rounds):
+                write(opener + inner + head)
+                for (template, a), tail in zip(sections.values(), tails):
+                    write(template.fill(section_pad, (), a[:, r]) + tail)
+                opener = ",\n"
+            write("[]" if opener == "[\n" else "\n" + pad + "]")
+
         header = {"format_version": FORMAT_VERSION, "prng_id": linalg.PRNG_ID, "seed": _enc_int(args.seed)}
-        _write_json(args.out, {**header, "rounds": rounds})
+        _write_json(args.out, {**header, "rounds": write_rounds})
         print(f"transcripts written to {args.out}")
     return EXIT_OK if correct == args.rounds else EXIT_FAILED
 

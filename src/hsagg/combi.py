@@ -19,7 +19,7 @@ class BadGroupSize(ValueError):
 
 
 class CountOverflow(OverflowError):
-    """Raised when a binomial count does not fit in 64 bits."""
+    """Raised when a binomial count exceeds 2^63 - 1, the largest int64 member index."""
 
 
 def all_users(U: int, V: int) -> list[tuple[int, int]]:
@@ -48,13 +48,13 @@ def huge_count(U: int, V: int, G: int) -> bool:
 
 
 def count_groups(U: int, V: int, G: int) -> int:
-    """C(UV, G), the number of groups; CountOverflow past 64 bits, or at once for a huge_count."""
+    """C(UV, G), the number of groups; CountOverflow above 2^63 - 1, or at once for a huge_count."""
     if G < 1 or G > U * V:
         raise BadGroupSize(f"G must be in [1, {U * V}], got {G}")
     if huge_count(U, V, G):
-        raise CountOverflow(f"C({U * V},{G}) exceeds 64 bits")
+        raise CountOverflow(f"C({U * V},{G}) exceeds 2^63 - 1")
     count = math.comb(U * V, G)
     if count > _COUNT_MAX:
-        raise CountOverflow(f"C({U * V},{G}) = {count} exceeds 64 bits")
+        raise CountOverflow(f"C({U * V},{G}) = {count} exceeds 2^63 - 1")
     return count
 

@@ -514,9 +514,11 @@ def test_build_count_overflow_is_a_usage_error(tmp_path, capsys):
         # C(64,5) = 7,624,512 groups fit 64 bits, but E would have about 10^16 entries.
         (("8", "8", "5"), "error: the encoding matrix would have "),
         # C(9,000,000, 200,000) is refused before it is computed.
-        (("3000", "3000", "200000"), "error: C(9000000,200000) exceeds 64 bits"),
+        (("3000", "3000", "200000"), "error: C(9000000,200000) exceeds 2^63 - 1"),
+        # C(67,33) is below 2^64, but above 2^63 - 1, the largest int64 member index.
+        (("67", "1", "33"), "error: C(67,33) = 14226520737620288370 exceeds 2^63 - 1\n"),
     ],
-    ids=["encoding-entries", "group-count"],
+    ids=["encoding-entries", "group-count", "group-count-below-2-64"],
 )
 def test_oversized_build_is_refused_before_enumeration(config, message, tmp_path, capsys, monkeypatch):
     def reached(*args):
@@ -921,46 +923,54 @@ def test_writer_text_is_json_dumps_indent_2(value):
 @given(st.lists(st.integers(0, (1 << 63) - 1) | st.integers(JSON_SAFE - 2, JSON_SAFE + 1)))
 def test_writer_renders_residue_arrays_as_enc_int_does(entries):
     # A template record's residues are written entry by entry as _enc_int gives them: a decimal
-    # string from 2^53 on.
+    # string from 2^53 on. The entries reach 2^63 - 1, so the template's q is above 2^53.
     array = np.array(entries, dtype=np.int64)
-    template = cli._Template({"data": [cli._SLOT] * len(entries)})
-    expected = canonical_text({"k": {"data": [cli._enc_int(x) for x in entries]}})
-    assert written_text({"k": template.record(array)}) == expected
+    template = cli._Template({"data": [cli._SLOT] * len(entries)}, 1 << 63)
+    expected = canonical_text({"k": [{"data": [cli._enc_int(x) for x in entries]}]})
+    assert written_text({"k": template.records([((), array)])}) == expected
+
+
+# Each digit count's first and last value, 10^k and 10^k - 1, up to 19 digits.
+DIGIT_EDGES = sorted({*(10**k for k in range(19)), *(10**k - 1 for k in range(19))})
+HEADS = st.sampled_from([0, 1, 9, 10, 99, 100, 999]) | st.integers(0, 999)
 
 
 @st.composite
 def template_records(draw):
-    """(template, head, residue arrays, their objects): two records of a scheme block or of transcript users.
+    """(template, head, records): two records of a scheme block or of a transcript section.
 
-    q is above 2^53. Each record holds a drawn number of entries below 2^53
-    (all, none or any count between, so both ways of putting them back bare
-    run), from a few values each side of 2^53, so values repeat; the bare ones
-    include 0, 2^53 - 1 and the head's values, the quoted ones 2^53 and q - 1.
+    Each record is (residue array, the object it stands for). q is below or
+    above 2^53. Above it, each record holds any number of entries below
+    2^53, from none to all; below it, all of them are. The entries come from
+    the digit-count edges 10^k - 1 and 10^k, from 2^53 - 1, 2^53 and q - 1
+    (those below q), or from anywhere below q, so values repeat. A head
+    entry has one to three digits.
     """
-    q = draw(st.sampled_from([9_007_199_254_740_997, 18_014_398_509_482_143, (1 << 61) - 1]))
+    q = draw(st.sampled_from([5, (1 << 31) - 1, 9_007_199_254_740_881, 9_007_199_254_740_997, 18_014_398_509_482_143, (1 << 61) - 1]))
+    edges = [x for x in (*DIGIT_EDGES, JSON_SAFE - 1, JSON_SAFE, q - 1) if x < q]
+    below = st.sampled_from([x for x in edges if x < JSON_SAFE]) | st.integers(0, min(q, JSON_SAFE) - 1)
+    above = st.sampled_from([x for x in edges if x >= JSON_SAFE]) | st.integers(JSON_SAFE, q - 1) if q > JSON_SAFE else None
     if draw(st.booleans()):  # a scheme block: group_index and user are head slots
-        head = (draw(st.integers(0, 20)), draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+        head = (draw(HEADS), draw(HEADS), draw(HEADS))
         rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
         matrix = {"rows": rows, "cols": cols, "data": [cli._SLOT] * rows * cols}
-        template = cli._Template({"group_index": cli._SLOT, "user": [cli._SLOT, cli._SLOT], "matrix": matrix})
+        template = cli._Template({"group_index": cli._SLOT, "user": [cli._SLOT, cli._SLOT], "matrix": matrix}, q)
         n = rows * cols
 
         def obj(data):
             return {"group_index": head[0], "user": list(head[1:]), "matrix": {**matrix, "data": data}}
     else:  # a transcript section of every user's row block
         head, users, L = (), all_users(draw(st.integers(1, 3)), draw(st.integers(1, 3))), draw(st.integers(1, 5))
-        template = cli._Template([{"user": list(u), "data": [cli._SLOT] * L} for u in users])
+        template = cli._Template([{"user": list(u), "data": [cli._SLOT] * L} for u in users], q)
         n = len(users) * L
 
         def obj(data):
             return [{"user": list(u), "data": data[i * L : (i + 1) * L]} for i, u in enumerate(users)]
-    bare = draw(st.lists(st.sampled_from([0, JSON_SAFE - 1, *head]) | st.integers(0, JSON_SAFE - 1), min_size=1, max_size=8))
-    quoted = draw(st.lists(st.sampled_from([JSON_SAFE, q - 1]) | st.integers(JSON_SAFE, q - 1), min_size=1, max_size=8))
     records = []
     for _ in range(2):
-        n_bare = draw(st.sampled_from([0, n]) | st.integers(0, n))
-        kinds = draw(st.permutations([bare] * n_bare + [quoted] * (n - n_bare)))
-        entries = [draw(st.sampled_from(values)) for values in kinds]
+        n_below = draw(st.sampled_from([0, n]) | st.integers(0, n)) if q > JSON_SAFE else n
+        kinds = draw(st.permutations([below] * n_below + [above] * (n - n_below)))
+        entries = [draw(values) for values in kinds]
         records.append((np.array(entries, dtype=np.int64), obj([cli._enc_int(x) for x in entries])))
     return template, head, records
 
@@ -968,9 +978,9 @@ def template_records(draw):
 @settings(max_examples=300, deadline=None)
 @given(template_records())
 def test_template_records_with_quoted_residues_render_as_enc_int_does(args):
-    # Two records of one template in a list, so the second fill reuses the rendered texts.
+    # Two records of one template in a list, so the second fill reuses the rendered text.
     template, head, records = args
-    written = written_text({"k": [template.record(array, head) for array, _ in records]})
+    written = written_text({"k": template.records([(head, array) for array, _ in records])})
     assert written == canonical_text({"k": [record for _, record in records]})
 
 
@@ -1050,23 +1060,48 @@ def test_simulate_writes_zero_and_one_rounds(rounds, tmp_path, capsys):
 
 
 def test_simulate_writes_round_by_round(tmp_path, capsys, monkeypatch):
-    # 100 rounds at (3,3,6)@2^61-1 are 6.5 MB of text; the writer holds about one round's worth.
-    cfg = ProblemConfig(3, 3, 6, make_field((1 << 61) - 1))
-    s = sample_zero_sum_scheme(cfg, seed=1)
-    batch = cli.protocol.run_rounds(s, 0, 100)
+    # 100 rounds at (3,3,6) are 6.5 MB of text at q = 2^61-1 and 3.8 MB at q = 2^31-1; the
+    # writer holds about one round's worth.
+    for q, size in (((1 << 61) - 1, 6_000_000), ((1 << 31) - 1, 3_500_000)):
+        s = sample_zero_sum_scheme(ProblemConfig(3, 3, 6, make_field(q)), seed=1)
+        batch = cli.protocol.run_rounds(s, 0, 100)
+        monkeypatch.setattr(cli, "load_scheme", lambda path: s)
+        monkeypatch.setattr(cli.protocol, "run_rounds", lambda *args: batch)
+        out = tmp_path / f"t{q}.json"
+        tracemalloc.start()
+        try:
+            assert run(["simulate", "s.json", "--rounds", "100", "--out", str(out)]) == EXIT_OK
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        round_text = out.stat().st_size / 100
+        assert out.stat().st_size > size
+        assert peak < 4 * round_text, (q, peak / round_text)
+
+
+def test_simulate_round_is_one_record_of_four_section_fills(tmp_path, capsys, monkeypatch):
+    # A round's fixed text is rendered once per file, so more rounds cost more section fills
+    # (four a round) and no more than one writer call a round.
+    s = sample_zero_sum_scheme(ProblemConfig(2, 2, 2, make_field(5)), seed=1)
     monkeypatch.setattr(cli, "load_scheme", lambda path: s)
-    monkeypatch.setattr(cli.protocol, "run_rounds", lambda *args: batch)
-    out = tmp_path / "t.json"
-    tracemalloc.start()
-    try:
-        assert run(["simulate", "s.json", "--rounds", "100", "--out", str(out)]) == EXIT_OK
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    calls = {"_write_text": 0, "fill": 0}
+
+    def counted(name, f):
+        return lambda *args: calls.__setitem__(name, calls[name] + 1) or f(*args)
+
+    monkeypatch.setattr(cli, "_write_text", counted("_write_text", cli._write_text))
+    monkeypatch.setattr(cli._Template, "fill", counted("fill", cli._Template.fill))
+    counts = {}
+    for rounds in (10, 100):
+        calls.update(dict.fromkeys(calls, 0))
+        out = tmp_path / f"t{rounds}.json"
+        assert run(["simulate", "s.json", "--rounds", str(rounds), "--out", str(out)]) == EXIT_OK
+        counts[rounds] = dict(calls)
     capsys.readouterr()
-    round_text = out.stat().st_size / 100
-    assert out.stat().st_size > 6_000_000
-    assert peak < 4 * round_text, peak / round_text
+    assert counts[10]["fill"] == 4 * 10 and counts[100]["fill"] == 4 * 100
+    assert counts[100]["_write_text"] - counts[10]["_write_text"] <= 90, counts
+    assert out.read_text() == canonical_text(reference_transcripts(s, 0, 100))
 
 
 def test_rates_computes_the_security_fractions_once(capsys, monkeypatch):
