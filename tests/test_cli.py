@@ -1088,7 +1088,11 @@ def test_simulate_round_is_one_record_of_four_section_fills(tmp_path, capsys, mo
     calls = {"_write_text": 0, "fill": 0}
 
     def counted(name, f):
-        return lambda *args: calls.__setitem__(name, calls[name] + 1) or f(*args)
+        def call(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return call
 
     monkeypatch.setattr(cli, "_write_text", counted("_write_text", cli._write_text))
     monkeypatch.setattr(cli._Template, "fill", counted("fill", cli._Template.fill))
