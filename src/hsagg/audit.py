@@ -303,7 +303,7 @@ def entropy_oracle_server(s: PrecodingScheme, cap: int) -> OracleResult:
     states are within the cap; its q^rows outputs are then too, as rows <= cols.
     """
     cfg = s.cfg
-    _check_caps(cfg.field.modulus, cap, scheme_mod.cross_relay_columns(cfg.U, cfg.V, cfg.G, s.dims.L_S).size)
+    _check_caps(cfg.q, cap, scheme_mod.cross_relay_columns(cfg.U, cfg.V, cfg.G, s.dims.L_S).size)
     return _oracle_from_matrix(*scheme_mod.gate(s, None), cap)
 
 
@@ -347,7 +347,7 @@ def full_audit(
     for u, m, target in scheme_mod.gates(s):
         ranked = m
         if u is None and not zero_sum:
-            ranked = linalg.from_array(s.cfg.field, scheme_mod._relay_sums(s, s.encoding))
+            ranked = linalg.from_array(s.cfg.q, scheme_mod._relay_sums(s, s.encoding))
         ranks[u] = RankCheck(target, linalg.rank(ranked))
         oracles[u] = _oracle_result(m, target, oracle_cap)
         del m, ranked  # not alive next to the next gate's matrix

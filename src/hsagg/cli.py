@@ -19,7 +19,6 @@ import argparse
 import json
 import re
 import sys
-from collections.abc import Iterator
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii
@@ -29,7 +28,6 @@ import numpy as np
 
 from . import audit, linalg, protocol, scheme as scheme_mod
 from .combi import CountOverflow, all_users, count_groups, huge_count
-from .gf import NotPrime, make_field
 from .rates import Infeasible, ProblemConfig, classify_regime, optimal_rates, require_feasible, security_fractions
 from .scheme import ConstructionFailed, PrecodingScheme
 
@@ -69,9 +67,9 @@ def _scalar_text(x) -> str:
 def _write_text(obj, write, pad: str = ""):
     """Pass the text of json.dumps(obj, indent=2), at indentation pad, to write in pieces.
 
-    A list may also be an iterator, drawn as it is written, and any value a
-    function that writes its own text, called as value(write, pad) (a list of
-    template records). A list of scalars is one piece, made by one join.
+    Any value may also be a function that writes its own text, called as
+    value(write, pad) (a list of template records). A list of scalars is one
+    piece, made by one join.
     """
     inner = pad + "  "
     if isinstance(obj, list) and all(isinstance(x, _SCALARS) for x in obj):
@@ -79,7 +77,7 @@ def _write_text(obj, write, pad: str = ""):
         write("[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]" if texts else "[]")
     elif callable(obj):
         obj(write, pad)
-    elif isinstance(obj, (dict, list, tuple, Iterator)):
+    elif isinstance(obj, (dict, list)):
         is_dict = isinstance(obj, dict)
         opener, closer = "{}" if is_dict else "[]"
         head = opener + "\n" + inner
@@ -179,11 +177,11 @@ def _scheme_file(s: PrecodingScheme) -> dict:
     L, L_S = s.dims.L, s.dims.L_S
     members, users = scheme_mod._members(s.cfg.U, s.cfg.V, s.cfg.G).tolist(), all_users(s.cfg.U, s.cfg.V)
     matrix = {"rows": L, "cols": L_S, "data": [_SLOT] * L * L_S}
-    block = _Template({"group_index": _SLOT, "user": [_SLOT, _SLOT], "matrix": matrix}, s.cfg.field.modulus)
+    block = _Template({"group_index": _SLOT, "user": [_SLOT, _SLOT], "matrix": matrix}, s.cfg.q)
     return {
         "format_version": FORMAT_VERSION,
         "prng_id": linalg.PRNG_ID,
-        "cfg": {"U": s.cfg.U, "V": s.cfg.V, "G": s.cfg.G, "q": _enc_int(s.cfg.field.modulus)},
+        "cfg": {"U": s.cfg.U, "V": s.cfg.V, "G": s.cfg.G, "q": _enc_int(s.cfg.q)},
         "dims": {"regime": s.dims.regime.value, "L": L, "L_S": L_S},
         "group_order": [[list(users[i]) for i in grp] for grp in members],
         "blocks": block.records(
@@ -255,7 +253,7 @@ def scheme_from_text(text: str) -> PrecodingScheme:
         # a huge config in a small file is refused at once.
         if U * V > len(blocks):
             raise SchemeFileError(f"{len(blocks)} blocks cannot describe U*V = {U * V} users")
-        cfg = ProblemConfig(U, V, G, make_field(q))
+        cfg = ProblemConfig(U, V, G, q)
         dims = classify_regime(cfg)
         # Counted before the member index is made, so the work stays in
         # proportion to the file's size.
@@ -377,8 +375,8 @@ def _below_2_63(text: str) -> int:
 
 def _cfg_from_args(args, q: int) -> ProblemConfig:
     try:
-        return ProblemConfig(args.U, args.V, args.G, make_field(q))
-    except (NotPrime, ValueError) as exc:
+        return ProblemConfig(args.U, args.V, args.G, q)
+    except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
@@ -473,7 +471,7 @@ def cmd_simulate(args) -> int:
         # blocks in canonical order, relays' row blocks, the sum), each written
         # before the next: neither the whole text, nor a list of rounds, nor
         # more than one section's values and text is held.
-        L, q = s.dims.L, s.cfg.field.modulus
+        L, q = s.dims.L, s.cfg.q
         users = _Template([{"user": list(u), "data": [_SLOT] * L} for u in all_users(s.cfg.U, s.cfg.V)], q)
         relays = _Template([{"relay": u, "data": [_SLOT] * L} for u in range(1, s.cfg.U + 1)], q)
         sections = {

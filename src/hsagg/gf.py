@@ -1,4 +1,4 @@
-"""Arithmetic in the prime field GF(q) with canonical least-nonnegative residues."""
+"""The prime modulus q of GF(q): its one primality check, and the field a Mat carries."""
 
 from __future__ import annotations
 
@@ -13,19 +13,14 @@ class NotPrime(ValueError):
     """Raised when a requested modulus is composite or below 2."""
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """A prime field GF(q). Construct through make_field so primality is checked."""
-
-    modulus: int
-
-
-def make_field(q: int) -> FieldSpec:
-    """Return FieldSpec(q) for a prime q in [2, 2^61 - 1].
-
-    Primality is checked deterministically (sympy.isprime is exact for all
-    inputs this size).
-    """
+def check_prime(q: int):
+    """Raise NotPrime unless q is a prime in [2, 2^61 - 1] (sympy.isprime is exact at this size)."""
     if q < 2 or q > MAX_MODULUS or not sympy.isprime(q):
         raise NotPrime(f"modulus must be a prime in [2, 2^61-1], got {q}")
-    return FieldSpec(q)
+
+
+@dataclass(frozen=True)
+class FieldSpec:
+    """GF(q) as a Mat carries it; linalg.from_array makes it from a ProblemConfig's checked q."""
+
+    modulus: int

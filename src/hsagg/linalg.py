@@ -60,7 +60,7 @@ PRNG_ID = "numpy-pcg64"
 
 
 class DimensionMismatch(ValueError):
-    """Raised when operand shapes or fields are incompatible."""
+    """Raised when operand shapes are incompatible."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,13 +85,13 @@ class Mat:
         return self.array.shape[1]
 
 
-def from_array(field: FieldSpec, a: np.ndarray) -> Mat:
-    """A Mat over the field from an int64 array of residues.
+def from_array(q: int, a: np.ndarray) -> Mat:
+    """A Mat over GF(q) from an int64 array of residues.
 
     The array is made row-major, whatever layout numpy's column gathers
     return, so that every Mat has one layout.
     """
-    return Mat(field, np.ascontiguousarray(a))
+    return Mat(FieldSpec(q), np.ascontiguousarray(a))
 
 
 def sum_mod(a: np.ndarray, axis: int, q: int) -> np.ndarray:
@@ -547,7 +547,7 @@ def _word_groups(pairs: np.ndarray):
         rows, two = rows[~mine], two[~mine]
 
 
-def random_mats(rows: int, cols: int, field: FieldSpec, seeds) -> np.ndarray:
+def random_mats(rows: int, cols: int, q: int, seeds) -> np.ndarray:
     """Uniform random rows x cols int64 residues for each seed: an (n, rows, cols) array.
 
     seeds is an (n, k) array of flattened seeds (see seed_rows), each part
@@ -573,7 +573,7 @@ def random_mats(rows: int, cols: int, field: FieldSpec, seeds) -> np.ndarray:
     Streams are drawn in chunks of at most _CHUNK outputs, so the memory
     beyond the result stays bounded. Entries are exactly uniform on [0, q-1].
     """
-    q, size = field.modulus, rows * cols
+    size = rows * cols
     seeds = np.ascontiguousarray(seeds, dtype=np.uint64)
     if seeds.ndim != 2:
         raise DimensionMismatch("seeds must be a 2-dimensional array, one flattened seed per row")

@@ -46,7 +46,7 @@ def run(s: PrecodingScheme, w: np.ndarray, k: np.ndarray) -> Rounds:
     C(UV,G)*L_S x R (group g's key in rows g*L_S .. (g+1)*L_S - 1); both
     hold int64 residues.
     """
-    q, U, V, L = s.cfg.field.modulus, s.cfg.U, s.cfg.V, s.dims.L
+    q, U, V, L = s.cfg.q, s.cfg.U, s.cfg.V, s.dims.L
     if w.ndim != 2 or w.shape[1:] != k.shape[1:] or (len(w), len(k)) != s.encoding.shape:
         raise linalg.DimensionMismatch(
             f"inputs {w.shape} and keys {k.shape} do not fit the encoding matrix {s.encoding.shape}"
@@ -65,7 +65,7 @@ def run(s: PrecodingScheme, w: np.ndarray, k: np.ndarray) -> Rounds:
 
 def _columns(s: PrecodingScheme, rows: int, heads: np.ndarray, tails) -> np.ndarray:
     """Column r stacks the rows x 1 draws of the seeds (heads[r], *tail), in tail order."""
-    draws = linalg.random_mats(rows, 1, s.cfg.field, linalg.seed_rows(heads, tails))
+    draws = linalg.random_mats(rows, 1, s.cfg.q, linalg.seed_rows(heads, tails))
     return np.ascontiguousarray(draws.reshape(len(heads), len(tails) * rows).T)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .gf import FieldSpec
+from .gf import check_prime
 
 
 class Infeasible(ValueError):
@@ -27,14 +27,15 @@ class Regime(enum.Enum):
 
 @dataclass(frozen=True)
 class ProblemConfig:
-    """An instance: U relays, V users per relay, group size G, field GF(q)."""
+    """An instance: U relays, V users per relay, group size G, field GF(q) for a prime q."""
 
     U: int
     V: int
     G: int
-    field: FieldSpec
+    q: int
 
     def __post_init__(self):
+        check_prime(self.q)  # first: a config wrong in several ways reports its modulus
         if self.U < 2:
             raise ValueError(f"need U >= 2 relays, got {self.U}")
         if self.V < 1:

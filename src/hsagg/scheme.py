@@ -18,7 +18,6 @@ import numpy as np
 
 from . import linalg
 from .combi import all_users, count_groups
-from .gf import make_field
 from .linalg import Mat
 from .rates import ProblemConfig, SchemeDims, classify_regime
 
@@ -91,7 +90,7 @@ def _zero_sum_scheme(
     group order. The last member of every group receives the negated sum of
     the others.
     """
-    q, n_groups = cfg.field.modulus, len(blocks)
+    q, n_groups = cfg.q, len(blocks)
     e = _encoding_matrix(cfg, dims, blocks)
     completion = linalg.sum_mod(blocks, 1, q)
     np.negative(completion, out=completion)
@@ -116,7 +115,7 @@ _EXAMPLE1_MATRICES: dict[tuple[tuple[int, int], ...], list[list[int]]] = {
 
 def build_example1() -> PrecodingScheme:
     """The deterministic (U,V,G) = (2,2,2) scheme over GF(5) with L=5, L_S=2."""
-    cfg = ProblemConfig(2, 2, 2, make_field(5))
+    cfg = ProblemConfig(2, 2, 2, 5)
     users = all_users(2, 2)
     groups = [tuple(users[i] for i in grp) for grp in _members(2, 2, 2).tolist()]
     blocks = np.array([[_EXAMPLE1_MATRICES[grp]] for grp in groups], dtype=np.int64)
@@ -131,7 +130,7 @@ def build_example2() -> PrecodingScheme:
     bases to the power (u-1) + (v-1)*U + r. The last-indexed member of each group ((4,2) for
     i >= 2, (4,1) for i = 1) is completed to zero-sum.
     """
-    cfg = ProblemConfig(4, 2, 7, make_field(11))
+    cfg = ProblemConfig(4, 2, 7, 11)
     dims = classify_regime(cfg)
     U, users, blocks = cfg.U, all_users(cfg.U, cfg.V), []
     for g_idx, members in enumerate(_members(U, cfg.V, cfg.G).tolist()):
@@ -167,7 +166,7 @@ def _draws(cfg: ProblemConfig, seed: int, attempts: int):
     while k < attempts:
         n = min(size, most, attempts - k)
         heads = first + np.arange(k, k + n, dtype=np.uint64)[:, None]  # uint64 sums wrap mod 2^64
-        blocks = linalg.random_mats(dims.L, dims.L_S, cfg.field, linalg.seed_rows(heads, index))
+        blocks = linalg.random_mats(dims.L, dims.L_S, cfg.q, linalg.seed_rows(heads, index))
         for i, attempt in enumerate(blocks.reshape(n, *shape)):
             provenance = {"construction": "random", "seed": seed, "prng_id": linalg.PRNG_ID, "retries_used": k + i}
             yield _zero_sum_scheme(cfg, dims, attempt, provenance)
@@ -208,7 +207,7 @@ def attempt_failure_bound(cfg: ProblemConfig, dims: SchemeDims) -> Fraction:
     (U*V*L + (U-1)*L) / q (Schwartz 1980; Zippel 1979, and a union bound).
     At 1 or more the bound says nothing.
     """
-    return Fraction(cfg.U * cfg.V * dims.L + (cfg.U - 1) * dims.L, cfg.field.modulus)
+    return Fraction(cfg.U * cfg.V * dims.L + (cfg.U - 1) * dims.L, cfg.q)
 
 
 def build_random(cfg: ProblemConfig, seed: int, max_retries: int = DEFAULT_MAX_RETRIES) -> PrecodingScheme:
@@ -238,7 +237,7 @@ def assemble_relay_matrix(s: PrecodingScheme, u: int) -> Mat:
         raise ValueError(f"relay index {u} outside [1, {s.cfg.U}]")
     height = s.cfg.V * s.dims.L
     rows = s.encoding[(u - 1) * height : u * height]
-    return linalg.from_array(s.cfg.field, rows[:, _relay_columns(s.cfg.U, s.cfg.V, s.cfg.G, u, s.dims.L_S)])
+    return linalg.from_array(s.cfg.q, rows[:, _relay_columns(s.cfg.U, s.cfg.V, s.cfg.G, u, s.dims.L_S)])
 
 
 @lru_cache(maxsize=64)
@@ -253,13 +252,13 @@ def _relay_sums(s: PrecodingScheme, rows: np.ndarray) -> np.ndarray:
     """The mod-q sum of each relay's V user row blocks, for rows of E that cover whole relays."""
     V, L, cols = s.cfg.V, s.dims.L, rows.shape[1]
     per_user = rows.reshape(rows.shape[0] // (V * L), V, L, cols)
-    return linalg.sum_mod(per_user, 1, s.cfg.field.modulus).reshape(-1, cols)
+    return linalg.sum_mod(per_user, 1, s.cfg.q).reshape(-1, cols)
 
 
 def check_zero_sum(s: PrecodingScheme) -> bool:
     """Exact check that every group's member blocks sum to the zero matrix."""
     per_user = s.encoding.reshape(-1, s.dims.L, s.encoding.shape[1])
-    return not linalg.sum_mod(per_user, 0, s.cfg.field.modulus).any()
+    return not linalg.sum_mod(per_user, 0, s.cfg.q).any()
 
 
 @lru_cache(maxsize=64)
@@ -283,4 +282,4 @@ def server_matrix(s: PrecodingScheme) -> Mat:
     """
     U, V, L = s.cfg.U, s.cfg.V, s.dims.L
     columns = cross_relay_columns(U, V, s.cfg.G, s.dims.L_S)
-    return linalg.from_array(s.cfg.field, _relay_sums(s, s.encoding[: (U - 1) * V * L, columns]))
+    return linalg.from_array(s.cfg.q, _relay_sums(s, s.encoding[: (U - 1) * V * L, columns]))

@@ -22,7 +22,7 @@ def _keygen(s, seed):
     round i of protocol.run_rounds(s, seed, R) are keygen(s, (seed, 2i + 1)).
     """
     groups = np.arange(s.encoding.shape[1] // s.dims.L_S)[:, None]
-    return linalg.random_mats(s.dims.L_S, 1, s.cfg.field, linalg.seed_rows(seed, groups)).reshape(-1, 1)
+    return linalg.random_mats(s.dims.L_S, 1, s.cfg.q, linalg.seed_rows(seed, groups)).reshape(-1, 1)
 
 
 @pytest.fixture(scope="session")

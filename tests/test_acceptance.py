@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from hsagg import audit, cli, linalg, protocol, scheme
-from hsagg.gf import make_field
 from hsagg.rates import (
     Infeasible,
     ProblemConfig,
@@ -54,7 +53,7 @@ def report(n: int, name: str, ok: bool):
 
 def oracle_computable(cfg: ProblemConfig) -> bool:
     dims = classify_regime(cfg)
-    q = cfg.field.modulus
+    q = cfg.q
     groups = enumerate_groups(cfg.U, cfg.V, cfg.G)
     t_max = max(sum(any(m[0] == u for m in grp) for grp in groups) for u in range(1, cfg.U + 1))
     c_x = sum(len({m[0] for m in grp}) >= 2 for grp in groups)
@@ -69,19 +68,18 @@ def gate_check(s, u=None):
 
 def test_criterion_1_rate_region():
     ok = True
-    r1 = optimal_rates(ProblemConfig(2, 2, 2, make_field(5)))
+    r1 = optimal_rates(ProblemConfig(2, 2, 2, 5))
     ok &= (r1.r_x, r1.r_y, r1.r_s) == (Fraction(1), Fraction(1), Fraction(2, 5))
-    r2 = optimal_rates(ProblemConfig(4, 2, 7, make_field(11)))
+    r2 = optimal_rates(ProblemConfig(4, 2, 7, 11))
     ok &= (r2.r_x, r2.r_y, r2.r_s) == (Fraction(1), Fraction(1), Fraction(3, 8))
     report(1, "rate region reproduction", ok)
 
 
 def test_criterion_2_infeasibility(capsys):
     ok = True
-    f = make_field(2)
     for U in range(2, 6):
         for V in range(1, 5):
-            cfg = ProblemConfig(U, V, 1, f)
+            cfg = ProblemConfig(U, V, 1, 2)
             try:
                 require_feasible(cfg)
                 ok = False
@@ -134,10 +132,9 @@ def test_criterion_5_oracle_equivalence():
     ok = True
     checked = 0
     for q in (2, 3):
-        f = make_field(q)
         for U, V in itertools.product((2, 3), (1, 2, 3)):
             for G in range(2, U * V + 1):
-                cfg = ProblemConfig(U, V, G, f)
+                cfg = ProblemConfig(U, V, G, q)
                 if not oracle_computable(cfg):
                     continue
                 s = build_random(cfg, seed=0, max_retries=500)
@@ -168,11 +165,10 @@ def test_criterion_5_oracle_equivalence():
 def test_criterion_6_random_construction():
     start = time.process_time()
     ok = True
-    f = make_field(BIG_Q)
     for U in (2, 3):
         for V in (1, 2, 3):
             for G in range(2, min(U * V, 6) + 1):
-                cfg = ProblemConfig(U, V, G, f)
+                cfg = ProblemConfig(U, V, G, BIG_Q)
                 for seed in range(10):
                     try:
                         s = build_random(cfg, seed=seed, max_retries=2)
@@ -200,13 +196,13 @@ def _zero_cross_family(s, user):
 
 def _mutate_zero_sum_preserving(s, seed):
     """Change one entry of one non-dependent block in a copy of E, then re-complete the group."""
-    picks = linalg.random_mats(1, 4, make_field(2147483647), linalg.seed_rows(seed, [[555]]))
+    picks = linalg.random_mats(1, 4, 2147483647, linalg.seed_rows(seed, [[555]]))
     g_pick, m_pick, r_pick, c_pick = picks[0, 0]
     groups = enumerate_groups(s.cfg.U, s.cfg.V, s.cfg.G)
     g_idx = int(g_pick) % len(groups)
     grp = groups[g_idx]
     member = grp[int(m_pick) % (len(grp) - 1)]  # never the dependent (last)
-    q = s.cfg.field.modulus
+    q = s.cfg.q
     e = s.encoding.copy()
     a = e[block_slices(s.cfg, s.dims, g_idx, member)]
     r, c = int(r_pick) % s.dims.L, int(c_pick) % s.dims.L_S
@@ -245,9 +241,8 @@ def test_criterion_7_negative_controls():
     # must agree on every relay and on the server view
     mutations = 0
     for q in (2, 3):
-        f = make_field(q)
         for U, V, G in ((2, 1, 2), (2, 2, 2), (2, 2, 3)):
-            cfg = ProblemConfig(U, V, G, f)
+            cfg = ProblemConfig(U, V, G, q)
             for seed in range(5):
                 base = sample_zero_sum_scheme(cfg, seed)
                 m = _mutate_zero_sum_preserving(base, seed)
@@ -285,7 +280,7 @@ def test_criterion_8_rate_audit():
 def test_criterion_9_determinism(tmp_path, capsys, keygen):
     ok = True
     # byte-identical scheme files from two identical builds
-    cfg = ProblemConfig(2, 2, 2, make_field(BIG_Q))
+    cfg = ProblemConfig(2, 2, 2, BIG_Q)
     p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     cli.save_scheme(build_random(cfg, seed=11), p1)
     cli.save_scheme(build_random(cfg, seed=11), p2)

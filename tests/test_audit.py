@@ -19,7 +19,6 @@ from hsagg.audit import (
     mask_distribution,
     rate_audit,
 )
-from hsagg.gf import make_field
 from hsagg.linalg import from_array, rank
 from hsagg.rates import ProblemConfig, SchemeDims
 from hsagg.scheme import build_random
@@ -27,12 +26,12 @@ from reference import block_slices, enumerate_groups, sample_zero_sum_scheme
 
 CAP = 1 << 26
 Q61 = (1 << 61) - 1
-GF2 = make_field(2)
-GF3 = make_field(3)
+GF2 = 2
+GF3 = 3
 
 
-def zeros(field, rows, cols):
-    return from_array(field, np.zeros((rows, cols), dtype=np.int64))
+def zeros(q, rows, cols):
+    return from_array(q, np.zeros((rows, cols), dtype=np.int64))
 
 
 def narrowest(n):
@@ -79,7 +78,7 @@ def zero_group_recompleted(s, g_idx, member):
     grp = enumerate_groups(s.cfg.U, s.cfg.V, s.cfg.G)[g_idx]
     e[block_slices(s.cfg, s.dims, g_idx, member)] = 0
     others = sum(e[block_slices(s.cfg, s.dims, g_idx, m)] for m in grp[:-1])
-    e[block_slices(s.cfg, s.dims, g_idx, grp[-1])] = -others % s.cfg.field.modulus
+    e[block_slices(s.cfg, s.dims, g_idx, grp[-1])] = -others % s.cfg.q
     return replace(s, encoding=e)
 
 
@@ -149,7 +148,7 @@ def test_state_space_guard_is_exact():
     cap = 100
     for q, n in ((2, 6), (2, 7), (3, 4), (3, 5), (97, 1), (101, 1), (Q61, 1)):
         try:
-            mask_distribution(zeros(make_field(q), 1, n), cap)
+            mask_distribution(zeros(q, 1, n), cap)
             refused = False
         except StateSpaceTooLarge as exc:
             refused = True
@@ -175,7 +174,7 @@ def test_mask_distribution_matches_brute_force(data):
     left = data.draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=rows, max_size=rows))
     right = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=r, max_size=r))
     a = [[sum(left[i][k] * right[k][j] for k in range(r)) % q for j in range(cols)] for i in range(rows)]
-    states, tallies = mask_distribution(from_array(make_field(q), np.array(a, dtype=np.int64)), CAP)
+    states, tallies = mask_distribution(from_array(q, np.array(a, dtype=np.int64)), CAP)
     assert states == q**cols and tallies.dtype == narrowest(q**cols)
     assert tallies.tolist() == brute_force(a, q)
 
@@ -185,7 +184,7 @@ def test_mask_distribution_matches_brute_force(data):
 def test_mask_distribution_matches_brute_force_on_sparse_matrices(qa):
     """Sparse matrices split the tally into several factors; q^cols <= 3^8 keeps the Counter cheap."""
     q, a = qa
-    states, tallies = mask_distribution(from_array(make_field(q), a), CAP)
+    states, tallies = mask_distribution(from_array(q, a), CAP)
     assert states == q ** a.shape[1] and tallies.dtype == narrowest(states)
     assert tallies.tolist() == brute_force(a.tolist(), q)
 
@@ -196,8 +195,8 @@ def test_mask_distribution_ignores_column_order(qa, data):
     """Permuting the columns changes the order of the factors and merges, not a count."""
     q, a = qa
     order = data.draw(st.permutations(range(a.shape[1])), label="order")
-    states, tallies = mask_distribution(from_array(make_field(q), a), CAP)
-    permuted_states, permuted = mask_distribution(from_array(make_field(q), a[:, order]), CAP)
+    states, tallies = mask_distribution(from_array(q, a), CAP)
+    permuted_states, permuted = mask_distribution(from_array(q, a[:, order]), CAP)
     assert permuted_states == states and permuted.dtype == tallies.dtype
     assert permuted.tolist() == tallies.tolist()
 
@@ -239,11 +238,10 @@ def test_roll_is_np_roll_along_every_axis(data):
 def test_mask_distribution_cells_are_the_narrowest_exact_type(q, cols):
     """Each cell type boundary, on both single-row paths: a zero column multiplies the
     tally by q, and a nonzero one sets every cell to the tally's sum."""
-    field = make_field(q)
-    states, tallies = mask_distribution(zeros(field, 1, cols), q**cols)
+    states, tallies = mask_distribution(zeros(q, 1, cols), q**cols)
     assert states == q**cols and tallies.dtype == narrowest(q**cols)
     assert tallies.tolist() == [q**cols]
-    ones = from_array(field, np.ones((1, cols), dtype=np.int64))
+    ones = from_array(q, np.ones((1, cols), dtype=np.int64))
     states, tallies = mask_distribution(ones, q**cols)
     assert states == q**cols and tallies.dtype == narrowest(q**cols)
     assert tallies.tolist() == [q ** (cols - 1)] * q
@@ -270,7 +268,7 @@ def test_mask_distribution_counts_past_int64_exactly_over_two_factors():
 def test_mask_distribution_peak_memory_is_a_few_tallies():
     # 7x7 over GF(5): the dense tally has 5^7 cells, uint32 since 2^16 < 5^7 < 2^32.
     rng = np.random.default_rng(0)
-    m = from_array(make_field(5), rng.integers(0, 5, size=(7, 7), dtype=np.int64))
+    m = from_array(5, rng.integers(0, 5, size=(7, 7), dtype=np.int64))
     _, tallies, peak = traced_mask_distribution(m)
     assert tallies.dtype == np.uint32
     tally_bytes = tallies.itemsize * 5**7
@@ -280,7 +278,7 @@ def test_mask_distribution_peak_memory_is_a_few_tallies():
 def test_mask_distribution_returns_a_full_tally_without_copying_it():
     # A full-rank 7x7 matrix over GF(5) attains every output, so the tally is the result.
     rng = np.random.default_rng(1)
-    m = from_array(make_field(5), rng.integers(0, 5, size=(7, 7), dtype=np.int64))
+    m = from_array(5, rng.integers(0, 5, size=(7, 7), dtype=np.int64))
     assert rank(m) == 7
     states, tallies, peak = traced_mask_distribution(m)
     assert states == 5**7 and tallies.tolist() == [1] * 5**7 and tallies.dtype == np.uint32
@@ -297,7 +295,7 @@ def test_mask_distribution_peak_memory_on_relay_matrices(cfg, cells, monkeypatch
     product = audit._product
     for u in range(1, cfg.U + 1):
         m = scheme.assemble_relay_matrix(s, u)
-        assert cfg.field.modulus**m.rows == cells
+        assert cfg.q**m.rows == cells
         with monkeypatch.context() as patch:
             patch.setattr(audit, "_product", lambda *args: merges.append(args[1]) or product(*args))
             mask_distribution(m, CAP)
@@ -308,14 +306,14 @@ def test_mask_distribution_peak_memory_on_relay_matrices(cfg, cells, monkeypatch
         assert tallies.size == cells and peak < 2 * tally_bytes, peak / tally_bytes
         a = m.array.copy()
         a[:, 0] = 0
-        states, tallies, peak = traced_mask_distribution(from_array(cfg.field, a))
-        assert tallies.size * cfg.field.modulus == cells and peak < 3 * tally_bytes, peak / tally_bytes
+        states, tallies, peak = traced_mask_distribution(from_array(cfg.q, a))
+        assert tallies.size * cfg.q == cells and peak < 3 * tally_bytes, peak / tally_bytes
 
 
 def test_refused_oracle_allocates_less_than_its_matrix():
     # The cap checks come before the column list and any tally, so refusing a
     # 249 x 249 relay matrix at q = 2^61 - 1 costs less than the matrix itself.
-    s = sample_zero_sum_scheme(ProblemConfig(3, 3, 6, make_field(Q61)), 0)
+    s = sample_zero_sum_scheme(ProblemConfig(3, 3, 6, Q61), 0)
     m = scheme.assemble_relay_matrix(s, 1)
     assert (m.rows, m.cols) == (249, 249)
     tracemalloc.start()
@@ -342,7 +340,7 @@ def test_mask_distribution_refuses_an_output_space_over_the_cap():
 
 def test_entropy_oracle_minimal():
     for q in (2, 3):
-        s = build_random(ProblemConfig(2, 1, 2, make_field(q)), seed=0)
+        s = build_random(ProblemConfig(2, 1, 2, q), seed=0)
         r = entropy_oracle_relay(s, 1, CAP)
         assert (r.states, r.entropy_qary, r.target) == (q, 1.0, 1)
         assert r.uniform and r.passed
@@ -506,7 +504,7 @@ def test_mask_distribution_holds_two_one_byte_tallies_on_full_rank_relays(build)
         m = scheme.assemble_relay_matrix(s, u)
         assert rank(m) == m.rows
         states, tallies, peak = traced_mask_distribution(m)
-        cells = s.cfg.field.modulus**m.rows
+        cells = s.cfg.q**m.rows
         assert tallies.size == cells and tallies.tolist() == [states // cells] * cells
         assert peak < 2 * cells, peak / cells
 
@@ -543,7 +541,7 @@ def test_mask_distribution_at_q_257_uses_two_byte_cells(a, monkeypatch):
     q, seen = 257, set()
     convolve = audit._convolve_line
     monkeypatch.setattr(audit, "_convolve_line", lambda tally, c, q: seen.add(tally.dtype) or convolve(tally, c, q))
-    states, tallies = mask_distribution(from_array(make_field(q), np.array(a, dtype=np.int64)), CAP)
+    states, tallies = mask_distribution(from_array(q, np.array(a, dtype=np.int64)), CAP)
     assert states == q ** len(a[0]) and tallies.dtype == narrowest(states)
     assert tallies.tolist() == brute_force(a, q)
     assert seen == {np.dtype(np.uint16)}
@@ -555,7 +553,7 @@ def test_full_audit_sums_the_relays_once(ex1, monkeypatch):
     calls = []
     relay_sums = scheme._relay_sums
     monkeypatch.setattr(scheme, "_relay_sums", lambda s, rows: calls.append(rows.shape) or relay_sums(s, rows))
-    built = build_random(ProblemConfig(3, 2, 3, make_field(2**31 - 1)), seed=0)
+    built = build_random(ProblemConfig(3, 2, 3, 2**31 - 1), seed=0)
     assert calls and {rows for rows, _ in calls} == {(built.cfg.U - 1) * built.cfg.V * built.dims.L}, calls
     calls.clear()
     report = full_audit(ex1, fuzz_rounds=1, oracle_cap=CAP)

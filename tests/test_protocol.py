@@ -5,7 +5,6 @@ import pytest
 
 from hsagg import linalg
 from hsagg.combi import all_users
-from hsagg.gf import make_field
 from hsagg.linalg import DimensionMismatch
 from hsagg.protocol import run, run_rounds
 from hsagg.rates import ProblemConfig
@@ -14,12 +13,12 @@ from reference import block, enumerate_groups
 
 
 def minimal_scheme(q):
-    return build_random(ProblemConfig(2, 1, 2, make_field(q)), seed=0)
+    return build_random(ProblemConfig(2, 1, 2, q), seed=0)
 
 
 def inputs(s, seed, rounds=1):
     """Uniform random inputs of every user, one column per round."""
-    return linalg.random_mats(s.encoding.shape[0], rounds, s.cfg.field, linalg.seed_rows(seed, [[]]))[0]
+    return linalg.random_mats(s.encoding.shape[0], rounds, s.cfg.q, linalg.seed_rows(seed, [[]]))[0]
 
 
 def zero_keys(s, rounds=1):
@@ -39,7 +38,7 @@ def test_keygen_determinism_and_shape(ex1, keygen):
     assert not np.array_equal(keygen(ex1, 43), k1)
     # Group g's key comes from the substream (seed, g).
     for g in range(6):
-        substream = linalg.random_mats(2, 1, ex1.cfg.field, linalg.seed_rows(42, [[g]]))[0]
+        substream = linalg.random_mats(2, 1, ex1.cfg.q, linalg.seed_rows(42, [[g]]))[0]
         assert np.array_equal(k1[2 * g : 2 * g + 2], substream)
 
 
@@ -51,7 +50,7 @@ def test_user_key_counts(ex1, ex2, keygen):
         used, groups = [], enumerate_groups(s.cfg.U, s.cfg.V, s.cfg.G)
         for g in range(len(groups)):
             bumped = k.copy()
-            bumped[g * s.dims.L_S] = (bumped[g * s.dims.L_S] + 1) % s.cfg.field.modulus
+            bumped[g * s.dims.L_S] = (bumped[g * s.dims.L_S] + 1) % s.cfg.q
             if not np.array_equal(run(s, w, bumped).user_messages[user_rows(s, user)], base):
                 used.append(g)
         assert used == [g for g, grp in enumerate(groups) if user in grp]
@@ -134,7 +133,7 @@ def test_run_round_deterministic(ex1, keygen):
     # ((seed, 2i), u, v) and its keys from keygen(s, (seed, 2i + 1)).
     assert np.array_equal(run_rounds(ex1, seed=5, rounds=2).user_messages, r1.user_messages[:, :2])
     for i in range(4):
-        w = linalg.random_mats(5, 1, ex1.cfg.field, linalg.seed_rows((5, 2 * i), all_users(2, 2))).reshape(-1, 1)
+        w = linalg.random_mats(5, 1, ex1.cfg.q, linalg.seed_rows((5, 2 * i), all_users(2, 2))).reshape(-1, 1)
         assert np.array_equal(r1.inputs[:, i : i + 1], w)
         expected = run(ex1, w, keygen(ex1, (5, 2 * i + 1))).user_messages
         assert np.array_equal(r1.user_messages[:, i : i + 1], expected)
@@ -149,7 +148,7 @@ def test_zero_rounds_are_empty_columns(ex1):
 
 def test_hundred_rounds_examples(ex1, ex2):
     for s in (ex1, ex2):
-        q, L, n_users = s.cfg.field.modulus, s.dims.L, s.cfg.U * s.cfg.V
+        q, L, n_users = s.cfg.q, s.dims.L, s.cfg.U * s.cfg.V
         rounds = run_rounds(s, seed=1, rounds=100)
         assert rounds.inputs.shape == rounds.user_messages.shape == (n_users * L, 100)
         assert rounds.relay_messages.shape == (s.cfg.U * L, 100)

@@ -9,7 +9,6 @@ import pytest
 
 from hsagg import cli, linalg, scheme
 from hsagg.combi import all_users
-from hsagg.gf import make_field
 from hsagg.linalg import rank
 from hsagg.rates import Infeasible, ProblemConfig, Regime, classify_regime, security_fractions
 from hsagg.scheme import (
@@ -22,7 +21,7 @@ from hsagg.scheme import (
 )
 from reference import block, block_slices, enumerate_groups, sample_zero_sum_scheme
 
-GF2 = make_field(2)
+GF2 = 2
 Q31 = 2**31 - 1
 Q61 = 2**61 - 1
 
@@ -40,22 +39,22 @@ GOLDEN1 = {
 
 def relay_sums(s):
     """The UL x C(UV,G) * L_S matrix of the relay sums of all of E; server_matrix is its first U-1 row blocks at the cross-relay columns."""
-    return linalg.from_array(s.cfg.field, scheme._relay_sums(s, s.encoding))
+    return linalg.from_array(s.cfg.q, scheme._relay_sums(s, s.encoding))
 
 
 def test_complete_zero_sum_examples():
     # Every builder gives each group's last member the negated sum of the
     # other members' blocks, computed here in Python ints per group.
-    draws = [sample_zero_sum_scheme(ProblemConfig(3, 2, 3, make_field(q)), 4) for q in (5, Q61)]
+    draws = [sample_zero_sum_scheme(ProblemConfig(3, 2, 3, q), 4) for q in (5, Q61)]
     for s in [*draws, scheme.build_example1(), scheme.build_example2()]:
-        q = s.cfg.field.modulus
+        q = s.cfg.q
         for g_idx, grp in enumerate(enumerate_groups(s.cfg.U, s.cfg.V, s.cfg.G)):
             others = sum(block(s, g_idx, m).astype(object) for m in grp[:-1])
             assert block(s, g_idx, grp[-1]).tolist() == (-others % q).tolist()
 
 
 def test_example1_matrices_bit_exact(ex1):
-    assert (ex1.cfg.U, ex1.cfg.V, ex1.cfg.G, ex1.cfg.field.modulus) == (2, 2, 2, 5)
+    assert (ex1.cfg.U, ex1.cfg.V, ex1.cfg.G, ex1.cfg.q) == (2, 2, 2, 5)
     assert (ex1.dims.regime, ex1.dims.L, ex1.dims.L_S) == (Regime.RELAY_DOMINANT, 5, 2)
     for g_idx, grp in enumerate(enumerate_groups(ex1.cfg.U, ex1.cfg.V, ex1.cfg.G)):
         base = np.array(GOLDEN1[grp])
@@ -81,7 +80,7 @@ def test_example1_ranks(ex1):
 
 
 def test_example2_structure(ex2):
-    assert (ex2.cfg.U, ex2.cfg.V, ex2.cfg.G, ex2.cfg.field.modulus) == (4, 2, 7, 11)
+    assert (ex2.cfg.U, ex2.cfg.V, ex2.cfg.G, ex2.cfg.q) == (4, 2, 7, 11)
     assert (ex2.dims.regime, ex2.dims.L, ex2.dims.L_S) == (Regime.SERVER_DOMINANT, 8, 3)
     assert check_zero_sum(ex2)
     # First group: bases 2^0, 2^3, 2^6 = (1, 8, 9); user (1,1) starts at exponent 0.
@@ -116,7 +115,7 @@ def test_example2_ranks(ex2):
 
 
 def test_build_random_basic():
-    cfg = ProblemConfig(2, 2, 2, make_field(scheme.DEFAULT_RANDOM_MODULUS))
+    cfg = ProblemConfig(2, 2, 2, scheme.DEFAULT_RANDOM_MODULUS)
     s = build_random(cfg, seed=1)
     assert s.provenance["retries_used"] <= 2  # within 3 attempts
     assert s.provenance["construction"] == "random"
@@ -143,7 +142,7 @@ def test_build_random_infeasible_and_failure():
 
 
 def test_build_random_reproducible():
-    cfg = ProblemConfig(3, 2, 3, make_field(scheme.DEFAULT_RANDOM_MODULUS))
+    cfg = ProblemConfig(3, 2, 3, scheme.DEFAULT_RANDOM_MODULUS)
     a = build_random(cfg, seed=7)
     b = build_random(cfg, seed=7)
     assert np.array_equal(a.encoding, b.encoding)
@@ -175,7 +174,7 @@ def _batched_build(cfg, seed, max_retries):
 
 @pytest.mark.parametrize("U, V, G, q", [(2, 2, 2, 2), (2, 2, 2, 3), (2, 2, 2, 5), (3, 2, 3, 2), (2, 3, 5, 2)])
 def test_build_random_matches_one_draw_per_attempt(U, V, G, q):
-    cfg = ProblemConfig(U, V, G, make_field(q))
+    cfg = ProblemConfig(U, V, G, q)
     outcomes = set()
     for seed in EQUIVALENCE_SEEDS:
         for max_retries in (0, 1, 2, 3, 7, 40):
@@ -187,11 +186,11 @@ def test_build_random_matches_one_draw_per_attempt(U, V, G, q):
 
 @pytest.mark.parametrize("seed", [0, 5, -1, 2**64 - 3, 2**64, 2**64 + 5])
 def test_draw_seeds_reduce_mod_2_64_as_seed_rows_does(seed):
-    cfg = ProblemConfig(2, 3, 5, make_field(7))
+    cfg = ProblemConfig(2, 3, 5, 7)
     s = sample_zero_sum_scheme(cfg, seed)
     groups = enumerate_groups(cfg.U, cfg.V, cfg.G)
     index = [(g, m) for g in range(len(groups)) for m in range(cfg.G - 1)]
-    drawn = linalg.random_mats(s.dims.L, s.dims.L_S, cfg.field, linalg.seed_rows(seed, index))
+    drawn = linalg.random_mats(s.dims.L, s.dims.L_S, cfg.q, linalg.seed_rows(seed, index))
     for (g, m), drawn_block in zip(index, drawn):
         assert np.array_equal(block(s, g, groups[g][m]), drawn_block)
 
@@ -200,9 +199,9 @@ def _count_batches(monkeypatch, blocks_per_attempt):
     """Record the attempts that each random_mats call draws."""
     batches, draw = [], linalg.random_mats
 
-    def counting(rows, cols, field, seeds):
+    def counting(rows, cols, q, seeds):
         batches.append(len(seeds) // blocks_per_attempt)
-        return draw(rows, cols, field, seeds)
+        return draw(rows, cols, q, seeds)
 
     monkeypatch.setattr(linalg, "random_mats", counting)
     return batches
@@ -259,7 +258,7 @@ def test_build_random_memory_does_not_grow_with_max_retries(monkeypatch):
     tracemalloc.start()
     try:
         seeds = linalg.seed_rows(np.arange(most, dtype=np.uint64)[:, None], index)
-        linalg.random_mats(s.dims.L, s.dims.L_S, cfg.field, seeds)
+        linalg.random_mats(s.dims.L, s.dims.L_S, cfg.q, seeds)
         del seeds
         batch = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
@@ -273,14 +272,14 @@ def test_build_random_memory_does_not_grow_with_max_retries(monkeypatch):
 
 def test_sample_zero_sum_always_zero_sum():
     for q in (2, 3, 5):
-        cfg = ProblemConfig(2, 2, 3, make_field(q))
+        cfg = ProblemConfig(2, 2, 3, q)
         for seed in range(5):
             s = sample_zero_sum_scheme(cfg, seed)
             assert check_zero_sum(s)
 
 
 def test_relay_matrix_v1_is_horizontal_concat():
-    cfg = ProblemConfig(3, 1, 2, make_field(scheme.DEFAULT_RANDOM_MODULUS))
+    cfg = ProblemConfig(3, 1, 2, scheme.DEFAULT_RANDOM_MODULUS)
     s = build_random(cfg, seed=0)
     m = assemble_relay_matrix(s, 2)
     assert m.rows == s.dims.L
@@ -296,7 +295,7 @@ def _grid_scheme(U, V, G):
     and L_S but get L = 1, and their member blocks are uniform nonzero
     without zero-sum completion, so that the whole grid stays small.
     """
-    cfg = ProblemConfig(U, V, G, make_field(Q31))
+    cfg = ProblemConfig(U, V, G, Q31)
     dims = classify_regime(cfg)
     n_groups = comb(U * V, G)
     if U * V * dims.L * n_groups * dims.L_S <= 1 << 20:
@@ -336,7 +335,7 @@ def test_relay_matrix_column_blocks_are_the_groups_touching_the_relay(U):
 
 
 def test_relay_column_index_is_made_once_per_config_and_read_only():
-    cfg = ProblemConfig(3, 2, 3, make_field(Q31))
+    cfg = ProblemConfig(3, 2, 3, Q31)
     first, second = sample_zero_sum_scheme(cfg, seed=0), sample_zero_sum_scheme(cfg, seed=1)
     key = (3, 2, 3, 2, first.dims.L_S)
     index = scheme._relay_columns(*key)
@@ -374,7 +373,7 @@ def test_member_index_rows_are_the_canonical_groups_as_user_indices(configs):
 def test_member_index_is_made_once_per_config_for_a_retrying_build(monkeypatch):
     # The gate fails attempts 0-3, so attempt 4 is returned: five schemes
     # are assembled, and every one takes its members from the one index.
-    cfg = ProblemConfig(2, 3, 4, make_field(Q31))
+    cfg = ProblemConfig(2, 3, 4, Q31)
     monkeypatch.setattr(scheme, "scheme_rank_checks_pass", lambda s: s.provenance["retries_used"] == 4)
     before = scheme._members.cache_info()
     index = scheme._members(2, 3, 4)
@@ -398,7 +397,7 @@ def placed_block_by_block(cfg, dims, blocks):
 
 @pytest.mark.parametrize("U, V, G, q", [(2, 2, 2, 5), (3, 2, 3, Q31), (2, 3, 4, Q61), (4, 2, 7, 11), (3, 3, 6, Q31)])
 def test_build_and_load_place_blocks_as_block_slices_does(U, V, G, q, tmp_path):
-    cfg = ProblemConfig(U, V, G, make_field(q))
+    cfg = ProblemConfig(U, V, G, q)
     dims = classify_regime(cfg)
     groups = enumerate_groups(U, V, G)
     rng = np.random.default_rng(U * 100 + V * 10 + G)
@@ -428,7 +427,7 @@ def test_build_and_load_place_blocks_as_block_slices_does(U, V, G, q, tmp_path):
 def test_cross_relay_matrix_column_blocks_are_the_groups_spanning_relays(U):
     for V, G in _grid(U):
         s = _grid_scheme(U, V, G)
-        L, q = s.dims.L, s.cfg.field.modulus
+        L, q = s.dims.L, s.cfg.q
         _, server_frac = security_fractions(s.cfg)
         groups = enumerate_groups(U, V, G)
         cross = [g for g, grp in enumerate(groups) if len({m[0] for m in grp}) >= 2]
@@ -442,7 +441,7 @@ def test_cross_relay_matrix_column_blocks_are_the_groups_spanning_relays(U):
 
 
 def test_server_matrix_row_blocks_sum_to_zero():
-    cfg = ProblemConfig(3, 2, 2, make_field(5))
+    cfg = ProblemConfig(3, 2, 2, 5)
     for seed in range(4):
         s = sample_zero_sum_scheme(cfg, seed)  # ungated draws included
         full = relay_sums(s)
@@ -462,14 +461,14 @@ def test_server_matrix_keeps_the_rank_of_all_relay_sums():
     for q in deficient:
         for U, V, G in ((2, 2, 2), (3, 2, 2), (2, 3, 3), (3, 2, 3), (3, 1, 2)):
             for seed in range(8):
-                s = sample_zero_sum_scheme(ProblemConfig(U, V, G, make_field(q)), seed)
+                s = sample_zero_sum_scheme(ProblemConfig(U, V, G, q), seed)
                 r = rank(server_matrix(s))
                 assert r == rank(relay_sums(s)), (q, U, V, G, seed)
                 deficient[q] += r < (U - 1) * s.dims.L
     assert all(deficient.values()), deficient
     for q in (Q31, Q61):
         for U, V, G in ((3, 2, 3), (4, 2, 4)):
-            s = build_random(ProblemConfig(U, V, G, make_field(q)), seed=0)
+            s = build_random(ProblemConfig(U, V, G, q), seed=0)
             assert rank(server_matrix(s)) == rank(relay_sums(s)) == (U - 1) * s.dims.L
 
 
@@ -493,7 +492,7 @@ def test_converse_as_a_dimension_count(U, V, G):
     # for each relay u and X * L_S >= (U - 1) * L for the cross-relay matrix.
     # These are the paper's two key-rate bounds; T_u and X are counted from
     # the scheme's groups, not from the binomials in rates.
-    s = sample_zero_sum_scheme(ProblemConfig(U, V, G, make_field(Q31)), seed=0)
+    s = sample_zero_sum_scheme(ProblemConfig(U, V, G, Q31), seed=0)
     L, L_S, groups = s.dims.L, s.dims.L_S, enumerate_groups(U, V, G)
     touching = [sum(any(m[0] == u for m in grp) for grp in groups) for u in range(1, U + 1)]
     spanning = sum(len({m[0] for m in grp}) > 1 for grp in groups)
@@ -514,7 +513,7 @@ def test_converse_as_a_dimension_count(U, V, G):
 def test_failed_attempts_stay_under_the_attempt_failure_bound(q):
     # Failed rank gates of sample_zero_sum_scheme over seeds 0-999 at (2,2,2):
     # 63, 23 and 9 at q = 31, 101 and 251, against bounds of 806, 248 and 100.
-    cfg = ProblemConfig(2, 2, 2, make_field(q))
+    cfg = ProblemConfig(2, 2, 2, q)
     seeds = range(1000)
     failed = sum(not scheme.scheme_rank_checks_pass(sample_zero_sum_scheme(cfg, seed)) for seed in seeds)
     bound = scheme.attempt_failure_bound(cfg, classify_regime(cfg))
@@ -536,8 +535,8 @@ def test_a_scheme_is_its_encoding_matrix_and_nothing_else():
 REPRESENTATION_BUILDS = {
     "example1": scheme.build_example1,
     "example2": scheme.build_example2,
-    "p31": lambda: build_random(ProblemConfig(3, 2, 3, make_field(2**31 - 1)), seed=3),
-    "p61": lambda: build_random(ProblemConfig(3, 2, 3, make_field(Q61)), seed=3),
+    "p31": lambda: build_random(ProblemConfig(3, 2, 3, 2**31 - 1), seed=3),
+    "p61": lambda: build_random(ProblemConfig(3, 2, 3, Q61), seed=3),
 }
 
 
@@ -557,4 +556,4 @@ def test_encoding_matrix_is_the_scheme(name, loaded, tmp_path):
     for g, grp in enumerate(groups):
         members = {(u - 1) * V + v - 1 for u, v in grp}
         assert all(not blocks[i, :, g].any() for i in range(U * V) if i not in members)
-        assert not (blocks[:, :, g].astype(object).sum(axis=0) % s.cfg.field.modulus).any()
+        assert not (blocks[:, :, g].astype(object).sum(axis=0) % s.cfg.q).any()

@@ -200,3 +200,33 @@ def test_rank_is_called_only_by_the_two_gate_checks():
     audit.full_audit (verify) alone; every other verdict reads scheme.gates through them or the oracles."""
     found = [use for path in sorted(SRC.glob("*.py")) for use in _rank_calls(path)]
     assert not found, f"linalg.rank outside scheme_rank_checks_pass and full_audit: {found}"
+
+
+# The definitions that may name gf.FieldSpec: the class itself, and linalg's Mat, which
+# carries it, with from_array, the one place that makes one. Everywhere else the modulus is
+# ProblemConfig.q, an int checked once, so neither a factory nor a second carrier grows back.
+_FIELD_SPEC_USERS = {"gf.py": {"FieldSpec"}, "linalg.py": {"Mat", "from_array"}}
+
+
+def _field_spec_uses(path: Path) -> list[str]:
+    """Where a module names FieldSpec outside the definitions _FIELD_SPEC_USERS allows and linalg's import of it."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed = {
+        id(node)
+        for f in tree.body
+        if isinstance(f, (ast.ClassDef, ast.FunctionDef)) and f.name in _FIELD_SPEC_USERS.get(path.name, ())
+        or isinstance(f, ast.ImportFrom) and path.name == "linalg.py" and f.module == "gf"
+        for node in ast.walk(f)
+    }
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if id(node) not in allowed and "FieldSpec" in (getattr(node, a, None) for a in ("id", "attr", "name"))
+    ]
+
+
+def test_field_spec_is_only_the_field_a_mat_carries():
+    """q is a plain int outside Mat: FieldSpec is named only where gf defines it and where
+    linalg's Mat holds it and from_array makes it (the benchmark's tracer reads Mat.field)."""
+    found = [use for path in sorted(SRC.glob("*.py")) for use in _field_spec_uses(path)]
+    assert not found, f"FieldSpec outside gf.FieldSpec, linalg.Mat and linalg.from_array: {found}"
