@@ -299,11 +299,12 @@ def entropy_oracle_server(s: PrecodingScheme, cap: int) -> OracleResult:
     Intra-relay keys cancel inside their relay and the U-th mask is determined
     by the others, so server security holds iff this joint mask is uniform on
     GF(q)^{(U-1)L}, i.e. the entropy equals (U-1)*L. Its matrix is the server
-    matrix (scheme.server_matrix), which is made only once its q^cols key
-    states are within the cap; its q^rows outputs are then too, as rows <= cols.
+    gate's (scheme.gate(s, None)), which is made only once its q^cols key
+    states, one per column of scheme.gate_columns, are within the cap; its
+    q^rows outputs are then too, as rows <= cols.
     """
     cfg = s.cfg
-    _check_caps(cfg.q, cap, scheme_mod.cross_relay_columns(cfg.U, cfg.V, cfg.G, s.dims.L_S).size)
+    _check_caps(cfg.q, cap, scheme_mod.gate_columns(cfg.U, cfg.V, cfg.G, s.dims.L_S, None).size)
     return _oracle_from_matrix(*scheme_mod.gate(s, None), cap)
 
 

@@ -44,8 +44,8 @@ class PrecodingScheme:
     ..., (U,V)), column block g to group g, whose members _members gives;
     the block is the user's matrix for the group, zero for a non-member.
     Stacking every user's input and every group's key gives all user
-    messages at once, X = W + E K, and the relay matrices, the server
-    matrix and the zero-sum check are slices and row-block sums of E.
+    messages at once, X = W + E K, and every gate's matrix (gate) and the
+    zero-sum check are slices and row-block sums of E.
     """
 
     cfg: ProblemConfig
@@ -174,16 +174,36 @@ def _draws(cfg: ProblemConfig, seed: int, attempts: int):
         k, size = k + n, 2 * size
 
 
+@lru_cache(maxsize=64)
+def gate_columns(U: int, V: int, G: int, L_S: int, u: int | None) -> np.ndarray:
+    """The read-only column index in E of gate u's groups, made once per config: those touching relay u, or those spanning relays if u is None."""
+    relays = _members(U, V, G) // V
+    groups = np.ptp(relays, axis=1) > 0 if u is None else (relays == u - 1).any(axis=1)
+    columns = np.flatnonzero(np.repeat(groups, L_S))
+    columns.setflags(write=False)
+    return columns
+
+
 def gate(s: PrecodingScheme, u: int | None) -> tuple[Mat, int]:
     """The (matrix, target rank) of relay u's security gate, or of the server's if u is None.
 
-    Each gate asks its matrix for full row rank: V*L for a relay (see
-    assemble_relay_matrix), (U-1)*L for the server (see server_matrix, whose
-    rank decides server security only on a zero-sum scheme).
+    Both matrices are made from E at the gate's columns (gate_columns).
+    Relay u's is its V*L rows: row block v, column block j holds user
+    (u, v)'s block in the j-th group touching u, zero for a non-member, and
+    full row rank V*L is exactly relay security. The server's is the relay
+    sums of E's first U-1 relays at the groups spanning relays.
+    Precondition: s is zero-sum. Then a group's U relay sums add up to zero,
+    so relay U adds no rank, and an intra-relay group's blocks cancel inside
+    their relay, so this matrix has the rank of the relay sums of all of E,
+    and full row rank (U-1)*L is exactly server security.
     """
+    U, V, L = s.cfg.U, s.cfg.V, s.dims.L
+    if u is not None and not 1 <= u <= U:
+        raise ValueError(f"relay index {u} outside [1, {U}]")
+    columns = gate_columns(U, V, s.cfg.G, s.dims.L_S, u)
     if u is None:
-        return server_matrix(s), (s.cfg.U - 1) * s.dims.L
-    return assemble_relay_matrix(s, u), s.cfg.V * s.dims.L
+        return linalg.from_array(s.cfg.q, _relay_sums(s, s.encoding[: (U - 1) * V * L, columns])), (U - 1) * L
+    return linalg.from_array(s.cfg.q, s.encoding[(u - 1) * V * L : u * V * L, columns]), V * L
 
 
 def gates(s: PrecodingScheme):
@@ -193,7 +213,7 @@ def gates(s: PrecodingScheme):
 
 
 def scheme_rank_checks_pass(s: PrecodingScheme) -> bool:
-    """True iff every gate's matrix has its target rank; s must be zero-sum (see server_matrix), as every build is."""
+    """True iff every gate's matrix has its target rank; s must be zero-sum (see gate), as every build is."""
     return all(linalg.rank(m) == target for _, m, target in gates(s))
 
 
@@ -226,28 +246,6 @@ def build_random(cfg: ProblemConfig, seed: int, max_retries: int = DEFAULT_MAX_R
     raise ConstructionFailed(max_retries + 1)
 
 
-def assemble_relay_matrix(s: PrecodingScheme, u: int) -> Mat:
-    """The VL x (T_u * L_S) matrix seen by relay u.
-
-    Row block v, column block j holds the block of the j-th group touching
-    relay u (canonical order) for user (u, v); zero where (u, v) is not a
-    member. Full row rank VL is exactly the relay security condition.
-    """
-    if not 1 <= u <= s.cfg.U:
-        raise ValueError(f"relay index {u} outside [1, {s.cfg.U}]")
-    height = s.cfg.V * s.dims.L
-    rows = s.encoding[(u - 1) * height : u * height]
-    return linalg.from_array(s.cfg.q, rows[:, _relay_columns(s.cfg.U, s.cfg.V, s.cfg.G, u, s.dims.L_S)])
-
-
-@lru_cache(maxsize=64)
-def _relay_columns(U: int, V: int, G: int, u: int, L_S: int) -> np.ndarray:
-    """The read-only column index of relay u's matrix in E, the blocks of the groups touching u; made once per config."""
-    columns = np.flatnonzero(np.repeat((_members(U, V, G) // V == u - 1).any(axis=1), L_S))
-    columns.setflags(write=False)
-    return columns
-
-
 def _relay_sums(s: PrecodingScheme, rows: np.ndarray) -> np.ndarray:
     """The mod-q sum of each relay's V user row blocks, for rows of E that cover whole relays."""
     V, L, cols = s.cfg.V, s.dims.L, rows.shape[1]
@@ -259,27 +257,3 @@ def check_zero_sum(s: PrecodingScheme) -> bool:
     """Exact check that every group's member blocks sum to the zero matrix."""
     per_user = s.encoding.reshape(-1, s.dims.L, s.encoding.shape[1])
     return not linalg.sum_mod(per_user, 0, s.cfg.q).any()
-
-
-@lru_cache(maxsize=64)
-def cross_relay_columns(U: int, V: int, G: int, L_S: int) -> np.ndarray:
-    """The read-only column index in E of the groups spanning relays, the server matrix's columns; made once per config."""
-    columns = np.flatnonzero(np.repeat(np.ptp(_members(U, V, G) // V, axis=1) > 0, L_S))
-    columns.setflags(write=False)
-    return columns
-
-
-def server_matrix(s: PrecodingScheme) -> Mat:
-    """The (U-1)L x (X * L_S) server matrix, X the number of groups spanning relays.
-
-    Row block u, column block j is the relay-aggregated block
-    sum_v block(g, (u, v)) of the j-th cross-relay group g: the relay sums
-    of E's first U-1 relays at cross_relay_columns. Precondition: s is
-    zero-sum. Then a group's U relay sums add up to zero, so relay U adds no
-    rank, and an intra-relay group's blocks cancel inside their relay, so
-    this matrix has the rank of the relay sums of all of E, and rank (U-1)L
-    is exactly the server security condition.
-    """
-    U, V, L = s.cfg.U, s.cfg.V, s.dims.L
-    columns = cross_relay_columns(U, V, s.cfg.G, s.dims.L_S)
-    return linalg.from_array(s.cfg.q, _relay_sums(s, s.encoding[: (U - 1) * V * L, columns]))

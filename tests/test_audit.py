@@ -294,7 +294,7 @@ def test_mask_distribution_peak_memory_on_relay_matrices(cfg, cells, monkeypatch
     merges = []
     product = audit._product
     for u in range(1, cfg.U + 1):
-        m = scheme.assemble_relay_matrix(s, u)
+        m = scheme.gate(s, u)[0]
         assert cfg.q**m.rows == cells
         with monkeypatch.context() as patch:
             patch.setattr(audit, "_product", lambda *args: merges.append(args[1]) or product(*args))
@@ -314,7 +314,7 @@ def test_refused_oracle_allocates_less_than_its_matrix():
     # The cap checks come before the column list and any tally, so refusing a
     # 249 x 249 relay matrix at q = 2^61 - 1 costs less than the matrix itself.
     s = sample_zero_sum_scheme(ProblemConfig(3, 3, 6, Q61), 0)
-    m = scheme.assemble_relay_matrix(s, 1)
+    m = scheme.gate(s, 1)[0]
     assert (m.rows, m.cols) == (249, 249)
     tracemalloc.start()
     try:
@@ -389,13 +389,13 @@ def test_full_audit_example1(ex1):
 
 
 def test_full_audit_assembles_each_relay_matrix_once(ex1, monkeypatch):
-    # The relay rank and the relay oracle take the same matrix.
+    # Each gate's rank and oracle take the same matrix: relays 1..U, then the server.
     calls = []
-    assemble = scheme.assemble_relay_matrix
-    monkeypatch.setattr(scheme, "assemble_relay_matrix", lambda s, u: calls.append(u) or assemble(s, u))
+    make = scheme.gate
+    monkeypatch.setattr(scheme, "gate", lambda s, u: calls.append(u) or make(s, u))
     report = full_audit(ex1, fuzz_rounds=1, oracle_cap=CAP)
     assert all(isinstance(o, OracleResult) for o in report.oracle_relay.values())
-    assert calls == list(range(1, ex1.cfg.U + 1))
+    assert calls == [*range(1, ex1.cfg.U + 1), None]
 
 
 def test_full_audit_example2_oracles_skipped(ex2):
@@ -424,7 +424,7 @@ def test_full_audit_catches_sign_flip(ex1, tmp_path, capsys):
     # Off zero-sum the server rank is taken on the relay sums of all of E, 7;
     # the server matrix, which has that rank on zero-sum schemes, would give 5.
     assert (report.server_rank.expected, report.server_rank.computed) == (5, 7)
-    assert rank(scheme.server_matrix(corrupted)) == 5
+    assert rank(scheme.gate(corrupted, None)[0]) == 5
     # A file that breaks zero-sum loads, and its report carries the same value.
     path, out = str(tmp_path / "flip.json"), tmp_path / "report.json"
     cli.save_scheme(corrupted, path)
@@ -478,7 +478,7 @@ def test_oracle_checks_uniformity_without_a_pass_over_the_tally(ex1, monkeypatch
     # mask_distribution returns one multiplicity broadcast over the attained
     # outputs, 5^10 of them for (2,2,2)@5's relay 1; an elementwise comparison
     # would make a 9.77 MB bool array of it.
-    m = scheme.assemble_relay_matrix(ex1, 1)
+    m = scheme.gate(ex1, 1)[0]
     tallies = np.broadcast_to(np.array(1, np.min_scalar_type(5**10)), (5**10,))
     monkeypatch.setattr(audit, "mask_distribution", lambda m, cap: (5**10, tallies))
     tracemalloc.start()
@@ -501,7 +501,7 @@ def test_mask_distribution_holds_two_one_byte_tallies_on_full_rank_relays(build)
     either way the cells hold q, so the peak is under two one-byte q^rows tallies."""
     s = build()
     for u in range(1, s.cfg.U + 1):
-        m = scheme.assemble_relay_matrix(s, u)
+        m = scheme.gate(s, u)[0]
         assert rank(m) == m.rows
         states, tallies, peak = traced_mask_distribution(m)
         cells = s.cfg.q**m.rows
@@ -520,7 +520,7 @@ def test_mask_distribution_refuses_a_factor_of_two_cell_values(ex1, tmp_path, ca
         flat[np.flatnonzero(flat)[0]] += 1
 
     monkeypatch.setattr(audit, "_convolve_line", faulty)
-    m = scheme.assemble_relay_matrix(ex1, 1)
+    m = scheme.gate(ex1, 1)[0]
     with pytest.raises(ArithmeticError, match="not one value"):
         mask_distribution(m, CAP)
     path = str(tmp_path / "ex1.json")
@@ -571,7 +571,7 @@ def test_server_oracle_refuses_before_any_matrix_is_made(ex1, monkeypatch):
     def no_matrix(*args):
         raise AssertionError("a matrix was made for a refused oracle")
 
-    for name in ("_relay_sums", "server_matrix", "gate"):
+    for name in ("_relay_sums", "gate"):
         monkeypatch.setattr(scheme, name, no_matrix)
     # The cross-relay matrix is 5 x 8: its 5^8 key states are checked before its 5^5 outputs.
     for cap in (5**4, 5**8 - 1):

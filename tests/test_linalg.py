@@ -191,9 +191,14 @@ def test_mat_sum_and_immutability():
 
 # Moduli for the exact product: tiny, one 21-bit limb (65,537 and 2,097,143,
 # whose q - 1 has 17 and 21 bits), the 31-bit Mersenne prime, the largest
-# prime with (q-1)^2 < 2^63 (int64-safe), the largest prime below 2^61 - 1,
-# and the 61-bit Mersenne prime.
-KERNEL_MODULI = (2, 5, 65_537, 2_097_143, 2**31 - 1, 3_037_000_493, 2305843009213693921, 2**61 - 1)
+# prime with (q-1)^2 < 2^63 (int64-safe), three limbs from the least prime
+# above 2^42 and the least above 2^53, the greatest prime below and the least
+# above 3 (2^53 - 1) (under it each Horner step reduces with %, over it by one
+# subtraction), the largest prime below 2^61 - 1, and the 61-bit Mersenne prime.
+KERNEL_MODULI = (
+    2, 5, 65_537, 2_097_143, 2**31 - 1, 3_037_000_493, 4_398_046_511_119, 9_007_199_254_740_997,
+    27_021_597_764_222_939, 27_021_597_764_223_071, 2305843009213693921, 2**61 - 1,
+)
 
 
 def reference_product(a: list, b: list, inner: int, cols: int, q: int) -> list:
@@ -238,9 +243,12 @@ CHUNK = (2**53 - 1) // (2**21 - 1) ** 2  # 2,048
 
 # Moduli of the chunk tests: one limb (q = 2 and 3, and 65,537 and 2,097,143,
 # whose q - 1 has 17 and 21 bits), two limbs either side of 3,037,000,499 and
-# either side of 2^32, and three at 2^61 - 1.
+# either side of 2^32, and three at the least primes above 2^42 and 2^53,
+# either side of 3 (2^53 - 1), where the Horner step turns from % q to one
+# subtraction, and at 2^61 - 1.
 BOUNDARY_MODULI = (
-    2, 3, 65_537, 2_097_143, 3_037_000_493, 3_037_000_507, 4_294_967_291, 4_294_967_311, 2**61 - 1,
+    2, 3, 65_537, 2_097_143, 3_037_000_493, 3_037_000_507, 4_294_967_291, 4_294_967_311,
+    4_398_046_511_119, 9_007_199_254_740_997, 27_021_597_764_222_939, 27_021_597_764_223_071, 2**61 - 1,
 )
 
 
@@ -304,8 +312,11 @@ def chunk_boundaries(draw):
 @example((4_294_967_291, 1, CHUNK + 1, 1, "largest limb", 0))
 @example((2_097_143, 3, CHUNK + 1, 2, "largest limb", 0))
 # The Horner step reduces by one subtraction only where 3 (2^53 - 1) < q, where every weight sum is
-# below q: not at the first prime above 2^53, where a full chunk's weight sums pass q, nor at the last
-# prime below 3 2^53, but at the first prime above it.
+# below q: not at the first prime above 2^42, where a chunk's weight sums pass 2q, nor at the first
+# prime above 2^53, where a full chunk's weight sums pass q, nor at the last prime below 3 2^53, but
+# at the first prime above it.
+@example((4_398_046_511_119, 2, CHUNK, 3, "largest limb", 0))
+@example((4_398_046_511_119, 2, CHUNK - 1, 3, "random", 0))
 @example((9_007_199_254_740_997, 2, CHUNK, 3, "two largest limbs", 0))
 @example((9_007_199_254_740_997, 2, CHUNK + 1, 3, "random", 0))
 @example((27_021_597_764_222_939, 2, CHUNK, 3, "two largest limbs", 0))

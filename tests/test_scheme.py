@@ -14,10 +14,9 @@ from hsagg.rates import Infeasible, ProblemConfig, Regime, classify_regime, secu
 from hsagg.scheme import (
     ConstructionFailed,
     PrecodingScheme,
-    assemble_relay_matrix,
     build_random,
     check_zero_sum,
-    server_matrix,
+    gate,
 )
 from reference import block, block_slices, enumerate_groups, sample_zero_sum_scheme
 
@@ -38,7 +37,7 @@ GOLDEN1 = {
 
 
 def relay_sums(s):
-    """The UL x C(UV,G) * L_S matrix of the relay sums of all of E; server_matrix is its first U-1 row blocks at the cross-relay columns."""
+    """The UL x C(UV,G) * L_S matrix of the relay sums of all of E; the server gate's matrix is its first U-1 row blocks at the cross-relay columns."""
     return linalg.from_array(s.cfg.q, scheme._relay_sums(s, s.encoding))
 
 
@@ -68,13 +67,13 @@ def test_example1_matrices_bit_exact(ex1):
 
 def test_example1_ranks(ex1):
     for u in (1, 2):
-        m = assemble_relay_matrix(ex1, u)
+        m = gate(ex1, u)[0]
         assert (m.rows, m.cols) == (10, 10)
         assert rank(m) == 10
     server = relay_sums(ex1)
     assert (server.rows, server.cols) == (10, 12)
     assert rank(server) == 5
-    cross = server_matrix(ex1)
+    cross = gate(ex1, None)[0]
     assert (cross.rows, cross.cols) == (5, 8)
     assert rank(cross) == 5
 
@@ -103,13 +102,13 @@ def test_example2_structure(ex2):
 
 def test_example2_ranks(ex2):
     for u in range(1, 5):
-        m = assemble_relay_matrix(ex2, u)
+        m = gate(ex2, u)[0]
         assert (m.rows, m.cols) == (16, 24)
         assert rank(m) == 16
     server = relay_sums(ex2)
     assert (server.rows, server.cols) == (32, 24)
     assert rank(server) == 24
-    cross = server_matrix(ex2)
+    cross = gate(ex2, None)[0]
     assert (cross.rows, cross.cols) == (24, 24)
     assert rank(cross) == 24
 
@@ -281,7 +280,7 @@ def test_sample_zero_sum_always_zero_sum():
 def test_relay_matrix_v1_is_horizontal_concat():
     cfg = ProblemConfig(3, 1, 2, scheme.DEFAULT_RANDOM_MODULUS)
     s = build_random(cfg, seed=0)
-    m = assemble_relay_matrix(s, 2)
+    m = gate(s, 2)[0]
     assert m.rows == s.dims.L
     touching = [g for g, grp in enumerate(enumerate_groups(s.cfg.U, s.cfg.V, s.cfg.G)) if (2, 1) in grp]
     expected = np.hstack([block(s, g, (2, 1)) for g in touching])
@@ -325,30 +324,33 @@ def test_relay_matrix_column_blocks_are_the_groups_touching_the_relay(U):
         for u in range(1, U + 1):
             touching = [g for g, grp in enumerate(groups) if any(m[0] == u for m in grp)]
             expected = s.encoding[(u - 1) * height : u * height, _columns(touching, s.dims.L_S)]
-            m = assemble_relay_matrix(s, u)
+            m = gate(s, u)[0]
             assert np.array_equal(m.array, expected), (U, V, G, u)
             # C(UV,G) - C((U-1)V,G) groups touch each relay.
             assert m.cols == V / relay_frac * s.dims.L_S
         for u in (0, U + 1):
             with pytest.raises(ValueError, match="outside"):
-                assemble_relay_matrix(s, u)
+                gate(s, u)
 
 
 def test_relay_column_index_is_made_once_per_config_and_read_only():
     cfg = ProblemConfig(3, 2, 3, Q31)
     first, second = sample_zero_sum_scheme(cfg, seed=0), sample_zero_sum_scheme(cfg, seed=1)
-    key = (3, 2, 3, 2, first.dims.L_S)
-    index = scheme._relay_columns(*key)
-    assert not index.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        index[0] = 0
-    assert scheme._relay_columns(*key) is index
-    # Every attempt of a config takes its relay columns from the one index.
-    hits = scheme._relay_columns.cache_info().hits
     height = cfg.V * first.dims.L
-    for s in (first, second):
-        assert np.array_equal(assemble_relay_matrix(s, 2).array, s.encoding[height : 2 * height, index])
-    assert scheme._relay_columns.cache_info().hits == hits + 2
+    # Relay 2's rows, and the relay sums of the first U - 1 relays for the server (u None).
+    rows = {2: lambda s: s.encoding[height : 2 * height], None: lambda s: scheme._relay_sums(s, s.encoding[: 2 * height])}
+    for u, gate_rows in rows.items():
+        key = (3, 2, 3, first.dims.L_S, u)
+        index = scheme.gate_columns(*key)
+        assert not index.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            index[0] = 0
+        assert scheme.gate_columns(*key) is index
+        # Every attempt of a config takes the gate's columns from the one index.
+        hits = scheme.gate_columns.cache_info().hits
+        for s in (first, second):
+            assert np.array_equal(gate(s, u)[0].array, gate_rows(s)[:, index])
+        assert scheme.gate_columns.cache_info().hits == hits + 2
 
 
 @pytest.mark.parametrize(
@@ -433,7 +435,7 @@ def test_cross_relay_matrix_column_blocks_are_the_groups_spanning_relays(U):
         cross = [g for g, grp in enumerate(groups) if len({m[0] for m in grp}) >= 2]
         relay_sums = s.encoding.astype(object).reshape(U, V, L, -1).sum(axis=1) % q
         expected = relay_sums.reshape(U * L, -1)[: (U - 1) * L, _columns(cross, s.dims.L_S)]
-        m = server_matrix(s)
+        m = gate(s, None)[0]
         assert np.array_equal(m.array, expected), (U, V, G)
         # The other U*C(V,G) groups lie within one relay.
         assert len(groups) - len(cross) == U * comb(V, G)
@@ -462,14 +464,14 @@ def test_server_matrix_keeps_the_rank_of_all_relay_sums():
         for U, V, G in ((2, 2, 2), (3, 2, 2), (2, 3, 3), (3, 2, 3), (3, 1, 2)):
             for seed in range(8):
                 s = sample_zero_sum_scheme(ProblemConfig(U, V, G, q), seed)
-                r = rank(server_matrix(s))
+                r = rank(gate(s, None)[0])
                 assert r == rank(relay_sums(s)), (q, U, V, G, seed)
                 deficient[q] += r < (U - 1) * s.dims.L
     assert all(deficient.values()), deficient
     for q in (Q31, Q61):
         for U, V, G in ((3, 2, 3), (4, 2, 4)):
             s = build_random(ProblemConfig(U, V, G, q), seed=0)
-            assert rank(server_matrix(s)) == rank(relay_sums(s)) == (U - 1) * s.dims.L
+            assert rank(gate(s, None)[0]) == rank(relay_sums(s)) == (U - 1) * s.dims.L
 
 
 def test_intra_relay_column_blocks_are_zero(ex1):
@@ -497,8 +499,8 @@ def test_converse_as_a_dimension_count(U, V, G):
     touching = [sum(any(m[0] == u for m in grp) for grp in groups) for u in range(1, U + 1)]
     spanning = sum(len({m[0] for m in grp}) > 1 for grp in groups)
     for u, t_u in enumerate(touching, start=1):
-        assert assemble_relay_matrix(s, u).cols == t_u * L_S
-    assert server_matrix(s).cols == spanning * L_S
+        assert gate(s, u)[0].cols == t_u * L_S
+    assert gate(s, None)[0].cols == spanning * L_S
     # classify_regime's L_S / L is the least ratio that meets both bounds,
     # with equality in the dominant one.
     least = max([Fraction(V, t_u) for t_u in touching] + [Fraction(U - 1, spanning)])

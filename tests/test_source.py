@@ -230,3 +230,23 @@ def test_field_spec_is_only_the_field_a_mat_carries():
     linalg's Mat holds it and from_array makes it (the benchmark's tracer reads Mat.field)."""
     found = [use for path in sorted(SRC.glob("*.py")) for use in _field_spec_uses(path)]
     assert not found, f"FieldSpec outside gf.FieldSpec, linalg.Mat and linalg.from_array: {found}"
+
+
+# The functions that keep a per-config or per-process result: the member index, the gates'
+# column index and the parser. Each gate takes its columns from the one index, so no second
+# per-config column index grows back.
+_CACHED = {"scheme._members", "scheme.gate_columns", "cli.build_parser"}
+
+
+def _cache_decorated(node) -> bool:
+    """A function decorated with functools.lru_cache or functools.cache, called or bare, by attribute or by name."""
+    if not isinstance(node, ast.FunctionDef):
+        return False
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(_loaded_name(d) in ("lru_cache", "cache") for d in decorators)
+
+
+def test_only_the_member_index_the_gate_columns_and_the_parser_are_cached():
+    """scheme._members, scheme.gate_columns and cli.build_parser are the library's only lru_cache or cache functions."""
+    found = {f"{name.removesuffix('.py')}.{node.name}" for name, node in _nodes() if _cache_decorated(node)}
+    assert found == _CACHED, f"cached functions in src/hsagg: {sorted(found)}, expected {sorted(_CACHED)}"
